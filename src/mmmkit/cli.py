@@ -27,6 +27,7 @@ from .gradedalg import (
 )
 from .hopfmodel import (
     MAX_DEGREE_CAP,
+    STEP,
     hopf_model,
     l_class_component,
     restricted_model,
@@ -152,7 +153,7 @@ def _span_doc(query, dimension, basis_polys, names=None, checks=()):
 
 
 def _cmd_nearprim_basis(args):
-    model = hopf_model(args.model, max(args.degree, 1))
+    model = hopf_model(args.model, max(args.degree, STEP[args.model]))
     monos = near_primitive_monomials(model, args.degree, args.order)
     span = near_primitive_span(model, args.degree, args.order)
     polys = [Polynomial.from_monomial(model.primitives, e) for e in monos]
@@ -170,7 +171,7 @@ def _cmd_nearprim_basis(args):
 
 
 def _cmd_nearprim_verify(args):
-    bound = args.max_degree or DEFAULT_BOUND[args.model]
+    bound = DEFAULT_BOUND[args.model] if args.max_degree is None else args.max_degree
     model = hopf_model(args.model, bound)
     report = verify_equivalence(model, bound)
     checks = [
@@ -201,7 +202,7 @@ def _cmd_nearprim_verify(args):
 
 
 def _cmd_npd(args):
-    model = hopf_model(args.model, max(args.degree, 1))
+    model = hopf_model(args.model, max(args.degree, STEP[args.model]))
     space = npd(model, args.d, args.degree)
     rm = restricted_model(args.model, args.d)
     basis = enumerate_monomials(rm.alphabet, args.degree)
@@ -220,7 +221,7 @@ def _cmd_npd(args):
 
 
 def _cmd_mmm_space(args):
-    algebra = MMMAlgebra(args.flavor, args.d, max(args.degree, 1))
+    algebra = MMMAlgebra(args.flavor, args.d, args.degree)
     space = algebra.bordism_invariant_space(args.degree)
     basis = algebra.monomial_basis(args.degree)
     polys = [vector_to_polynomial(algebra.alphabet, row, basis) for row in space.basis]
@@ -239,7 +240,7 @@ def _cmd_mmm_space(args):
 
 
 def _cmd_mmm_test(args):
-    bound = args.bound or DEFAULT_BOUND[args.flavor]
+    bound = DEFAULT_BOUND[args.flavor] if args.bound is None else args.bound
     algebra = MMMAlgebra(args.flavor, args.d, bound)
     x = algebra.parse(args.expr)
     verdict = algebra.is_bordism_invariant(x)
@@ -314,8 +315,9 @@ def _bundle_doc(bundle, command_query, with_numbers):
         },
         {
             "name": "fibre-euler-number",
-            "pass": bundle.fibre_euler_number() == 2,
-            "detail": "c_1(Tv) evaluates to 2 on the fibre",
+            # chi(CP^{r-1}) = r
+            "pass": bundle.fibre_euler_number() == bundle.rank,
+            "detail": f"c_{bundle.rank - 1}(Tv) evaluates to {bundle.rank} on the fibre",
         },
     ]
     for j in range(1, bundle.total.top_degree // 4 + 1):
@@ -415,6 +417,17 @@ def _cmd_bundle_custom(args):
 # --- parser -------------------------------------------------------------------
 
 
+def _positive_int(text):
+    """argparse type for bounds and degrees; argparse names the flag on error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # refused below, with the text as given
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _add_common(parser):
     parser.add_argument(
         "--format", choices=("table", "json"), default="table", help="output format"
@@ -433,20 +446,20 @@ def build_parser():
     nearprim_sub = nearprim.add_subparsers(dest="subcommand", required=True)
     basis = nearprim_sub.add_parser("basis", help="closed-form basis of one slice")
     basis.add_argument("--model", choices=("so", "u"), required=True)
-    basis.add_argument("--degree", type=int, required=True, metavar="M")
+    basis.add_argument("--degree", type=_positive_int, required=True, metavar="M")
     basis.add_argument("--order", type=int, required=True, metavar="D")
     _add_common(basis)
     basis.set_defaults(handler=_cmd_nearprim_basis)
     verify = nearprim_sub.add_parser("verify", help="cross-validate all three routes")
     verify.add_argument("--model", choices=("so", "u"), required=True)
-    verify.add_argument("--max-degree", type=int, metavar="N")
+    verify.add_argument("--max-degree", type=_positive_int, metavar="N")
     _add_common(verify)
     verify.set_defaults(handler=_cmd_nearprim_verify)
 
     npd_p = sub.add_parser("npd", help="restricted image of the near-primitives")
     npd_p.add_argument("--model", choices=("so", "u"), required=True)
     npd_p.add_argument("-d", type=int, required=True)
-    npd_p.add_argument("--degree", type=int, required=True, metavar="N")
+    npd_p.add_argument("--degree", type=_positive_int, required=True, metavar="N")
     _add_common(npd_p)
     npd_p.set_defaults(handler=_cmd_npd)
 
@@ -455,19 +468,19 @@ def build_parser():
     space = mmm_sub.add_parser("space", help="bordism-invariant slice")
     space.add_argument("--flavor", choices=("so", "u"), required=True)
     space.add_argument("-d", type=int, required=True)
-    space.add_argument("--degree", type=int, required=True, metavar="N")
+    space.add_argument("--degree", type=_positive_int, required=True, metavar="N")
     _add_common(space)
     space.set_defaults(handler=_cmd_mmm_space)
     test = mmm_sub.add_parser("test", help="decide invariance of one class")
     test.add_argument("--flavor", choices=("so", "u"), required=True)
     test.add_argument("-d", type=int, required=True)
     test.add_argument("--expr", required=True, metavar="CLASS")
-    test.add_argument("--bound", type=int, help="generator degree bound")
+    test.add_argument("--bound", type=_positive_int, help="generator degree bound")
     _add_common(test)
     test.set_defaults(handler=_cmd_mmm_test)
 
     lclass = sub.add_parser("lclass", help="Hirzebruch L-class component")
-    lclass.add_argument("-k", type=int, required=True)
+    lclass.add_argument("-k", type=_positive_int, required=True)
     _add_common(lclass)
     lclass.set_defaults(handler=_cmd_lclass)
 

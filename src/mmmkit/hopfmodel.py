@@ -312,25 +312,45 @@ def _l_log_coefficients(nterms):
     return tuple(_series_log(f, nterms))
 
 
-def l_class_component(model, k):
-    """Degree-4k component L_k of the Hirzebruch L-class, over p1..pk.
+def l_class_components(model, kmax, d=None):
+    """The Hirzebruch L-class components [L_0, L_1, ..., L_kmax].
 
-    Built multiplicatively: log L = sum a_j s_j(p) with the a_j read off
-    from log(sqrt(z)/tanh(sqrt(z))), then exponentiated with degree
-    truncation.  L_1 = p1/3, L_2 = (7 p2 - p1^2)/45, ...
+    The L-class is multiplicative, so log L = sum f_j with f_j = a_j s_j,
+    the a_j read off from log(sqrt(z)/tanh(sqrt(z))).  Applying the Euler
+    derivation (multiplication by k on the degree-4k part) to L = exp(log L)
+    gives the recursion
+
+        k L_k = sum_{j=1..k} j f_j L_{k-j},    L_0 = 1,
+
+    which only multiplies homogeneous pieces.  Without ``d`` the components
+    are over the model's generators, L_k involving p1..pk only.  With ``d`` the power sums are restricted to BSO(d)
+    first; restriction is a ring map, so the recursion then runs in the
+    small restricted ring and returns restrict(model, d, L_k) without ever
+    expanding L_k over the full alphabet.
     """
     if model.kind != "so":
         raise QueryError("the L-class lives in the oriented model")
-    if not 1 <= k <= model.ngens:
-        raise QueryError(f"L_{k} is outside this model's bound (1..{model.ngens})")
-    a = _l_log_coefficients(k)
-    log_l = Polynomial.zero(model.generators)
-    for j in range(1, k + 1):
-        if a[j]:
-            log_l = log_l + model.power_sum(j) * a[j]
-    total = Polynomial.one(model.generators)
-    power = Polynomial.one(model.generators)
-    for i in range(1, k + 1):
-        power = (power * log_l).truncate(4 * k)
-        total = total + power * Fraction(1, factorial(i))
-    return total.degree_slice(4 * k)
+    if not 1 <= kmax <= model.ngens:
+        raise QueryError(f"L_{kmax} is outside this model's bound (1..{model.ngens})")
+    a = _l_log_coefficients(kmax)
+    alphabet = model.generators if d is None else restricted_model("so", d).alphabet
+    weighted = [None]  # j f_j, indexed by j
+    for j in range(1, kmax + 1):
+        s_j = model.power_sum(j) if d is None else restrict(model, d, model.power_sum(j))
+        weighted.append(s_j * (j * a[j]))
+    comps = [Polynomial.one(alphabet)]
+    for k in range(1, kmax + 1):
+        acc = Polynomial.zero(alphabet)
+        for j in range(1, k + 1):
+            acc = acc + weighted[j] * comps[k - j]
+        comps.append(acc * Fraction(1, k))
+    return comps
+
+
+def l_class_component(model, k):
+    """Degree-4k component L_k of the Hirzebruch L-class, over p1..pk.
+
+    L_1 = p1/3, L_2 = (7 p2 - p1^2)/45, ...; see :func:`l_class_components`
+    for the recursion that builds it and for the errors it raises.
+    """
+    return l_class_components(model, k)[k]

@@ -35,7 +35,7 @@ from .gradedalg import (
     parse_poly,
     vector_to_polynomial,
 )
-from .hopfmodel import hopf_model, l_class_component, restrict, restricted_model
+from .hopfmodel import STEP, hopf_model, l_class_components, restricted_model
 from .nearprim import npd
 
 _ZERO = Fraction(0)
@@ -89,7 +89,8 @@ class MMMAlgebra:
         self.degree_bound = degree_bound
         self.shift = d if kind == "so" else 2 * d
         self.restricted = restricted_model(kind, d)
-        self.model = hopf_model(kind, self.shift + degree_bound)
+        # At least one generator, so that a slice below |g_1| is empty, not an error.
+        self.model = hopf_model(kind, max(self.shift + degree_bound, STEP[kind]))
         entries = []
         self._gen_monomials = []
         self._mono_to_index = {}
@@ -175,18 +176,19 @@ class MMMAlgebra:
             raise QueryError("the K ideal only exists for odd oriented rank")
 
     def k_ideal_generators(self):
-        """Hatted restricted L-class components, zero images omitted."""
+        """Hatted restricted L-class components, zero images omitted.
+
+        The components L_k with d < 4k <= d + bound are built in one call
+        to :func:`l_class_components`, directly in the restricted ring of
+        BSO(d), so no L_k is ever expanded over the full alphabet.
+        """
         self._require_odd()
         if self._k_gens is None:
-            gens = []
-            k = (self.d + 4) // 4  # smallest k with 4k > d
-            while 4 * k - self.d <= self.degree_bound:
-                image = restrict(self.model, self.d, l_class_component(self.model, k))
-                g = self.hat(image)
-                if not g.is_zero():
-                    gens.append(g)
-                k += 1
-            self._k_gens = gens
+            kmin = (self.d + 4) // 4  # smallest k with 4k > d
+            kmax = (self.d + self.degree_bound) // 4  # largest k with 4k - d <= bound
+            images = l_class_components(self.model, kmax, self.d) if kmax >= kmin else []
+            gens = (self.hat(image) for image in images[kmin:])
+            self._k_gens = [g for g in gens if not g.is_zero()]
         return list(self._k_gens)
 
     def _k_products(self, n):

@@ -127,6 +127,14 @@ def test_fibre_euler_number_is_two():
         assert bundle.fibre_euler_number() == 2
 
 
+def test_fibre_euler_number_is_the_rank():
+    """chi(CP^{r-1}) = r: rank-3 projectivizations have fibre CP^2."""
+    for base in (projective_space(1), projective_space(2)):
+        bundle = projectivize(base, line_bundle_sum(base, [(0,), (1,), (2,)]))
+        assert bundle.rank == 3
+        assert bundle.fibre_euler_number() == 3
+
+
 def test_hirzebruch_char_numbers_match_oracle():
     for k in range(5):
         oracle = RankTwoOracle((k,))

@@ -207,6 +207,42 @@ def test_bundle_custom_biproj_numbers(capsys):
     assert "[PASS] motivating-identity-u-j3" in out
 
 
+def test_bundle_custom_rank_three_passes_its_checks(capsys):
+    code, out, _ = invoke(capsys, "bundle", "custom", "--base", "cp1", "--twist", "0,1,2")
+    assert code == 0 and "[FAIL]" not in out
+    assert "[PASS] fibre-euler-number - c_2(Tv) evaluates to 3 on the fibre" in out
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("mmm", "test", "--flavor", "so", "-d", "2", "--expr", "e1", "--bound", "0"), "--bound"),
+        (("nearprim", "verify", "--model", "u", "--max-degree", "0"), "--max-degree"),
+        (("nearprim", "basis", "--model", "so", "--degree", "0", "--order", "1"), "--degree"),
+        (("npd", "--model", "so", "-d", "2", "--degree", "0"), "--degree"),
+        (("mmm", "space", "--flavor", "so", "-d", "3", "--degree", "-4"), "--degree"),
+        (("lclass", "-k", "0"), "-k"),
+    ],
+)
+def test_non_positive_bounds_are_refused(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be a positive integer" in err
+    assert "|p1|" not in err
+
+
+def test_slices_below_the_first_generator_are_empty(capsys):
+    code, out, _ = invoke(
+        capsys, "mmm", "space", "--flavor", "so", "-d", "2", "--degree", "1", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["result"] == {"dimension": 0, "basis": []}
+    code, out, _ = invoke(capsys, "npd", "--model", "so", "-d", "4", "--degree", "2")
+    assert code == 0 and "dim 0" in out
+
+
 def test_terms_round_trip_matches_formatter():
     rng = random.Random(91)
     alphabet = GeneratorAlphabet([("c1", 2), ("c2", 4)])

@@ -18,6 +18,7 @@ from mmmkit.hopfmodel import (
     bernoulli,
     hopf_model,
     l_class_component,
+    l_class_components,
     restrict,
     restricted_model,
     hopf_model as _hm,
@@ -237,10 +238,32 @@ def test_x_over_tanh_oracle_self_check():
 
 
 def test_l_class_matches_root_oracle():
-    model = hopf_model("so", 12)
-    expected = l_class_oracle(3, model.generators)
-    for k in (1, 2, 3):
+    model = hopf_model("so", 24)
+    expected = l_class_oracle(6, model.generators)  # six roots: exact up to L_6
+    for k in range(1, 7):
         assert l_class_component(model, k) == expected[k - 1]
+    assert l_class_components(model, 6) == [Polynomial.one(model.generators)] + expected
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_restricted_l_class_components_match_restriction(d):
+    """Running the recursion in the restricted ring equals restricting the
+    full components; even d goes through the Euler class."""
+    model = hopf_model("so", 32)
+    comps = l_class_components(model, model.ngens, d)
+    assert len(comps) == model.ngens + 1
+    assert comps[0] == Polynomial.one(restricted_model("so", d).alphabet)
+    for k in range(1, model.ngens + 1):
+        assert comps[k] == restrict(model, d, l_class_component(model, k))
+
+
+def test_l_class_components_errors():
+    model = hopf_model("so", 12)
+    with pytest.raises(QueryError):
+        l_class_components(hopf_model("u", 12), 1)
+    for kmax in (0, 4):
+        with pytest.raises(QueryError):
+            l_class_components(model, kmax, 3)
 
 
 def test_l_class_frozen_components():

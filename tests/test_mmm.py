@@ -143,6 +143,18 @@ def test_k_ideal_generators_d5_start_at_l2():
     assert all(g.homogeneous_degree() >= 3 for g in gens)
 
 
+def test_k_ideal_generators_d7():
+    """BSO(7) keeps p1, p2, p3: L_2, L_3 restrict injectively and L_4 loses
+    only its p4 term."""
+    alg = mmm_algebra("so", 7, 9)
+    assert alg.generator_monomial(alg.alphabet.index("E9_3")) == (1, 0, 1)  # p1*p3
+    assert alg.k_ideal_generators() == [
+        alg.parse("-1/45*E1_1 + 7/45*E1_2"),
+        alg.parse("2/945*E5_1 - 13/945*E5_2 + 62/945*E5_3"),
+        alg.parse("-3/14175*E9_1 + 22/14175*E9_2 - 71/14175*E9_3 - 19/14175*E9_4"),
+    ]
+
+
 def test_k_ideal_requires_odd_oriented():
     with pytest.raises(QueryError):
         mmm_algebra("so", 2, 8).k_ideal_generators()
