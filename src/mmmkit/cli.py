@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import bundles
-from .errors import MMMKitError, ParseError
+from .errors import MMMKitError, ParseError, QueryError
 from .gradedalg import (
     GeneratorAlphabet,
     Polynomial,
@@ -149,6 +149,26 @@ def _span_doc(query, dimension, basis_polys, names=None, checks=()):
     }
 
 
+def _check_cap(needed, flags):
+    """Refuse a query whose model would pass the degree cap, in the user's flags.
+
+    ``needed`` is the degree the query would build its model to and
+    ``flags`` names the flags it comes from.  Checked before anything is built.
+    """
+    if needed > MAX_DEGREE_CAP:
+        raise QueryError(f"{flags} needs degrees up to {needed}, above the cap {MAX_DEGREE_CAP}")
+
+
+def _check_mmm_cap(args, flag, value, defaulted=False):
+    """The cap check of an MMM query, whose model reaches the fibre shift plus ``value``."""
+    shift = args.d if args.flavor == "so" else 2 * args.d
+    if defaulted:
+        flags = f"-d {args.d} with the default {flag} {value}"
+    else:
+        flags = f"{flag} {value} with -d {args.d}"
+    _check_cap(shift + value, flags)
+
+
 # --- subcommand handlers ------------------------------------------------------
 
 
@@ -221,6 +241,7 @@ def _cmd_npd(args):
 
 
 def _cmd_mmm_space(args):
+    _check_mmm_cap(args, "--degree", args.degree)
     algebra = MMMAlgebra(args.flavor, args.d, args.degree)
     space = algebra.bordism_invariant_space(args.degree)
     basis = algebra.monomial_basis(args.degree)
@@ -241,6 +262,7 @@ def _cmd_mmm_space(args):
 
 def _cmd_mmm_test(args):
     bound = DEFAULT_BOUND[args.flavor] if args.bound is None else args.bound
+    _check_mmm_cap(args, "--bound", bound, defaulted=args.bound is None)
     algebra = MMMAlgebra(args.flavor, args.d, bound)
     x = algebra.parse(args.expr)
     verdict = algebra.is_bordism_invariant(x)
@@ -276,6 +298,7 @@ def _cmd_mmm_test(args):
 
 
 def _cmd_lclass(args):
+    _check_cap(4 * args.k, f"-k {args.k}")
     model = hopf_model("so", 4 * args.k)
     poly = l_class_component(model, args.k)
     doc = {
@@ -509,12 +532,11 @@ def build_parser():
 def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    degree_args = [
-        getattr(args, name, None) for name in ("degree", "max_degree", "bound")
-    ]
-    for value in degree_args:
+    for name in ("degree", "max_degree", "bound"):
+        value = getattr(args, name, None)
         if value is not None and value > MAX_DEGREE_CAP:
-            print(f"error: requested degree {value} exceeds the cap {MAX_DEGREE_CAP}", file=sys.stderr)
+            flag = "--" + name.replace("_", "-")
+            print(f"error: {flag} {value} exceeds the cap {MAX_DEGREE_CAP}", file=sys.stderr)
             return 2
     try:
         return args.handler(args)

@@ -12,6 +12,15 @@ pivot column, which is a canonical form: two subspaces are equal iff their
 stored bases are equal entrywise.  Pivot selection is deterministic (leftmost
 nonzero column, topmost unprocessed row), so every route to the same subspace
 produces the same object.
+
+Kernels stay in the integers until the end.  The core returns primitive
+integer RREF rows; each kernel vector is built from them with integer
+entries, scaled by the lcm of the pivot entries it would divide by, and the
+vectors go straight into a second integer elimination that yields the
+canonical basis.  Only that final basis is boxed into Fractions.
+`stacked_kernels` serves a growing stack of row blocks, as in a sweep where
+each step adds constraints: every block is reduced against the integer RREF
+rows kept from the blocks before it, so no prefix is eliminated twice.
 """
 
 from __future__ import annotations
@@ -188,6 +197,28 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
+def _kernel_vectors(rows, pivots, ncols):
+    """Integer kernel vectors of integer RREF rows, one per free column.
+
+    Row i says x[p_i] = -sum_f rows[i][f] / rows[i][p_i] * x[f] over the
+    free columns f.  The vector of f puts on x[f] the lcm of the pivot
+    entries it divides by, so every entry stays an integer.
+    """
+    pivot_set = set(pivots)
+    vectors = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        used = [(row, p) for row, p in zip(rows, pivots) if row[f]]
+        scale = lcm(*(row[p] for row, p in used))
+        v = [0] * ncols
+        v[f] = scale
+        for row, p in used:
+            v[p] = -row[f] * (scale // row[p])
+        vectors.append(v)
+    return vectors
+
+
 def kernel_basis(matrix, ncols=None):
     """Null space of a matrix, as a canonical Subspace.
 
@@ -200,18 +231,30 @@ def kernel_basis(matrix, ncols=None):
         entries = matrix
         if ncols is None:
             raise DimensionMismatch("ncols is required for raw-row input")
-    rows, pivots = _reduced_rows(entries, ncols)
-    pivot_set = set(pivots)
-    vectors = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [_ZERO] * ncols
-        v[f] = _ONE
-        for i, p in enumerate(pivots):
-            v[p] = -rows[i][f]
-        vectors.append(v)
-    return Subspace.from_vectors(ncols, vectors)
+    return stacked_kernels([entries], ncols)[0]
+
+
+def stacked_kernels(blocks, ncols):
+    """Kernels of a growing row stack: entry i is the null space of the rows
+    of ``blocks[0]`` through ``blocks[i]`` together.
+
+    Each block is eliminated once, against the integer RREF rows of the
+    blocks before it, instead of re-eliminating every prefix from scratch.
+    A block that adds no rank shares the kernel of the prefix before it.
+    """
+    reduced, pivots, kernel = [], [], None
+    kernels = []
+    for block in blocks:
+        rows = _int_rows(block)
+        if rows:
+            reduced, grown = _core.rref_int(reduced + rows, ncols)
+            if len(grown) != len(pivots):
+                pivots = grown
+                kernel = Subspace.from_vectors(ncols, _kernel_vectors(reduced, pivots, ncols))
+        if kernel is None:  # no row constrains anything yet
+            kernel = Subspace.full(ncols)
+        kernels.append(kernel)
+    return kernels
 
 
 def subspace_equal(a, b):

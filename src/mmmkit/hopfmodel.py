@@ -10,14 +10,15 @@ is the Whitney formula on generators, extended multiplicatively:
 Primitive generators Q_j are the integer Newton power sums s_j, so the
 coefficient of g_1^j inside Q_j is exactly 1; `character_component` divides
 by j! to produce the Chern/Pontrjagin character pieces.  Models are built
-eagerly to a degree bound and treated as immutable afterwards; the small
-write-once memo tables are not guarded by locks.
+to a degree bound and treated as immutable afterwards; the inverse Newton
+table and the small write-once memo tables are filled on first use and are
+not guarded by locks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial
 
 from .errors import AlphabetMismatch, InhomogeneousError, QueryError
@@ -59,7 +60,6 @@ class HopfModel:
             [(f"Q{i}", self.step * i) for i in range(1, self.ngens + 1)]
         )
         self._power_sums = self._build_power_sums()
-        self._gens_in_primitives = self._build_gens_in_primitives()
         self._gen_coproduct_powers = {}
 
     def __repr__(self):
@@ -88,8 +88,10 @@ class HopfModel:
             table.append(acc)
         return table
 
-    def _build_gens_in_primitives(self):
-        # g_j = (1/j) sum_{i=1..j} (-1)^(i-1) g_{j-i} Q_i, solved upward
+    @cached_property
+    def _gens_in_primitives(self):
+        # g_j = (1/j) sum_{i=1..j} (-1)^(i-1) g_{j-i} Q_i, solved upward.
+        # Only to_primitive_basis reads it, so it is built on first use.
         table = [Polynomial.one(self.primitives)]
         for j in range(1, self.ngens + 1):
             acc = Polynomial.zero(self.primitives)

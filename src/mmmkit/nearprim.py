@@ -18,16 +18,28 @@ compute the degree-m slice of these:
 
 `verify_equivalence` sweeps all three against each other and doubles as the
 boundary-law check (full slice at m = d, primitives only for m >= 2d).
+
+The reduced coproduct is graded, so the kernel matrix of order d stacks one
+block B_k per degree k = |eb| of the right-hand factor, over every k >= d:
+
+    kernel(d) = kernel(d+1) meet ker B_d,    kernel(m) = the whole slice.
+
+The kernel route therefore sweeps each degree m downward once, from d = m to
+d = 1: every block is eliminated a single time, against the integer RREF rows
+kept from the blocks above it (`exactq.stacked_kernels`), and every order of
+that degree reads the sweep.  Only the sweep of the degree asked for last is
+kept, and it is rebuilt whenever the coproduct table it came from changes.
+The restricted route reads the same blocks but eliminates once per order,
+because the restriction rank moves with d.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import QueryError
-from .exactq import Subspace, kernel_basis, subspace_equal
+from .exactq import Subspace, kernel_basis, stacked_kernels, subspace_equal
 from .gradedalg import (
     Polynomial,
     degree_slice_vector,
@@ -36,8 +48,6 @@ from .gradedalg import (
     vector_to_polynomial,
 )
 from .hopfmodel import hopf_model, restrict, restricted_model
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -77,39 +87,96 @@ def _delta_bar_slice(kind, max_degree, m):
     return basis, tuple(columns)
 
 
-def _kernel_rows(model, m, d):
-    """Integer matrix rows of (id (x) proj_{>=d}) o delta-bar on the m-slice."""
-    basis, columns = _delta_bar_slice(model.kind, model.max_degree, m)
+def _distinct_rows(ncols, entries):
+    """Dense integer rows of a sparse matrix, without zero or repeated rows.
+
+    ``entries`` yields (row key, column, value) triples; values that share a
+    key and a column add up.  Dropping zero and repeated rows leaves the
+    kernel as it is and can halve the elimination.
+    """
+    rows = {}
+    for key, j, c in entries:
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = [0] * ncols
+        row[j] += c
+    return list(dict.fromkeys(tuple(row) for row in rows.values() if any(row)))
+
+
+class _GradedSlice:
+    """The reduced-coproduct entries of one degree m, grouped by |eb|.
+
+    ``blocks`` maps each degree k of a right-hand factor eb to the entries
+    ((ea, eb), column, coefficient) with |eb| = k; ``degrees`` lists those k
+    from the highest down, the order of the downward sweep.
+    """
+
+    def __init__(self, key, columns, ncols, blocks):
+        self.key = key
+        self.columns = columns
+        self.ncols = ncols
+        self.blocks = blocks
+        self.degrees = sorted(blocks, reverse=True)
+        self._kernels = None
+
+    def entries_from(self, d):
+        """Every entry whose right-hand factor has degree at least d."""
+        for k in self.degrees:
+            if k < d:
+                break
+            yield from self.blocks[k]
+
+    def kernel(self, d):
+        """The order-d kernel; the first call sweeps every order at once."""
+        if self._kernels is None:
+            self._kernels = stacked_kernels(
+                [_distinct_rows(self.ncols, self.blocks[k]) for k in self.degrees],
+                self.ncols,
+            )
+        constrained = sum(1 for k in self.degrees if k >= d)
+        if not constrained:
+            return Subspace.full(self.ncols)
+        return self._kernels[constrained - 1]
+
+
+# The slice of the degree asked for last.  It is rebuilt whenever
+# _delta_bar_slice hands back another table, so it never outlives the table
+# it was built from.
+_current_slice = None
+
+
+def _graded_slice(model, m):
+    """The degree-m entries grouped by |eb|; kept for the latest degree only."""
+    global _current_slice
+    key = (model.kind, model.max_degree, m)
+    basis, columns = _delta_bar_slice(*key)
+    current = _current_slice
+    if current is not None and current.key == key and current.columns is columns:
+        return current
     degree_of = model.generators.degree
-    row_keys = {}
-    entries = []
+    degrees = {}
+    blocks = {}
     for j, col in enumerate(columns):
-        for (ea, eb), c in col:
-            if degree_of(eb) < d:
-                continue
-            key = (ea, eb)
-            i = row_keys.get(key)
-            if i is None:
-                i = len(row_keys)
-                row_keys[key] = i
-            entries.append((i, j, c))
-    order = sorted(range(len(row_keys)), key=list(row_keys).__getitem__)
-    remap = {old: new for new, old in enumerate(order)}
-    rows = [[0] * len(basis) for _ in row_keys]
-    for i, j, c in entries:
-        rows[remap[i]][j] += c
-    return basis, rows
+        for pair, c in col:
+            eb = pair[1]
+            k = degrees.get(eb)
+            if k is None:
+                k = degrees[eb] = degree_of(eb)
+            blocks.setdefault(k, []).append((pair, j, c))
+    _current_slice = _GradedSlice(key, columns, len(basis), blocks)
+    return _current_slice
 
 
 def near_primitive_kernel(model, m, d):
-    """Order-d near-primitives in degree m, as a kernel computation."""
+    """Order-d near-primitives in degree m, as a kernel computation.
+
+    The first order asked for in a degree sweeps every order of that degree
+    at once; the orders after it read the same sweep.
+    """
     NearPrimQuery(model.kind, m, d)
     if m > model.max_degree:
         raise QueryError(f"degree {m} exceeds the model bound {model.max_degree}")
-    basis, rows = _kernel_rows(model, m, d)
-    if not rows:
-        return Subspace.full(len(basis))
-    return kernel_basis(rows, len(basis))
+    return _graded_slice(model, m).kernel(d)
 
 
 def near_primitive_monomials(model, m, d):
@@ -137,18 +204,22 @@ def near_primitive_monomials(model, m, d):
     return monos
 
 
+@lru_cache(maxsize=None)
+def _primitive_monomial(kind, max_degree, exp):
+    """A primitive monomial as dense integer coordinates over the generator
+    monomials of its degree; the Newton power sums have integer coefficients."""
+    model = hopf_model(kind, max_degree)
+    poly = model.from_primitive_basis(Polynomial.from_monomial(model.primitives, exp))
+    m = model.primitives.degree(exp)
+    basis = enumerate_monomials(model.generators, m)
+    return tuple(int(c) for c in degree_slice_vector(poly, m, basis))
+
+
 def near_primitive_span(model, m, d):
     """The closed-form basis as a subspace in generator-monomial coordinates."""
     monos = near_primitive_monomials(model, m, d)
     basis = enumerate_monomials(model.generators, m)
-    vectors = [
-        degree_slice_vector(
-            model.from_primitive_basis(Polynomial.from_monomial(model.primitives, e)),
-            m,
-            basis,
-        )
-        for e in monos
-    ]
+    vectors = [_primitive_monomial(model.kind, model.max_degree, e) for e in monos]
     return Subspace.from_vectors(len(basis), vectors)
 
 
@@ -182,29 +253,13 @@ def near_primitive_kernel_restricted(model, m, d):
         if model.kind == "u":
             raise QueryError("odd orders have no restricted pairing over the complex model")
         raise QueryError("restriction to BSO(1) kills every positive-degree class")
-    basis, columns = _delta_bar_slice(model.kind, model.max_degree, m)
-    degree_of = model.generators.degree
-    row_keys = {}
-    triples = []
-    for j, col in enumerate(columns):
-        for (ea, eb), c in col:
-            if degree_of(eb) < d:
-                continue
-            for er, cr in _restricted_monomial(model.kind, model.max_degree, rank, eb):
-                key = (ea, er)
-                i = row_keys.get(key)
-                if i is None:
-                    i = len(row_keys)
-                    row_keys[key] = i
-                triples.append((i, j, c * cr))
-    if not row_keys:
-        return Subspace.full(len(basis))
-    order = sorted(range(len(row_keys)), key=list(row_keys).__getitem__)
-    remap = {old: new for new, old in enumerate(order)}
-    rows = [[0] * len(basis) for _ in row_keys]
-    for i, j, c in triples:
-        rows[remap[i]][j] += c
-    return kernel_basis(rows, len(basis))
+    graded = _graded_slice(model, m)
+    entries = (
+        ((pair[0], er), j, c * cr)
+        for pair, j, c in graded.entries_from(d)
+        for er, cr in _restricted_monomial(model.kind, model.max_degree, rank, pair[1])
+    )
+    return kernel_basis(_distinct_rows(graded.ncols, entries), graded.ncols)
 
 
 def npd(model, d, n):

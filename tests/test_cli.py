@@ -257,3 +257,33 @@ def test_terms_round_trip_matches_formatter():
         }
         poly = Polynomial(alphabet, terms)
         assert terms_to_text(poly_to_terms(poly)) == format_poly(poly)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("lclass", "-k", "40"), "-k 40 needs degrees up to 160, above the cap 128"),
+        (
+            ("mmm", "test", "--flavor", "so", "-d", "3", "--expr", "E1_1", "--bound", "128"),
+            "--bound 128 with -d 3 needs degrees up to 131, above the cap 128",
+        ),
+        (
+            ("mmm", "test", "--flavor", "u", "-d", "60", "--expr", "E2_1"),
+            "-d 60 with the default --bound 24 needs degrees up to 144, above the cap 128",
+        ),
+        (
+            ("mmm", "space", "--flavor", "so", "-d", "4", "--degree", "126"),
+            "--degree 126 with -d 4 needs degrees up to 130, above the cap 128",
+        ),
+        (("nearprim", "verify", "--model", "u", "--max-degree", "200"), "--max-degree 200 exceeds the cap 128"),
+    ],
+)
+def test_cap_errors_name_the_users_flags(argv, message, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("built a model for a query over the cap")
+
+    monkeypatch.setattr(cli, "hopf_model", refuse)
+    monkeypatch.setattr(cli, "MMMAlgebra", refuse)
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"

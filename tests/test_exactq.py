@@ -7,6 +7,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmmkit import exactq
 from mmmkit import _rowred_py
@@ -19,6 +21,7 @@ from mmmkit.exactq import (
     membership,
     rref,
     solve_in_span,
+    stacked_kernels,
     subspace_equal,
     subspace_intersection,
     subspace_sum,
@@ -198,3 +201,56 @@ def test_pure_env_var_forces_fallback():
     assert flag == "False"
     here = kernel_basis(QMatrix.from_rows([[1, 2, 3], [0, 1, 1]]))
     assert basis == repr(here.basis)
+
+
+@st.composite
+def row_blocks(draw):
+    """A width and a list of integer row blocks, some empty, with zero rows
+    and rows repeated inside a block and across blocks."""
+    ncols = draw(st.integers(1, 6))
+    row = st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols)
+    blocks = draw(st.lists(st.lists(row, max_size=4), max_size=5))
+    earlier = []
+    for block in blocks:
+        if earlier and draw(st.booleans()):
+            block.append(list(draw(st.sampled_from(earlier))))
+        if draw(st.booleans()):
+            block.insert(draw(st.integers(0, len(block))), [0] * ncols)
+        earlier += block
+    return ncols, blocks
+
+
+@settings(deadline=None)
+@given(row_blocks())
+def test_stacked_kernels_equal_the_kernel_of_every_prefix(case):
+    ncols, blocks = case
+    kernels = stacked_kernels(blocks, ncols)
+    assert len(kernels) == len(blocks)
+    for i, kernel in enumerate(kernels):
+        stacked = [row for block in blocks[: i + 1] for row in block]
+        assert kernel == kernel_basis(stacked, ncols)
+        rank = len(rref(QMatrix(len(stacked), ncols, stacked))[1])
+        assert kernel.dim == ncols - rank
+        for v in kernel.basis:
+            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in stacked)
+
+
+@st.composite
+def fraction_rows(draw):
+    """A width and a list of rational rows of that width."""
+    ncols = draw(st.integers(1, 5))
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=5))
+    return ncols, rows
+
+
+@settings(deadline=None)
+@given(fraction_rows())
+def test_kernel_of_fraction_rows_equals_the_cleared_matrix(case):
+    ncols, rows = case
+    common = 1
+    for row in rows:
+        for e in row:
+            common *= e.denominator
+    cleared = [[int(e * common) for e in row] for row in rows]
+    assert kernel_basis(rows, ncols) == kernel_basis(cleared, ncols)

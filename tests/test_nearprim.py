@@ -30,7 +30,7 @@ from mmmkit.nearprim import (
     restricted_pairing,
     verify_equivalence,
 )
-from mmmkit.exactq import Subspace, subspace_equal
+from mmmkit.exactq import Subspace, kernel_basis, subspace_equal
 
 
 def mono_names(model, monos):
@@ -290,6 +290,53 @@ def test_sweep_pinpoints_an_injected_fault(monkeypatch):
     assert any(f.check in ("monomial-basis", "primitives-only-at-m>=2d") for f in report.failures)
     doc = report.to_doc()
     assert all(row["degree"] == 8 for row in doc["failures"])
+
+    monkeypatch.undo()
+    assert verify_equivalence(ms, 12).all_passed
+
+
+def test_kernel_equals_the_one_shot_kernel_of_its_rows():
+    """The downward sweep gives, at every order, the kernel of all the rows
+    with |eb| >= d eliminated at once."""
+    for kind, bound in (("so", 16), ("u", 10)):
+        model = hopf_model(kind, bound)
+        for m in range(model.step, bound + 1, model.step):
+            basis, columns = nearprim._delta_bar_slice(kind, bound, m)
+            for d in range(1, m + 1):
+                rows = {}
+                for j, col in enumerate(columns):
+                    for (ea, eb), c in col:
+                        if model.generators.degree(eb) >= d:
+                            rows.setdefault((ea, eb), [0] * len(basis))[j] += c
+                expected = kernel_basis(list(rows.values()), len(basis))
+                assert near_primitive_kernel(model, m, d) == expected
+
+
+def test_sweep_pinpoints_a_fault_in_the_top_degree(monkeypatch):
+    """A fault injected into the degree swept last must surface there even
+    though that degree's clean kernels were the last ones computed."""
+    ms = hopf_model("so", 12)
+    assert verify_equivalence(ms, 12).all_passed
+
+    original = nearprim._delta_bar_slice
+
+    def corrupted(kind, max_degree, m):
+        basis, columns = original(kind, max_degree, m)
+        if m != 12:
+            return basis, columns
+        (pair, c), rest = columns[0][0], columns[0][1:]
+        return basis, (((pair, c + 1),) + rest,) + columns[1:]
+
+    monkeypatch.setattr(nearprim, "_delta_bar_slice", corrupted)
+    # Ask for the top degree first, before any other degree is touched.
+    wrong = [
+        d for d in range(1, 13)
+        if not subspace_equal(near_primitive_kernel(ms, 12, d), near_primitive_span(ms, 12, d))
+    ]
+    assert wrong
+    report = verify_equivalence(ms, 12)
+    assert {f.degree for f in report.failures} == {12}
+    assert {f.order for f in report.failures if f.check == "monomial-basis"} == set(wrong)
 
     monkeypatch.undo()
     assert verify_equivalence(ms, 12).all_passed
