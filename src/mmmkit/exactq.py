@@ -21,6 +21,17 @@ canonical basis.  Only that final basis is boxed into Fractions.
 `stacked_kernels` serves a growing stack of row blocks, as in a sweep where
 each step adds constraints: every block is reduced against the integer RREF
 rows kept from the blocks before it, so no prefix is eliminated twice.
+
+`kernel_basis` can also check a known answer instead of computing it.  Given
+a candidate subspace K it returns K only when (i) every row annihilates an
+integer-scaled basis of K, checked exactly, so K lies in the kernel and the
+rank is at most ncols - dim K, and (ii) some subset of the rows has rank at
+least ncols - dim K.  Then the kernel contains K and has its dimension, so
+it is K, and K's canonical basis is the one elimination would produce.  Rows
+whose last nonzero columns are pairwise distinct are independent for free;
+the rest of (ii) runs the one core on as few rows as reach the rank.  A
+candidate that fails either test costs the full elimination, never a wrong
+answer.
 """
 
 from __future__ import annotations
@@ -219,11 +230,14 @@ def _kernel_vectors(rows, pivots, ncols):
     return vectors
 
 
-def kernel_basis(matrix, ncols=None):
+def kernel_basis(matrix, ncols=None, candidate=None):
     """Null space of a matrix, as a canonical Subspace.
 
     Accepts a QMatrix, or raw rows (lists of ints/Fractions) together with
     ``ncols``; the raw form lets hot callers skip Fraction boxing entirely.
+    ``candidate`` is an optional Subspace of Q^ncols believed to be the
+    kernel: it is returned when the rows certify it, and the kernel is
+    computed otherwise, so the result is always the kernel of the rows.
     """
     if isinstance(matrix, QMatrix):
         entries, ncols = matrix.entries, matrix.cols
@@ -231,7 +245,74 @@ def kernel_basis(matrix, ncols=None):
         entries = matrix
         if ncols is None:
             raise DimensionMismatch("ncols is required for raw-row input")
-    return stacked_kernels([entries], ncols)[0]
+    if candidate is None:
+        return stacked_kernels([entries], ncols)[0]
+    if candidate.ambient_dim != ncols:
+        raise DimensionMismatch(
+            f"candidate lives in Q^{candidate.ambient_dim}, the rows in Q^{ncols}"
+        )
+    return _certify_kernel(_int_rows(entries), ncols, candidate)
+
+
+def _annihilates(rows, subspace):
+    """Whether every row is orthogonal to every basis vector of ``subspace``."""
+    vectors = []
+    for v in subspace.basis:  # scaled here, not by _int_rows, to skip the zeros
+        scale = lcm(*(e.denominator for e in v))
+        vectors.append([(j, int(e * scale)) for j, e in enumerate(v) if e])
+    return all(
+        not sum(row[j] * c for j, c in vector) for row in rows for vector in vectors
+    )
+
+
+def _certify_kernel(rows, ncols, candidate):
+    """The kernel of integer ``rows``, returning ``candidate`` when certified.
+
+    (i) If every row annihilates the candidate K, then K lies in the kernel
+    and rank <= ncols - dim K.  (ii) Any subset of rows of rank at least
+    ncols - dim K then pins the rank, so the kernel has the dimension of K
+    and equals it.  Rows whose last nonzero columns are pairwise distinct
+    are independent (triangular), so they count without elimination; the
+    sparsest other rows are then eliminated with them in chunks until the
+    rank is reached.  If it never is, the last elimination covered every
+    row and its kernel is returned.
+    """
+    if not _annihilates(rows, candidate):
+        return stacked_kernels([rows], ncols)[0]
+    target = ncols - candidate.dim
+    seeds = {}  # last nonzero column -> the sparsest row ending there
+    rest = []
+    for row in rows:
+        nonzero = [j for j, c in enumerate(row) if c]
+        if not nonzero:
+            continue
+        item = (len(nonzero), row)
+        kept = seeds.setdefault(nonzero[-1], item)
+        if kept is not item:
+            if item[0] < kept[0]:
+                seeds[nonzero[-1]], item = item, kept
+            rest.append(item)
+    if len(seeds) >= target:
+        return candidate
+    rest.sort(key=lambda item: item[0])
+    reduced = [row for _, row in seeds.values()]
+    start = size = 0
+    while True:
+        size = max(target - len(reduced), 2 * size)
+        chunk = [row for _, row in rest[start : start + size]]
+        start += size
+        reduced, pivots = _core.rref_int(reduced + chunk, ncols)
+        if len(pivots) >= target:
+            return candidate
+        if start >= len(rest):
+            return _kernel_of_rref(reduced, pivots, ncols)
+
+
+def _kernel_of_rref(reduced, pivots, ncols):
+    """The kernel of integer RREF rows with the given pivot columns."""
+    if not pivots:
+        return Subspace.full(ncols)
+    return Subspace.from_vectors(ncols, _kernel_vectors(reduced, pivots, ncols))
 
 
 def stacked_kernels(blocks, ncols):
@@ -250,7 +331,7 @@ def stacked_kernels(blocks, ncols):
             reduced, grown = _core.rref_int(reduced + rows, ncols)
             if len(grown) != len(pivots):
                 pivots = grown
-                kernel = Subspace.from_vectors(ncols, _kernel_vectors(reduced, pivots, ncols))
+                kernel = _kernel_of_rref(reduced, pivots, ncols)
         if kernel is None:  # no row constrains anything yet
             kernel = Subspace.full(ncols)
         kernels.append(kernel)

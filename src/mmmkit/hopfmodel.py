@@ -244,39 +244,32 @@ def restricted_model(kind, d):
     return RestrictedModel(kind, d)
 
 
-def _restriction_images(model, rm):
-    """Images of the model's generators inside the restricted alphabet."""
-    images = []
-    alph = rm.alphabet
-    if model.kind == "u":
-        for i in range(1, model.ngens + 1):
-            images.append(Polynomial.generator(alph, f"c{i}") if i <= rm.d else None)
-        return images
-    half = rm.d // 2
-    for i in range(1, model.ngens + 1):
-        if rm.d % 2 == 1:
-            images.append(
-                Polynomial.generator(alph, f"p{i}") if i <= (rm.d - 1) // 2 else None
-            )
-        elif i < half:
-            images.append(Polynomial.generator(alph, f"p{i}"))
-        elif i == half:
-            images.append(Polynomial.generator(alph, "e") ** 2)
-        else:
-            images.append(None)
-    return images
-
-
 def restrict(model, d, x):
     """Restriction of a generator-alphabet class along BU(d) or BSO(d) -> B(U/SO).
 
     Chern classes above index d die; Pontrjagin classes above index d/2 die,
     with p_{d/2} turning into the square of the Euler class when d is even.
+    Every generator is kept, killed or sent to e^2, so the map acts on each
+    exponent tuple alone and never merges two terms.
     """
     if x.alphabet != model.generators:
         raise AlphabetMismatch("restrict expects a polynomial over the generator alphabet")
     rm = restricted_model(model.kind, d)
-    return x.substitute(rm.alphabet, _restriction_images(model, rm))
+    euler = rm.euler_index is not None
+    plain = len(rm.alphabet) - euler  # restricted generators named like the model's
+    keep = min(plain, model.ngens)
+    pad = (0,) * (plain - keep)
+    squared = euler and plain < model.ngens  # p_{d/2} is in the model
+    live = keep + squared
+    terms = {}
+    for exp, coeff in x.terms.items():
+        if any(exp[live:]):
+            continue
+        image = exp[:keep] + pad
+        if euler:
+            image += (2 * exp[plain] if squared else 0,)
+        terms[image] = coeff
+    return Polynomial(rm.alphabet, terms)
 
 
 # --- Bernoulli numbers and the Hirzebruch L-class ----------------------------

@@ -29,8 +29,19 @@ d = 1: every block is eliminated a single time, against the integer RREF rows
 kept from the blocks above it (`exactq.stacked_kernels`), and every order of
 that degree reads the sweep.  Only the sweep of the degree asked for last is
 kept, and it is rebuilt whenever the coproduct table it came from changes.
-The restricted route reads the same blocks but eliminates once per order,
-because the restriction rank moves with d.
+
+The restricted route reads the same blocks.  Restriction keeps a generator,
+kills it or sends p_{d/2} to e^2, so it sends distinct surviving monomials
+to distinct monomials with coefficient 1.  Its matrix R_d is therefore the
+rows of every B_k (k >= d) whose right-hand factor survives, relabelled, and
+ker R_d contains the kernel route's answer K.  The route hands K to
+`exactq.kernel_basis` as a candidate, which returns it only when the rows
+certify it (they annihilate K, and a subset of them has rank ncols - dim K)
+and eliminates R_d in full otherwise.  Either way the result is exactly
+ker R_d, so a wrong K cannot hide a fault; most orders need no elimination.
+
+Every route of a degree reads one generator-monomial basis,
+`_generator_basis`, enumerated once per (kind, bound, degree).
 """
 
 from __future__ import annotations
@@ -71,6 +82,13 @@ class NearPrimQuery:
 
 
 @lru_cache(maxsize=None)
+def _generator_basis(kind, max_degree, m):
+    """The degree-m generator monomials in canonical order: the one basis
+    every route, span and witness of that degree reads."""
+    return tuple(enumerate_monomials(hopf_model(kind, max_degree).generators, m))
+
+
+@lru_cache(maxsize=None)
 def _delta_bar_slice(kind, max_degree, m):
     """Reduced-coproduct data of every degree-m generator monomial.
 
@@ -79,7 +97,7 @@ def _delta_bar_slice(kind, max_degree, m):
     per (kind, bound, m); the d-sweeps reuse it across all orders.
     """
     model = hopf_model(kind, max_degree)
-    basis = enumerate_monomials(model.generators, m)
+    basis = _generator_basis(kind, max_degree, m)
     columns = []
     for exp in basis:
         dbar = model.reduced_coproduct(Polynomial.from_monomial(model.generators, exp))
@@ -211,16 +229,16 @@ def _primitive_monomial(kind, max_degree, exp):
     model = hopf_model(kind, max_degree)
     poly = model.from_primitive_basis(Polynomial.from_monomial(model.primitives, exp))
     m = model.primitives.degree(exp)
-    basis = enumerate_monomials(model.generators, m)
+    basis = _generator_basis(kind, max_degree, m)
     return tuple(int(c) for c in degree_slice_vector(poly, m, basis))
 
 
 def near_primitive_span(model, m, d):
     """The closed-form basis as a subspace in generator-monomial coordinates."""
     monos = near_primitive_monomials(model, m, d)
-    basis = enumerate_monomials(model.generators, m)
+    ncols = len(_generator_basis(model.kind, model.max_degree, m))
     vectors = [_primitive_monomial(model.kind, model.max_degree, e) for e in monos]
-    return Subspace.from_vectors(len(basis), vectors)
+    return Subspace.from_vectors(ncols, vectors)
 
 
 def restricted_pairing(kind, d):
@@ -243,7 +261,9 @@ def near_primitive_kernel_restricted(model, m, d):
     The second tensor factor is projected to degrees >= d and then restricted
     to BU(d/2) (complex, even d) or BSO(d) (oriented, d >= 2).  Orders with
     no faithful pairing raise: odd complex orders have no matching rank, and
-    BSO(1) is rationally trivial so the composite detects nothing.
+    BSO(1) is rationally trivial so the composite detects nothing.  The
+    order-d kernel route's answer is offered as a candidate and returned only
+    when the restricted rows certify it.
     """
     NearPrimQuery(model.kind, m, d)
     if m > model.max_degree:
@@ -259,7 +279,8 @@ def near_primitive_kernel_restricted(model, m, d):
         for pair, j, c in graded.entries_from(d)
         for er, cr in _restricted_monomial(model.kind, model.max_degree, rank, pair[1])
     )
-    return kernel_basis(_distinct_rows(graded.ncols, entries), graded.ncols)
+    rows = _distinct_rows(graded.ncols, entries)
+    return kernel_basis(rows, graded.ncols, candidate=graded.kernel(d))
 
 
 def npd(model, d, n):
@@ -334,7 +355,7 @@ class EquivalenceReport:
 
 def _difference_witness(model, m, a, b):
     """A basis vector of one subspace missing from the other, rendered."""
-    basis = enumerate_monomials(model.generators, m)
+    basis = _generator_basis(model.kind, model.max_degree, m)
     for row in a.basis:
         if not b.contains(row):
             poly = vector_to_polynomial(model.generators, row, basis)
@@ -361,7 +382,7 @@ def verify_equivalence(model, max_degree):
     report = EquivalenceReport(model.kind, max_degree)
     step = model.step
     for m in range(step, max_degree + 1, step):
-        gen_basis = enumerate_monomials(model.generators, m)
+        gen_basis = _generator_basis(model.kind, model.max_degree, m)
         primitive_vec = degree_slice_vector(model.power_sum(m // step), m, gen_basis)
         primitive_slice = Subspace.from_vectors(len(gen_basis), [primitive_vec])
         full_slice = Subspace.full(len(gen_basis))

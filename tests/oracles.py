@@ -18,6 +18,7 @@ from mmmkit.gradedalg import (
     degree_slice_vector,
     enumerate_monomials,
 )
+from mmmkit.hopfmodel import restricted_model
 
 
 def series_quotient(num, den, nterms):
@@ -98,6 +99,29 @@ def power_sum_in_elementary(kind, j, target_alphabet):
     step = 2 if kind == "u" else 4
     roots = RootExpansion(j + 1, root_degree=step)
     return roots.in_elementary(roots.power_sum(j), target_alphabet, step * j)
+
+
+def restrict_by_substitution(model, d, x):
+    """Restriction to BU(d) or BSO(d) by substituting each generator's image.
+
+    c_i stays c_i for i <= d and dies above; p_i stays p_i below d/2 and dies
+    above it; p_{d/2} becomes e^2 for even d.  The images are written down
+    generator by generator and the polynomial is evaluated on them.
+    """
+    target = restricted_model(model.kind, d).alphabet
+    images = []
+    for i in range(1, model.ngens + 1):
+        if model.kind == "u":
+            name = f"c{i}" if i <= d else None
+        elif d % 2 == 1:
+            name = f"p{i}" if i <= (d - 1) // 2 else None
+        else:
+            name = f"p{i}" if i < d // 2 else ("e" if i == d // 2 else None)
+        image = None if name is None else Polynomial.generator(target, name)
+        if name == "e":
+            image = image * image
+        images.append(image)
+    return x.substitute(target, images)
 
 
 def l_class_oracle(kmax, target_alphabet):

@@ -254,3 +254,62 @@ def test_kernel_of_fraction_rows_equals_the_cleared_matrix(case):
             common *= e.denominator
     cleared = [[int(e * common) for e in row] for row in rows]
     assert kernel_basis(rows, ncols) == kernel_basis(cleared, ncols)
+
+
+def _unit(ncols, j):
+    return [1 if i == j else 0 for i in range(ncols)]
+
+
+def kernel_candidates(kernel, ncols):
+    """Named candidates for the kernel: itself, a proper subspace, a proper
+    superspace, a wrong space of the same dimension, zero and full."""
+    named = {
+        "true": kernel,
+        "zero": Subspace.zero(ncols),
+        "full": Subspace.full(ncols),
+    }
+    if kernel.dim:
+        named["proper subspace"] = Subspace.from_vectors(ncols, kernel.basis[1:])
+    outside = [j for j in range(ncols) if not kernel.contains(_unit(ncols, j))]
+    if outside:
+        vectors = list(kernel.basis) + [_unit(ncols, outside[0])]
+        named["proper superspace"] = Subspace.from_vectors(ncols, vectors)
+    if kernel.dim and outside:
+        # Swap one basis vector for a vector outside the kernel.
+        vectors = list(kernel.basis[1:]) + [_unit(ncols, outside[0])]
+        named["wrong, same dimension"] = Subspace.from_vectors(ncols, vectors)
+    return named
+
+
+@st.composite
+def sparse_rows(draw):
+    """A width and integer rows of that width, mostly zeros, so that both the
+    certificate's shortcut and its elimination are reached."""
+    ncols = draw(st.integers(1, 7))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=9))
+    return ncols, rows
+
+
+@settings(deadline=None)
+@given(sparse_rows())
+def test_kernel_with_any_candidate_equals_the_kernel(case):
+    ncols, rows = case
+    expected = kernel_basis(rows, ncols)
+    candidates = kernel_candidates(expected, ncols)
+    for name, candidate in candidates.items():
+        assert candidate.ambient_dim == ncols
+        assert kernel_basis(rows, ncols, candidate) == expected, name
+    if expected.dim and expected.dim < ncols:
+        assert candidates["wrong, same dimension"].dim == expected.dim
+        assert candidates["wrong, same dimension"] != expected
+    with pytest.raises(DimensionMismatch):
+        kernel_basis(rows, ncols, Subspace.zero(ncols + 1))
+
+
+def test_a_certified_candidate_is_returned_as_it_is():
+    rows = [[1, 1, 0], [0, 2, 2], [1, 3, 2]]
+    kernel = kernel_basis(rows, 3)
+    assert kernel.basis == ((1, -1, 1),)
+    assert kernel_basis(rows, 3, kernel) is kernel
+    assert kernel_basis(QMatrix.from_rows(rows), candidate=kernel) is kernel

@@ -10,7 +10,12 @@ from math import factorial
 
 import pytest
 
-from oracles import l_class_oracle, power_sum_in_elementary, x_over_tanh_series
+from oracles import (
+    l_class_oracle,
+    power_sum_in_elementary,
+    restrict_by_substitution,
+    x_over_tanh_series,
+)
 from mmmkit.errors import AlphabetMismatch, QueryError
 from mmmkit.gradedalg import Polynomial, TensorElement, parse_poly
 from mmmkit.hopfmodel import (
@@ -211,6 +216,46 @@ def test_restriction_is_a_ring_map():
             )
             assert restrict(model, d, x * y) == restrict(model, d, x) * restrict(model, d, y)
             assert restrict(model, d, x + y) == restrict(model, d, x) + restrict(model, d, y)
+
+
+def _random_polynomial(rng, model):
+    """A random inhomogeneous polynomial with rational coefficients, over
+    the first few generators so that most terms survive small ranks."""
+    used = rng.randint(1, model.ngens)
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        exp = [0] * model.ngens
+        for _ in range(rng.randint(0, 4)):
+            exp[rng.randrange(used)] += rng.randint(1, 2)
+        terms[tuple(exp)] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    return Polynomial(model.generators, terms)
+
+
+@pytest.mark.parametrize(
+    "kind,bound,ds",
+    [
+        ("u", 24, range(1, 13)),
+        ("so", 40, range(2, 13)),
+        ("u", 8, range(1, 13)),  # d above the four generators
+        ("so", 12, range(2, 13)),  # d/2 above the three generators
+    ],
+)
+def test_restriction_matches_the_substitution_oracle(kind, bound, ds):
+    """The exponent map equals evaluating the polynomial on the generators'
+    images, with p_{d/2} sent to e^2 for even d."""
+    rng = random.Random(f"{kind}{bound}")
+    model = hopf_model(kind, bound)
+    euler_terms = 0
+    for d in ds:
+        rm = restricted_model(kind, d)
+        for _ in range(12):
+            x = _random_polynomial(rng, model)
+            image = restrict(model, d, x)
+            assert image == restrict_by_substitution(model, d, x)
+            if rm.euler_index is not None:
+                euler_terms += sum(1 for e in image.terms if e[rm.euler_index])
+    if kind == "so":
+        assert euler_terms  # p_{d/2} -> e^2 was reached
 
 
 def test_bernoulli_values():

@@ -340,3 +340,68 @@ def test_sweep_pinpoints_a_fault_in_the_top_degree(monkeypatch):
 
     monkeypatch.undo()
     assert verify_equivalence(ms, 12).all_passed
+
+
+def test_restricted_kernel_equals_the_one_shot_kernel_of_its_rows():
+    """The certified restricted route gives, at every order with a pairing,
+    the kernel of its restricted rows eliminated at once."""
+    for kind, bound in (("so", 16), ("u", 10)):
+        model = hopf_model(kind, bound)
+        for m in range(model.step, bound + 1, model.step):
+            basis, columns = nearprim._delta_bar_slice(kind, bound, m)
+            for d in range(1, m + 1):
+                rank = restricted_pairing(kind, d)
+                if rank is None:
+                    continue
+                rows = {}
+                for j, col in enumerate(columns):
+                    for (ea, eb), c in col:
+                        if model.generators.degree(eb) < d:
+                            continue
+                        for er, cr in nearprim._restricted_monomial(kind, bound, rank, eb):
+                            rows.setdefault((ea, er), [0] * len(basis))[j] += c * cr
+                expected = kernel_basis(list(rows.values()), len(basis))
+                assert near_primitive_kernel_restricted(model, m, d) == expected
+
+
+def _wrong_candidate(true, how):
+    """A subspace that is not the true kernel: a proper subspace of it, the
+    full slice, or a space of its dimension holding a vector outside it.
+    Where the kernel is the whole slice (m = d) the zero space stands in."""
+    n = true.ambient_dim
+    if true.dim == n:
+        return Subspace.zero(n)
+    if how == "subspace":
+        return Subspace.from_vectors(n, true.basis[1:])
+    if how == "superspace":
+        return Subspace.full(n)
+    units = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    outside = next(u for u in units if not true.contains(u))
+    return Subspace.from_vectors(n, list(true.basis[1:]) + [outside])
+
+
+@pytest.mark.parametrize("how", ["subspace", "superspace", "same dimension"])
+def test_restricted_route_ignores_a_wrong_candidate(monkeypatch, how):
+    """A kernel route that hands over a wrong candidate can neither mask nor
+    fake the restricted kernel: the route still returns the true kernel and
+    the sweep reports the disagreement as a restricted-kernel failure."""
+    ms = hopf_model("so", 12)
+    truth = {
+        (m, d): near_primitive_kernel_restricted(ms, m, d)
+        for m in (4, 8, 12)
+        for d in range(2, m + 1)
+    }
+    original = nearprim._GradedSlice.kernel
+
+    def wrong_kernel(self, d):
+        return _wrong_candidate(original(self, d), how)
+
+    monkeypatch.setattr(nearprim._GradedSlice, "kernel", wrong_kernel)
+    for (m, d), expected in truth.items():
+        assert near_primitive_kernel_restricted(ms, m, d) == expected
+    report = verify_equivalence(ms, 12)
+    failed = {(f.degree, f.order) for f in report.failures if f.check == "restricted-kernel"}
+    assert failed == set(truth)
+
+    monkeypatch.undo()
+    assert verify_equivalence(ms, 12).all_passed
