@@ -28,16 +28,21 @@ integer-scaled basis of K, checked exactly, so K lies in the kernel and the
 rank is at most ncols - dim K, and (ii) some subset of the rows has rank at
 least ncols - dim K.  Then the kernel contains K and has its dimension, so
 it is K, and K's canonical basis is the one elimination would produce.  Rows
-whose last nonzero columns are pairwise distinct are independent for free;
-the rest of (ii) runs the one core on as few rows as reach the rank.  A
-candidate that fails either test costs the full elimination, never a wrong
-answer.
+whose last nonzero columns are pairwise distinct are independent for free.
+The rest of (ii) counts the rank modulo the prime p = 2^31 - 1 with a sparse
+incremental echelon, fed those rows first and then the sparsest others, and
+stops once the rank is reached.  For an integer matrix the rank mod p is at
+most the rank over Q, so a rank reached mod p is reached over Q.  Only when
+it falls short does the one core run, exactly, on as few rows as reach the
+rank.  A candidate that fails either test costs the full elimination, never
+a wrong answer.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 
 from .errors import DimensionMismatch
@@ -56,6 +61,9 @@ Rational = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+#: the word-size prime 2^31 - 1 of the modular rank certificate
+PRIME = 2**31 - 1
 
 
 class QMatrix:
@@ -106,11 +114,14 @@ class QMatrix:
         return f"QMatrix({self.rows}x{self.cols})"
 
 
+_is_int = int.__instancecheck__
+
+
 def _int_rows(entries):
     """Scale each row by the lcm of its denominators; row scaling preserves RREF."""
     out = []
     for row in entries:
-        if all(isinstance(e, int) for e in row):
+        if all(map(_is_int, row)):  # type check at C speed, no generator
             out.append(list(row))
             continue
         row = [Fraction(e) for e in row]
@@ -254,15 +265,62 @@ def kernel_basis(matrix, ncols=None, candidate=None):
     return _certify_kernel(_int_rows(entries), ncols, candidate)
 
 
-def _annihilates(rows, subspace):
-    """Whether every row is orthogonal to every basis vector of ``subspace``."""
+def _supports(rows, ncols):
+    """``(nonzero columns, row)`` for every nonzero row, columns ascending."""
+    columns = range(ncols)
+    pairs = ((list(compress(columns, row)), row) for row in rows)
+    return [pair for pair in pairs if pair[0]]
+
+
+def _annihilates(supports, subspace):
+    """Whether every row is orthogonal to every basis vector of ``subspace``.
+
+    Each basis vector is scaled to dense integers once; each row then reads
+    only its own nonzero columns.
+    """
     vectors = []
-    for v in subspace.basis:  # scaled here, not by _int_rows, to skip the zeros
+    for v in subspace.basis:
         scale = lcm(*(e.denominator for e in v))
-        vectors.append([(j, int(e * scale)) for j, e in enumerate(v) if e])
-    return all(
-        not sum(row[j] * c for j, c in vector) for row in rows for vector in vectors
+        vectors.append([e.numerator * (scale // e.denominator) for e in v])
+    return not any(
+        sum(row[j] * v[j] for j in cols) for cols, row in supports for v in vectors
     )
+
+
+def _rank_mod_p(supports, target=None, p=PRIME):
+    """Rank over F_p of integer rows given as ``(nonzero columns, row)``,
+    counted only until it reaches ``target``.
+
+    Rows are reduced one at a time against an echelon that keeps, per pivot
+    column, one sparse row whose last nonzero entry sits there and is 1.  A
+    row that does not reduce to zero joins the echelon at its last nonzero
+    column.  Reduction mod p can only lose independence, so for an integer
+    matrix the result is at most the rank over Q.
+    """
+    echelon = {}
+    for cols, row in supports:
+        r = {}
+        for j in cols:
+            c = row[j] % p
+            if c:
+                r[j] = c
+        while r:
+            j = max(r)
+            pivot_row = echelon.get(j)
+            if pivot_row is None:
+                inverse = pow(r[j], -1, p)
+                echelon[j] = {k: c * inverse % p for k, c in r.items()}
+                break
+            f = r[j]
+            for k, c in pivot_row.items():
+                c = (r.get(k, 0) - f * c) % p
+                if c:
+                    r[k] = c
+                else:
+                    del r[k]
+        if target is not None and len(echelon) >= target:
+            break
+    return len(echelon)
 
 
 def _certify_kernel(rows, ncols, candidate):
@@ -272,30 +330,33 @@ def _certify_kernel(rows, ncols, candidate):
     and rank <= ncols - dim K.  (ii) Any subset of rows of rank at least
     ncols - dim K then pins the rank, so the kernel has the dimension of K
     and equals it.  Rows whose last nonzero columns are pairwise distinct
-    are independent (triangular), so they count without elimination; the
-    sparsest other rows are then eliminated with them in chunks until the
-    rank is reached.  If it never is, the last elimination covered every
-    row and its kernel is returned.
+    are independent (triangular), so they count without elimination.  Next
+    the rank is counted mod p, those rows first and then the sparsest
+    others, since rank mod p <= rank over Q.  Only if that falls short are
+    the sparsest other rows eliminated exactly, in chunks, until the rank is
+    reached.  If it never is, the last elimination covered every row and its
+    kernel is returned.
     """
-    if not _annihilates(rows, candidate):
+    supports = _supports(rows, ncols)
+    if not _annihilates(supports, candidate):
         return stacked_kernels([rows], ncols)[0]
     target = ncols - candidate.dim
     seeds = {}  # last nonzero column -> the sparsest row ending there
     rest = []
-    for row in rows:
-        nonzero = [j for j, c in enumerate(row) if c]
-        if not nonzero:
-            continue
-        item = (len(nonzero), row)
-        kept = seeds.setdefault(nonzero[-1], item)
+    for item in supports:
+        last = item[0][-1]
+        kept = seeds.setdefault(last, item)
         if kept is not item:
-            if item[0] < kept[0]:
-                seeds[nonzero[-1]], item = item, kept
+            if len(item[0]) < len(kept[0]):
+                seeds[last], item = item, kept
             rest.append(item)
     if len(seeds) >= target:
         return candidate
-    rest.sort(key=lambda item: item[0])
-    reduced = [row for _, row in seeds.values()]
+    rest.sort(key=lambda item: len(item[0]))
+    seeds = list(seeds.values())
+    if _rank_mod_p(seeds + rest, target) >= target:
+        return candidate
+    reduced = [row for _, row in seeds]
     start = size = 0
     while True:
         size = max(target - len(reduced), 2 * size)

@@ -3,7 +3,12 @@
 Monomials are dense exponent tuples over a fixed, ordered generator alphabet.
 Generators of odd degree are exterior: their exponents never exceed one and
 products pick up Koszul signs from the transpositions needed to sort the
-factors back into alphabet order.  All coefficients are ``Fraction``.
+factors back into alphabet order.  Coefficients are exact rationals held in
+the smallest type that is exact: an ``int`` when integral, a ``Fraction``
+only when the denominator is above 1.  Coproducts, Newton power sums and
+restrictions have integer coefficients, so they run on plain ints; an
+integral coefficient equals and hashes like the ``Fraction`` of the same
+value, and both carry ``numerator`` and ``denominator``.
 
 The canonical order on monomials of a fixed degree is descending
 lexicographic on exponent tuples, so higher powers of earlier generators come
@@ -29,8 +34,13 @@ from fractions import Fraction
 
 from .errors import AlphabetMismatch, DimensionMismatch, InhomogeneousError, ParseError
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _coefficient(value):
+    """An exact coefficient as an ``int`` when integral, else a ``Fraction``."""
+    if type(value) is int:
+        return value
+    q = Fraction(value)
+    return q.numerator if q.denominator == 1 else q
 
 
 class GeneratorAlphabet:
@@ -119,7 +129,7 @@ class Polynomial:
         self.alphabet = alphabet
         clean = {}
         for exp, coeff in dict(terms).items():
-            coeff = Fraction(coeff)
+            coeff = _coefficient(coeff)
             if coeff:
                 clean[tuple(exp)] = coeff
         self.terms = clean
@@ -130,22 +140,22 @@ class Polynomial:
 
     @classmethod
     def one(cls, alphabet):
-        return cls(alphabet, {alphabet.unit(): _ONE})
+        return cls(alphabet, {alphabet.unit(): 1})
 
     @classmethod
     def constant(cls, alphabet, value):
-        return cls(alphabet, {alphabet.unit(): Fraction(value)})
+        return cls(alphabet, {alphabet.unit(): value})
 
     @classmethod
     def generator(cls, alphabet, name):
         i = alphabet.index(name)
         exp = [0] * len(alphabet)
         exp[i] = 1
-        return cls(alphabet, {tuple(exp): _ONE})
+        return cls(alphabet, {tuple(exp): 1})
 
     @classmethod
     def from_monomial(cls, alphabet, exponents, coeff=1):
-        return cls(alphabet, {tuple(exponents): Fraction(coeff)})
+        return cls(alphabet, {tuple(exponents): coeff})
 
     def is_zero(self):
         return not self.terms
@@ -173,7 +183,7 @@ class Polynomial:
         self._check(other)
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            s = out.get(exp, _ZERO) + c
+            s = out.get(exp, 0) + c
             if s:
                 out[exp] = s
             else:
@@ -190,7 +200,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
+            q = _coefficient(other)
             if not q:
                 return Polynomial.zero(self.alphabet)
             return Polynomial(
@@ -205,7 +215,7 @@ class Polynomial:
             for ea, ca in self.terms.items():
                 for eb, cb in other.terms.items():
                     key = tuple(x + y for x, y in zip(ea, eb))
-                    s = out.get(key, _ZERO) + ca * cb
+                    s = out.get(key, 0) + ca * cb
                     if s:
                         out[key] = s
                     else:
@@ -218,7 +228,7 @@ class Polynomial:
                         continue
                     key = tuple(x + y for x, y in zip(ea, eb))
                     c = ca * cb if sign == 0 else -ca * cb
-                    s = out.get(key, _ZERO) + c
+                    s = out.get(key, 0) + c
                     if s:
                         out[key] = s
                     else:
@@ -368,7 +378,7 @@ def degree_slice_vector(poly, degree, basis=None):
     if basis is None:
         basis = enumerate_monomials(poly.alphabet, degree)
     index = {e: i for i, e in enumerate(basis)}
-    vec = [_ZERO] * len(basis)
+    vec = [0] * len(basis)
     for exp, coeff in poly.terms.items():
         try:
             vec[index[exp]] = coeff
@@ -383,7 +393,7 @@ def vector_to_polynomial(alphabet, vector, basis):
     if len(vector) != len(basis):
         raise DimensionMismatch(f"vector length {len(vector)} != basis size {len(basis)}")
     return Polynomial(
-        alphabet, {e: Fraction(c) for e, c in zip(basis, vector) if c}
+        alphabet, {e: c for e, c in zip(basis, vector) if c}
     )
 
 
@@ -396,7 +406,7 @@ class TensorElement:
         self.alphabet = alphabet
         clean = {}
         for key, coeff in dict(terms).items():
-            coeff = Fraction(coeff)
+            coeff = _coefficient(coeff)
             if coeff:
                 clean[(tuple(key[0]), tuple(key[1]))] = coeff
         self.terms = clean
@@ -408,7 +418,7 @@ class TensorElement:
     @classmethod
     def one(cls, alphabet):
         u = alphabet.unit()
-        return cls(alphabet, {(u, u): _ONE})
+        return cls(alphabet, {(u, u): 1})
 
     @classmethod
     def tensor(cls, left, right):
@@ -417,7 +427,7 @@ class TensorElement:
         out = {}
         for ea, ca in left.terms.items():
             for eb, cb in right.terms.items():
-                out[(ea, eb)] = out.get((ea, eb), _ZERO) + ca * cb
+                out[(ea, eb)] = out.get((ea, eb), 0) + ca * cb
         return cls(left.alphabet, out)
 
     def is_zero(self):
@@ -440,7 +450,7 @@ class TensorElement:
             raise AlphabetMismatch("operands use different alphabets")
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = out.get(key, _ZERO) + c
+            s = out.get(key, 0) + c
             if s:
                 out[key] = s
             else:
@@ -457,7 +467,7 @@ class TensorElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
+            q = _coefficient(other)
             if not q:
                 return TensorElement.zero(self.alphabet)
             return TensorElement(
@@ -490,7 +500,7 @@ class TensorElement:
                     tuple(x + y for x, y in zip(a1, a2)),
                     tuple(x + y for x, y in zip(b1, b2)),
                 )
-                s = out.get(key, _ZERO) + c
+                s = out.get(key, 0) + c
                 if s:
                     out[key] = s
                 else:
@@ -606,7 +616,7 @@ class _Parser:
         tok = self.peek()
         if tok is None:
             raise ParseError("unexpected end of input")
-        coeff = Fraction(sign)
+        coeff = sign
         factors = Polynomial.one(self.alphabet)
         if tok[0] == "int":
             self.pos += 1

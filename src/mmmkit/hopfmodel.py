@@ -83,7 +83,7 @@ class HopfModel:
             for i in range(1, j):
                 term = self.generator_poly(i) * table[j - i]
                 acc = acc + (term if i % 2 == 1 else -term)
-            last = self.generator_poly(j) * Fraction(j)
+            last = self.generator_poly(j) * j
             acc = acc + (last if j % 2 == 1 else -last)
             table.append(acc)
         return table
@@ -144,7 +144,7 @@ class HopfModel:
                     ea[a - 1] = 1
                 if i - a:
                     eb[i - a - 1] = 1
-                terms[(tuple(ea), tuple(eb))] = _ONE
+                terms[(tuple(ea), tuple(eb))] = 1
             result = TensorElement(alph, terms)
         else:
             half = self._gen_coproduct_power(i, e // 2)
@@ -177,7 +177,7 @@ class HopfModel:
                     g = [0] * len(alph.names)
                     g[i] = 1
                     prim = TensorElement(
-                        alph, {(tuple(g), unit): _ONE, (unit, tuple(g)): _ONE}
+                        alph, {(tuple(g), unit): 1, (unit, tuple(g)): 1}
                     )
                     t = t * prim**e
                 out = out + t * coeff

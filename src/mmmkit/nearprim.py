@@ -101,7 +101,7 @@ def _delta_bar_slice(kind, max_degree, m):
     columns = []
     for exp in basis:
         dbar = model.reduced_coproduct(Polynomial.from_monomial(model.generators, exp))
-        columns.append(tuple((key, int(c)) for key, c in dbar.terms.items()))
+        columns.append(tuple(dbar.terms.items()))
     return basis, tuple(columns)
 
 
@@ -230,15 +230,27 @@ def _primitive_monomial(kind, max_degree, exp):
     poly = model.from_primitive_basis(Polynomial.from_monomial(model.primitives, exp))
     m = model.primitives.degree(exp)
     basis = _generator_basis(kind, max_degree, m)
-    return tuple(int(c) for c in degree_slice_vector(poly, m, basis))
+    return degree_slice_vector(poly, m, basis)
+
+
+# The span asked for last, with its model, degree and monomials.  Orders
+# with no generator degree between them admit the same monomials, so a sweep
+# over d reuses it; older spans are dropped.
+_last_span = (None, None)
 
 
 def near_primitive_span(model, m, d):
     """The closed-form basis as a subspace in generator-monomial coordinates."""
+    global _last_span
     monos = near_primitive_monomials(model, m, d)
+    key = (model.kind, model.max_degree, m, monos)
+    if _last_span[0] == key:
+        return _last_span[1]
     ncols = len(_generator_basis(model.kind, model.max_degree, m))
     vectors = [_primitive_monomial(model.kind, model.max_degree, e) for e in monos]
-    return Subspace.from_vectors(ncols, vectors)
+    span = Subspace.from_vectors(ncols, vectors)
+    _last_span = (key, span)
+    return span
 
 
 def restricted_pairing(kind, d):
@@ -252,7 +264,7 @@ def restricted_pairing(kind, d):
 def _restricted_monomial(kind, max_degree, rank, exp):
     model = hopf_model(kind, max_degree)
     poly = restrict(model, rank, Polynomial.from_monomial(model.generators, exp))
-    return tuple((e, int(c)) for e, c in poly.terms.items())
+    return tuple(poly.terms.items())
 
 
 def near_primitive_kernel_restricted(model, m, d):

@@ -2,8 +2,11 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmmkit import cli, nearprim
 from mmmkit.cli import poly_to_terms, render_table, run, terms_to_text
@@ -72,6 +75,26 @@ def test_mmm_space_goldens(capsys):
         capsys, "mmm", "space", "--flavor", "u", "-d", "1", "--degree", "12"
     )
     assert code == 0 and "dim 1: e6" in out
+
+
+@settings(deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 2)),
+        st.fractions(min_value=-5, max_value=5, max_denominator=4),
+        max_size=4,
+    )
+)
+def test_json_terms_read_the_same_from_int_and_fraction_coefficients(terms):
+    alphabet = GeneratorAlphabet([("c1", 2), ("c2", 4)])
+    poly = Polynomial(alphabet, terms)
+    # The same polynomial with every coefficient boxed as a Fraction, as
+    # the container stored it before integral coefficients became ints.
+    boxed = Polynomial(alphabet)
+    boxed.terms = {e: Fraction(c) for e, c in poly.terms.items()}
+    assert json.dumps(poly_to_terms(poly)) == json.dumps(poly_to_terms(boxed))
+    assert format_poly(poly) == format_poly(boxed)
+    assert poly == boxed and hash(poly) == hash(boxed)
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmmkit import exactq
@@ -313,3 +313,80 @@ def test_a_certified_candidate_is_returned_as_it_is():
     assert kernel.basis == ((1, -1, 1),)
     assert kernel_basis(rows, 3, kernel) is kernel
     assert kernel_basis(QMatrix.from_rows(rows), candidate=kernel) is kernel
+
+
+def _exact_rank(rows, ncols):
+    return len(rref(QMatrix(len(rows), ncols, rows))[1]) if rows else 0
+
+
+@settings(deadline=None)
+@given(sparse_rows(), st.sampled_from([2, 3, 5]))
+def test_rank_mod_p_is_at_most_the_rank_over_q(case, p):
+    ncols, rows = case
+    supports = exactq._supports(rows, ncols)
+    rank_p = exactq._rank_mod_p(supports, p=p)
+    assert rank_p <= _exact_rank(rows, ncols)
+    for target in range(1, ncols + 1):
+        assert exactq._rank_mod_p(supports, target, p) == min(rank_p, target)
+
+
+@settings(deadline=None)
+@given(sparse_rows())
+@example((2, [[1, 1], [1, 2]]))
+def test_rank_mod_the_word_size_prime_is_the_rank_of_small_rows(case):
+    # Entries of at most 3 in at most 7 columns keep every minor far below
+    # 2^31 - 1 (Hadamard's bound), so no rank is lost mod that prime.
+    ncols, rows = case
+    supports = exactq._supports(rows, ncols)
+    rank = _exact_rank(rows, ncols)
+    assert exactq._rank_mod_p(supports) == rank
+    for target in range(1, ncols + 1):
+        assert exactq._rank_mod_p(supports, target) == min(rank, target)
+
+
+P = exactq.PRIME
+
+
+@pytest.mark.parametrize(
+    "rows, ncols",
+    [
+        # The only 2x2 minor is P, so the rank is 2 over Q and 1 mod P.
+        ([[P, 1], [0, 1]], 2),
+        # Pivots that are multiples of P, behind sparser rows ending in the
+        # same columns, so only the exact elimination reaches the rank.
+        ([[2 * P, 0, 1], [0, 0, 1], [0, 3 * P, 1], [1, 1, 1]], 3),
+        ([[P, 1, 0, 0], [0, 1, 0, 0], [0, P, 1, 1], [0, 0, 1, 1], [0, 0, 0, 1]], 4),
+    ],
+)
+def test_a_rank_lost_mod_p_falls_back_to_the_exact_elimination(rows, ncols, monkeypatch):
+    kernel = kernel_basis(rows, ncols)
+    supports = exactq._supports(rows, ncols)
+    assert exactq._rank_mod_p(supports) < _exact_rank(rows, ncols) == ncols - kernel.dim
+    eliminations = []
+    rref_int = exactq._core.rref_int
+
+    def counting(block, width):
+        eliminations.append(len(block))
+        return rref_int(block, width)
+
+    monkeypatch.setattr(exactq._core, "rref_int", counting)
+    assert kernel_basis(rows, ncols, kernel) is kernel
+    assert eliminations  # certified by the exact path, not mod p
+
+
+@pytest.mark.parametrize(
+    "rows, ncols, candidate",
+    [
+        # Annihilated, but one dimension short of the kernel span(e2, e3).
+        ([[1, 0, 0]], 3, [[0, 1, 0]]),
+        # Annihilated and short of the kernel span(e3); the rank is lost mod P.
+        ([[P, 1, 0], [0, 1, 0]], 3, []),
+        # Not annihilated: the rank count alone would accept it.
+        ([[P, 1], [0, 1], [1, 0]], 2, [[1, 1]]),
+    ],
+)
+def test_a_wrong_candidate_is_rejected(rows, ncols, candidate):
+    expected = kernel_basis(rows, ncols)
+    wrong = Subspace.from_vectors(ncols, candidate)
+    assert wrong != expected
+    assert kernel_basis(rows, ncols, wrong) == expected

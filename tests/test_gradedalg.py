@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmmkit.errors import AlphabetMismatch, InhomogeneousError, ParseError
 from mmmkit.gradedalg import (
@@ -17,6 +19,7 @@ from mmmkit.gradedalg import (
     poincare_series,
     vector_to_polynomial,
 )
+from mmmkit.hopfmodel import hopf_model, restrict
 
 EVEN = GeneratorAlphabet([("c1", 2), ("c2", 4), ("c3", 6)])
 MIXED = GeneratorAlphabet([("a", 1), ("b", 2), ("u", 3), ("v", 4)])
@@ -218,3 +221,65 @@ def test_tensor_element_bilinear():
         assert TensorElement.tensor(x, y + z) == TensorElement.tensor(
             x, y
         ) + TensorElement.tensor(x, z)
+
+
+# --- coefficients live in the smallest exact ring ----------------------------
+
+COEFFICIENTS = st.one_of(
+    st.integers(-5, 5),
+    # Fractions, integral ones such as Fraction(2) included.
+    st.fractions(min_value=-5, max_value=5, max_denominator=4),
+)
+
+
+@st.composite
+def polynomials(draw, alphabet):
+    exponent = st.tuples(*(st.integers(0, 1 if p else 2) for p in alphabet.parities))
+    return Polynomial(alphabet, draw(st.dictionaries(exponent, COEFFICIENTS, max_size=4)))
+
+
+def in_smallest_ring(element):
+    """Every coefficient is an int when integral, else a proper Fraction."""
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator > 1)
+        for c in element.terms.values()
+    )
+
+
+@st.composite
+def polynomial_pairs(draw):
+    alphabet = draw(st.sampled_from([EVEN, MIXED]))
+    return draw(polynomials(alphabet)), draw(polynomials(alphabet)), draw(COEFFICIENTS)
+
+
+@settings(deadline=None)
+@given(polynomial_pairs())
+def test_arithmetic_keeps_integral_coefficients_int(case):
+    x, y, q = case
+    assert in_smallest_ring(x) and in_smallest_ring(y)
+    for p in (x + y, x - y, -x, x * y, x**2, q * x, x * q):
+        assert in_smallest_ring(p)
+    t = TensorElement.tensor(x, y)
+    for element in (t, t * t, t * q, t - TensorElement.tensor(y, x)):
+        assert in_smallest_ring(element)
+
+
+@settings(deadline=None)
+@given(polynomials(EVEN), polynomials(MIXED), polynomials(MIXED))
+def test_substitute_keeps_integral_coefficients_int(x, a, b):
+    image = x.substitute(MIXED, [a, b, None])
+    assert in_smallest_ring(image)
+
+
+@settings(deadline=None)
+@given(polynomials(hopf_model("so", 16).generators), st.integers(1, 9))
+def test_restrict_keeps_integral_coefficients_int(x, d):
+    assert in_smallest_ring(restrict(hopf_model("so", 16), d, x))
+
+
+@settings(deadline=None)
+@given(st.sampled_from([EVEN, MIXED]).flatmap(polynomials))
+def test_format_then_parse_is_the_identity(x):
+    parsed = parse_poly(format_poly(x), x.alphabet)
+    assert parsed == x
+    assert in_smallest_ring(parsed)

@@ -335,3 +335,19 @@ def test_l_class_is_grouplike():
         for i in range(n + 1):
             expected = expected + TensorElement.tensor(comps[i], comps[n - i])
         assert model.coproduct(comps[n]) == expected
+
+
+def _all_int(element):
+    return all(type(c) is int for c in element.terms.values())
+
+
+def test_newton_and_coproduct_tables_have_int_coefficients():
+    for kind, bound in (("u", 16), ("so", 24)):
+        model = hopf_model(kind, bound)
+        for j in range(1, model.ngens + 1):
+            assert _all_int(model.power_sum(j))
+            assert _all_int(model.reduced_coproduct(model.power_sum(j)))
+            assert _all_int(model.reduced_coproduct(model.generator_poly(j) ** 2))
+            assert _all_int(model.from_primitive_basis(model.primitive_poly(j) ** 2))
+    assert not _all_int(l_class_component(hopf_model("so", 8), 2))
+
