@@ -11,7 +11,7 @@ from .errors import (
     ParseError,
     QueryError,
 )
-from .exactq import QMatrix, Subspace, kernel_basis, membership, rref, subspace_equal
+from .exactq import Subspace, kernel_basis, subspace_equal
 
 __all__ = [
     "AlphabetMismatch",
@@ -20,11 +20,8 @@ __all__ = [
     "MMMKitError",
     "ParseError",
     "QueryError",
-    "QMatrix",
     "Subspace",
     "kernel_basis",
-    "membership",
-    "rref",
     "subspace_equal",
     "__version__",
 ]

@@ -1,23 +1,16 @@
-# cython: language_level=3
-# cython: boundscheck=False
-# cython: wraparound=False
-"""Compiled row-reduction core.
+"""The row-reduction core: integer Gauss-Jordan elimination.
 
-Same contract as ``_rowred_py``: integer Gauss-Jordan elimination with
-per-row content reduction.  Entries stay arbitrary-precision Python ints
-(binomial-coefficient matrices overflow machine words quickly); the win over
-the fallback comes from compiled loop control and direct list indexing.
+Every exact elimination in ``exactq`` runs here, on lists of Python ints.
+Keeping all entries integral with per-row content reduction avoids Fraction
+overhead in the inner loop while staying exact; callers divide each output
+row by its pivot entry to recover the rational reduced row echelon form.
 """
 
 from math import gcd
 
-IS_COMPILED = True
 
-
-cdef object _row_content(list row, Py_ssize_t ncols):
-    cdef Py_ssize_t c
-    cdef object g = 0
-    cdef object v
+def _row_content(row, ncols):
+    g = 0
     for c in range(ncols):
         v = row[c]
         if v:
@@ -27,24 +20,23 @@ cdef object _row_content(list row, Py_ssize_t ncols):
     return g
 
 
-def rref_int(rows, Py_ssize_t ncols):
+def rref_int(rows, ncols):
     """Row-reduce an integer matrix, returning scaled-integer RREF rows.
 
-    See ``_rowred_py.rref_int`` for the full contract; the two must stay
-    behaviourally identical.
+    ``rows`` is a sequence of length-``ncols`` lists of ints; it is not
+    modified.  Returns ``(out, pivots)`` where ``out[i]`` is a primitive
+    integer row (content gcd 1, positive pivot entry) proportional to row i
+    of the rational RREF and ``pivots[i]`` is its pivot column.  Zero rows
+    are dropped.
     """
-    cdef list m = [list(src) for src in rows]
-    cdef Py_ssize_t nrows = len(m)
-    cdef Py_ssize_t pr = 0, pc, r, c, pivot_row
-    cdef list pivots = []
-    cdef list row, other
-    cdef object piv, f, g, v
-
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    pivots = []
+    pr = 0
     for pc in range(ncols):
         pivot_row = -1
         for r in range(pr, nrows):
-            row = m[r]
-            if row[pc]:
+            if m[r][pc]:
                 pivot_row = r
                 break
         if pivot_row < 0:
@@ -52,13 +44,15 @@ def rref_int(rows, Py_ssize_t ncols):
         if pivot_row != pr:
             m[pr], m[pivot_row] = m[pivot_row], m[pr]
         row = m[pr]
+        # Entries left of pc are zero in every row at or below pr, so the
+        # pivot row only needs normalising from pc onward.
         if row[pc] < 0:
             for c in range(pc, ncols):
                 row[c] = -row[c]
         g = _row_content(row, ncols)
         if g > 1:
             for c in range(pc, ncols):
-                row[c] = row[c] // g
+                row[c] //= g
         piv = row[pc]
         for r in range(nrows):
             if r == pr:
@@ -72,9 +66,11 @@ def rref_int(rows, Py_ssize_t ncols):
             g = _row_content(other, ncols)
             if g > 1:
                 for c in range(ncols):
-                    other[c] = other[c] // g
+                    other[c] //= g
         pivots.append(pc)
         pr += 1
         if pr == nrows or pr == ncols:
+            # Either no rows are left, or the column space is full and every
+            # remaining row must reduce to zero.
             break
     return m[:pr], pivots

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, InhomogeneousError, QueryError
-from .exactq import Rational
 from .gradedalg import (
     GeneratorAlphabet,
     Polynomial,
@@ -125,7 +124,7 @@ class CohomologyRing:
         for exp, coeff in self.reduce(poly).terms.items():
             if self.alphabet.degree(exp) == self.top_degree:
                 total += coeff * self.fundamental.get(exp, _ZERO)
-        return Rational(total)
+        return Fraction(total)
 
     def chern_class(self, k):
         """k-th Chern class of the tangent bundle."""
@@ -258,7 +257,7 @@ def _constant_value(poly):
         if any(exp):
             raise QueryError("expected a constant class")
         value = coeff
-    return Rational(value)
+    return Fraction(value)
 
 
 def projectivize(base, chern_of_v, label=""):
@@ -393,7 +392,7 @@ def mmm_class_number(bundle, algebra, x):
     """Evaluate a polynomial MMM class from an aliased algebra on the bundle."""
     if algebra.display_names is None:
         raise QueryError("bundle evaluation needs the single-generator MMM algebras")
-    value = Rational(0)
+    value = Fraction(0)
     for exp, coeff in x.terms.items():
         indices = []
         for gi, e in enumerate(exp):
@@ -439,8 +438,8 @@ class IdentityReport:
     bundle: str
     flavor: str
     j: int
-    total_side: Rational
-    base_side: Rational
+    total_side: Fraction
+    base_side: Fraction
     class_level_equal: bool
 
     @property

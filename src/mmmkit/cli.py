@@ -23,6 +23,9 @@ from .gradedalg import (
     GeneratorAlphabet,
     Polynomial,
     enumerate_monomials,
+    format_monomial,
+    format_poly,
+    join_terms,
     vector_to_polynomial,
 )
 from .hopfmodel import (
@@ -58,22 +61,10 @@ def poly_to_terms(poly, names=None):
 
 def terms_to_text(terms):
     """Rebuild the canonical text form from JSON terms."""
-    if not terms:
-        return "0"
-    parts = []
-    for (num, den), mono in terms:
-        coeff = Fraction(num, den)
-        body = "*".join(n if e == 1 else f"{n}^{e}" for n, e in mono.items())
-        mag = abs(coeff)
-        if not body:
-            body = str(mag)
-        elif mag != 1:
-            body = f"{mag}*{body}"
-        if not parts:
-            parts.append(f"-{body}" if coeff < 0 else body)
-        else:
-            parts.append(f" - {body}" if coeff < 0 else f" + {body}")
-    return "".join(parts)
+    return join_terms(
+        (Fraction(num, den), format_monomial(mono.items()))
+        for (num, den), mono in terms
+    )
 
 
 def _rational_text(num, den):
@@ -372,9 +363,7 @@ def _bundle_doc(bundle, command_query, with_numbers):
                 for gi, e in enumerate(exp):
                     indices.extend([gi + 1] * e)
                 value = bundles.mmm_number(bundle, indices)
-                name = terms_to_text(
-                    poly_to_terms(Polynomial.from_monomial(alph, exp))
-                )
+                name = format_poly(Polynomial.from_monomial(alph, exp))
                 mmm_numbers[name + "#"] = [value.numerator, value.denominator]
         result["mmmNumbers"] = mmm_numbers
         result["charNumbers"] = {

@@ -1,11 +1,10 @@
 """Exact rational linear algebra: RREF, kernels, canonical subspaces.
 
-Everything is dense and exact over ``fractions.Fraction``.  The hot loop
-(integer Gauss-Jordan elimination) lives in a separate core module with two
-interchangeable implementations: the compiled extension ``_rowred`` and the
-pure-Python twin ``_rowred_py``.  The extension is picked at import time when
-it is built; set the environment variable MMMKIT_PURE to any non-empty value
-to force the fallback (useful for benchmarking and debugging).
+Everything is dense and exact over ``fractions.Fraction``.  Matrices are
+raw rows: lists of ints or Fractions, all of one stated width.  Every exact
+elimination runs in one core, ``_core.rref_int``, integer Gauss-Jordan
+elimination on Python ints; this module clears denominators on the way in
+and boxes Fractions on the way out.
 
 Subspaces are stored by their reduced-row-echelon basis with rows ordered by
 pivot column, which is a canonical form: two subspaces are equal iff their
@@ -40,78 +39,21 @@ a wrong answer.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from itertools import compress
 from math import lcm
 
+from . import _core
 from .errors import DimensionMismatch
 
-if os.environ.get("MMMKIT_PURE"):
-    from . import _rowred_py as _core
-else:
-    try:
-        from . import _rowred as _core  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _rowred_py as _core
-
-COMPILED_CORE = bool(getattr(_core, "IS_COMPILED", False))
-
-Rational = Fraction
+#: the elimination core is pure Python; perfbench/run.py prints this flag
+COMPILED_CORE = False
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 #: the word-size prime 2^31 - 1 of the modular rank certificate
 PRIME = 2**31 - 1
-
-
-class QMatrix:
-    """Immutable dense matrix over the rationals."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows, cols, entries):
-        entries = tuple(tuple(Fraction(e) for e in row) for row in entries)
-        if len(entries) != rows or any(len(r) != cols for r in entries):
-            raise DimensionMismatch(
-                f"expected {rows}x{cols} entries, got "
-                f"{len(entries)} rows of lengths {sorted({len(r) for r in entries})}"
-            )
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def from_rows(cls, entries, cols=None):
-        entries = [list(r) for r in entries]
-        if cols is None:
-            if not entries:
-                raise DimensionMismatch("cannot infer width of an empty matrix")
-            cols = len(entries[0])
-        return cls(len(entries), cols, entries)
-
-    def row(self, i):
-        return self.entries[i]
-
-    def mul_vector(self, v):
-        if len(v) != self.cols:
-            raise DimensionMismatch(f"vector length {len(v)} != {self.cols} columns")
-        return tuple(sum((r[j] * v[j] for j in range(self.cols)), _ZERO) for r in self.entries)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self):
-        return f"QMatrix({self.rows}x{self.cols})"
 
 
 _is_int = int.__instancecheck__
@@ -138,14 +80,6 @@ def _reduced_rows(entries, ncols):
         piv = r[pc]
         rows.append(tuple(Fraction(e, piv) for e in r))
     return rows, tuple(pivots)
-
-
-def rref(matrix):
-    """Reduced row echelon form.  Returns ``(QMatrix, pivots)``, shape preserved."""
-    rows, pivots = _reduced_rows(matrix.entries, matrix.cols)
-    zero = (_ZERO,) * matrix.cols
-    padded = rows + [zero] * (matrix.rows - len(rows))
-    return QMatrix(matrix.rows, matrix.cols, padded), pivots
 
 
 class Subspace:
@@ -241,28 +175,24 @@ def _kernel_vectors(rows, pivots, ncols):
     return vectors
 
 
-def kernel_basis(matrix, ncols=None, candidate=None):
-    """Null space of a matrix, as a canonical Subspace.
+def kernel_basis(rows, ncols, candidate=None):
+    """Null space of ``rows`` (lists of ints/Fractions, each of length
+    ``ncols``), as a canonical Subspace of Q^ncols.
 
-    Accepts a QMatrix, or raw rows (lists of ints/Fractions) together with
-    ``ncols``; the raw form lets hot callers skip Fraction boxing entirely.
     ``candidate`` is an optional Subspace of Q^ncols believed to be the
     kernel: it is returned when the rows certify it, and the kernel is
     computed otherwise, so the result is always the kernel of the rows.
     """
-    if isinstance(matrix, QMatrix):
-        entries, ncols = matrix.entries, matrix.cols
-    else:
-        entries = matrix
-        if ncols is None:
-            raise DimensionMismatch("ncols is required for raw-row input")
+    for row in rows:
+        if len(row) != ncols:
+            raise DimensionMismatch(f"row length {len(row)} != {ncols} columns")
     if candidate is None:
-        return stacked_kernels([entries], ncols)[0]
+        return stacked_kernels([rows], ncols)[0]
     if candidate.ambient_dim != ncols:
         raise DimensionMismatch(
             f"candidate lives in Q^{candidate.ambient_dim}, the rows in Q^{ncols}"
         )
-    return _certify_kernel(_int_rows(entries), ncols, candidate)
+    return _certify_kernel(_int_rows(rows), ncols, candidate)
 
 
 def _supports(rows, ncols):
@@ -406,11 +336,6 @@ def subspace_equal(a, b):
             f"ambient dimensions differ: {a.ambient_dim} != {b.ambient_dim}"
         )
     return a.basis == b.basis
-
-
-def membership(vector, subspace):
-    """Alias for ``subspace.coordinates(vector)``."""
-    return subspace.coordinates(vector)
 
 
 def subspace_sum(a, b):

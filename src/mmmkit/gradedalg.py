@@ -685,27 +685,17 @@ def parse_poly(text, alphabet, aliases=None):
     return _Parser(tokens, alphabet, aliases).parse()
 
 
-def _format_monomial(alphabet, exponents, names=None):
-    factors = []
-    for name, e in zip(names or alphabet.names, exponents):
-        if e == 1:
-            factors.append(name)
-        elif e > 1:
-            factors.append(f"{name}^{e}")
-    return "*".join(factors)
+def format_monomial(factors):
+    """``a*b^2`` from ordered ``(name, exponent)`` pairs; zero exponents drop."""
+    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in factors if e)
 
 
-def format_poly(poly, names=None):
-    """Canonical text form: graded order, lowest-terms coefficients.
-
-    ``names`` optionally overrides the alphabet's generator names for
-    display, matching them by position.
-    """
-    if poly.is_zero():
-        return "0"
+def join_terms(terms):
+    """Signed text of ordered ``(coefficient, monomial text)`` pairs, with
+    coefficient magnitudes of 1 left implicit; an empty monomial text is the
+    constant term, and no terms read "0"."""
     parts = []
-    for exp, coeff in poly.sorted_terms():
-        mono = _format_monomial(poly.alphabet, exp, names)
+    for coeff, mono in terms:
         mag = abs(coeff)
         if not mono:
             body = str(mag)
@@ -717,4 +707,16 @@ def format_poly(poly, names=None):
             parts.append(f"-{body}" if coeff < 0 else body)
         else:
             parts.append(f" - {body}" if coeff < 0 else f" + {body}")
-    return "".join(parts)
+    return "".join(parts) or "0"
+
+
+def format_poly(poly, names=None):
+    """Canonical text form: graded order, lowest-terms coefficients.
+
+    ``names`` optionally overrides the alphabet's generator names for
+    display, matching them by position.
+    """
+    names = names or poly.alphabet.names
+    return join_terms(
+        (coeff, format_monomial(zip(names, exp))) for exp, coeff in poly.sorted_terms()
+    )

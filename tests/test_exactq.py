@@ -1,25 +1,18 @@
 """Exact linear algebra layer: RREF canonicity, kernels, span arithmetic."""
 
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmmkit import exactq
-from mmmkit import _rowred_py
 from mmmkit.errors import DimensionMismatch
 from mmmkit.exactq import (
-    COMPILED_CORE,
-    QMatrix,
     Subspace,
     kernel_basis,
-    membership,
-    rref,
     solve_in_span,
     stacked_kernels,
     subspace_equal,
@@ -29,23 +22,21 @@ from mmmkit.exactq import (
 
 
 def random_matrix(rng, rows, cols, lo=-5, hi=5):
-    return QMatrix.from_rows(
-        [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
-    )
+    return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
 
 
 def test_rref_examples():
-    m, pivots = rref(QMatrix.from_rows([[1, 2], [2, 4]]))
-    assert m == QMatrix.from_rows([[1, 2], [0, 0]])
-    assert pivots == (0,)
+    s = Subspace.from_vectors(2, [[1, 2], [2, 4]])
+    assert s.basis == ((1, 2),)
+    assert s.pivots == (0,)
 
-    m, pivots = rref(QMatrix.from_rows([[0, 1], [1, 0]]))
-    assert m == QMatrix.from_rows([[1, 0], [0, 1]])
-    assert pivots == (0, 1)
+    s = Subspace.from_vectors(2, [[0, 1], [1, 0]])
+    assert s.basis == ((1, 0), (0, 1))
+    assert s.pivots == (0, 1)
 
     # fractional entries are fine; the result is normalized
-    m, pivots = rref(QMatrix.from_rows([[Fraction(1, 2), Fraction(3, 2)]]))
-    assert m == QMatrix.from_rows([[1, 3]])
+    s = Subspace.from_vectors(2, [[Fraction(1, 2), Fraction(3, 2)]])
+    assert s.basis == ((1, 3),)
 
 
 def test_rref_is_idempotent_and_preserves_row_space():
@@ -54,31 +45,26 @@ def test_rref_is_idempotent_and_preserves_row_space():
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
         m = random_matrix(rng, rows, cols)
-        r, pivots = rref(m)
-        again, pivots2 = rref(r)
-        assert again == r
-        assert pivots2 == pivots
-        assert subspace_equal(
-            Subspace.from_vectors(cols, m.entries),
-            Subspace.from_vectors(cols, r.entries),
-        )
+        s = Subspace.from_vectors(cols, m)
+        again = Subspace.from_vectors(cols, s.basis)
+        assert again.basis == s.basis
+        assert again.pivots == s.pivots
+        assert all(s.contains(row) for row in m)
+        assert all(solve_in_span(m, row) is not None for row in s.basis)
 
 
 def test_kernel_example():
-    ker = kernel_basis(QMatrix.from_rows([[1, 1]]))
+    ker = kernel_basis([[1, 1]], 2)
     assert ker.dim == 1
     assert ker.basis == ((Fraction(1), Fraction(-1)),)
 
 
-def test_kernel_raw_rows_agrees_with_qmatrix():
-    rng = random.Random(72)
-    for _ in range(20):
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 7)
-        entries = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-        assert kernel_basis(entries, cols) == kernel_basis(QMatrix.from_rows(entries, cols))
-    with pytest.raises(DimensionMismatch):
-        kernel_basis([[1, 2]])
+def test_kernel_of_ragged_rows_names_both_lengths():
+    # A long row used to lose its tail, a short one to raise IndexError.
+    for rows, bad in ([[1, 2, 3]], 3), ([[1]], 1), ([[1, 2], [1]], 1):
+        for candidate in (None, Subspace.zero(2)):
+            with pytest.raises(DimensionMismatch, match=f"row length {bad} != 2 columns"):
+                kernel_basis(rows, 2, candidate)
 
 
 def test_rank_nullity_and_kernel_membership():
@@ -87,11 +73,11 @@ def test_rank_nullity_and_kernel_membership():
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
         m = random_matrix(rng, rows, cols)
-        _, pivots = rref(m)
-        ker = kernel_basis(m)
+        pivots = Subspace.from_vectors(cols, m).pivots
+        ker = kernel_basis(m, cols)
         assert len(pivots) + ker.dim == cols
         for v in ker.basis:
-            assert not any(m.mul_vector(v))
+            assert not any(sum(a * b for a, b in zip(row, v)) for row in m)
         # random combinations stay inside, and membership certifies them
         combo = [Fraction(0)] * cols
         for v in ker.basis:
@@ -134,7 +120,7 @@ def test_coordinates_roundtrip():
     s = Subspace.from_vectors(4, [[1, 2, 0, 0], [0, 0, 1, 3]])
     coords = s.coordinates([2, 4, -1, -3])
     assert coords == (Fraction(2), Fraction(-1))
-    assert membership([1, 1, 1, 1], s) is None
+    assert s.coordinates([1, 1, 1, 1]) is None
     with pytest.raises(DimensionMismatch):
         s.coordinates([1, 2, 3])
 
@@ -167,42 +153,6 @@ def test_solve_in_span_reconstructs_target():
         assert rebuilt == [Fraction(t) for t in target]
 
 
-def test_cores_agree():
-    """The compiled row reducer and its pure-Python twin are interchangeable."""
-    if COMPILED_CORE:
-        from mmmkit import _rowred
-        cores = [_rowred, _rowred_py]
-    else:
-        cores = [_rowred_py]
-    rng = random.Random(76)
-    for _ in range(30):
-        rows = rng.randint(1, 7)
-        cols = rng.randint(1, 7)
-        entries = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        results = [core.rref_int([list(r) for r in entries], cols) for core in cores]
-        first = results[0]
-        assert tuple(first[1]) == tuple(sorted(first[1]))
-        for other in results[1:]:
-            assert [list(r) for r in other[0]] == [list(r) for r in first[0]]
-            assert tuple(other[1]) == tuple(first[1])
-
-
-def test_pure_env_var_forces_fallback():
-    script = (
-        "from mmmkit.exactq import COMPILED_CORE, kernel_basis, QMatrix\n"
-        "ker = kernel_basis(QMatrix.from_rows([[1, 2, 3], [0, 1, 1]]))\n"
-        "print(COMPILED_CORE, ker.basis)\n"
-    )
-    env = dict(os.environ, MMMKIT_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-    )
-    flag, _, basis = out.stdout.strip().partition(" ")
-    assert flag == "False"
-    here = kernel_basis(QMatrix.from_rows([[1, 2, 3], [0, 1, 1]]))
-    assert basis == repr(here.basis)
-
-
 @st.composite
 def row_blocks(draw):
     """A width and a list of integer row blocks, some empty, with zero rows
@@ -229,7 +179,7 @@ def test_stacked_kernels_equal_the_kernel_of_every_prefix(case):
     for i, kernel in enumerate(kernels):
         stacked = [row for block in blocks[: i + 1] for row in block]
         assert kernel == kernel_basis(stacked, ncols)
-        rank = len(rref(QMatrix(len(stacked), ncols, stacked))[1])
+        rank = Subspace.from_vectors(ncols, stacked).dim
         assert kernel.dim == ncols - rank
         for v in kernel.basis:
             assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in stacked)
@@ -312,11 +262,10 @@ def test_a_certified_candidate_is_returned_as_it_is():
     kernel = kernel_basis(rows, 3)
     assert kernel.basis == ((1, -1, 1),)
     assert kernel_basis(rows, 3, kernel) is kernel
-    assert kernel_basis(QMatrix.from_rows(rows), candidate=kernel) is kernel
 
 
 def _exact_rank(rows, ncols):
-    return len(rref(QMatrix(len(rows), ncols, rows))[1]) if rows else 0
+    return Subspace.from_vectors(ncols, rows).dim
 
 
 @settings(deadline=None)
@@ -390,3 +339,63 @@ def test_a_wrong_candidate_is_rejected(rows, ncols, candidate):
     wrong = Subspace.from_vectors(ncols, candidate)
     assert wrong != expected
     assert kernel_basis(rows, ncols, wrong) == expected
+
+
+def _rank_by_fractions(rows):
+    """Rank by textbook Fraction elimination, independent of the core."""
+    rows = [[Fraction(e) for e in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def integer_matrices(draw):
+    """A width and integer rows of that width, with repeated and zero rows."""
+    ncols = draw(st.integers(1, 6))
+    row = st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=6))
+    if rows and draw(st.booleans()):
+        rows.append([2 * e for e in draw(st.sampled_from(rows))])
+    if draw(st.booleans()):
+        rows.append([0] * ncols)
+    return ncols, rows
+
+
+@settings(deadline=None)
+@given(integer_matrices(), st.data())
+def test_rref_int_returns_the_canonical_primitive_rref(case, data):
+    ncols, rows = case
+    given_rows = [list(row) for row in rows]
+    out, pivots = exactq._core.rref_int(rows, ncols)
+    assert rows == given_rows  # the input is not modified
+    assert len(out) == len(pivots)
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    for i, (row, p) in enumerate(zip(out, pivots)):
+        assert len(row) == ncols
+        assert row[p] > 0 and not any(row[:p])
+        assert gcd(*row) == 1
+        assert all(other[p] == 0 for j, other in enumerate(out) if j != i)
+    # Same row space: every input row is the combination of the output rows
+    # read off its pivot columns, and the output rank is the input rank.
+    for row in rows:
+        rebuilt = [Fraction(0)] * ncols
+        for r, p in zip(out, pivots):
+            rebuilt = [a + Fraction(row[p], r[p]) * b for a, b in zip(rebuilt, r)]
+        assert rebuilt == row
+    assert len(out) == _rank_by_fractions(rows)
+    # Canonical: unchanged under row permutation and nonzero row scaling.
+    order = data.draw(st.permutations(range(len(rows))))
+    scales = data.draw(
+        st.lists(st.integers(-5, 5).filter(bool), min_size=len(rows), max_size=len(rows))
+    )
+    moved = [[c * e for e in rows[i]] for c, i in zip(scales, order)]
+    assert exactq._core.rref_int(moved, ncols) == (out, pivots)
