@@ -20,7 +20,6 @@ reread as complex fibre-dimension-1 bundles for the complex flavor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, InhomogeneousError, QueryError
@@ -203,16 +202,16 @@ def product_ring(a, b):
     )
 
 
-@dataclass
 class BundleModel:
     """A projectivized bundle pi: E = P(V) -> B with exact fibre integration."""
 
-    base: CohomologyRing
-    total: CohomologyRing
-    rank: int
-    xi_index: int
-    vertical_chern: Polynomial
-    label: str = ""
+    def __init__(self, base, total, rank, xi_index, vertical_chern, label=""):
+        self.base = base
+        self.total = total
+        self.rank = rank
+        self.xi_index = xi_index
+        self.vertical_chern = vertical_chern
+        self.label = label
 
     def __repr__(self):
         return f"BundleModel({self.label})"
@@ -431,16 +430,16 @@ def _format(alphabet, exp):
     return format_poly(Polynomial.from_monomial(alphabet, exp))
 
 
-@dataclass
 class IdentityReport:
     """Both sides of the fibre-integration identity for one (bundle, j)."""
 
-    bundle: str
-    flavor: str
-    j: int
-    total_side: Fraction
-    base_side: Fraction
-    class_level_equal: bool
+    def __init__(self, bundle, flavor, j, total_side, base_side, class_level_equal):
+        self.bundle = bundle
+        self.flavor = flavor
+        self.j = j
+        self.total_side = total_side
+        self.base_side = base_side
+        self.class_level_equal = class_level_equal
 
     @property
     def equal(self):

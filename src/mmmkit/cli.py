@@ -7,7 +7,8 @@ checks.  Both output formats render that same document, so the table
 and JSON views cannot drift apart.
 
 Exit status: 0 on success with all checks passing, 1 when a check
-fails, 2 for parse or validation errors.
+fails, 2 for parse or validation errors and for an ``--out`` path that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .gradedalg import (
     vector_to_polynomial,
 )
 from .hopfmodel import (
+    GENERATOR_LETTER,
     MAX_DEGREE_CAP,
     STEP,
     hopf_model,
@@ -119,9 +121,12 @@ def render_table(doc):
 
 def _emit(doc, args):
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(args.out, "w") as fh:
+                json.dump(doc, fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            raise QueryError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:
@@ -183,6 +188,9 @@ def _cmd_nearprim_basis(args):
 
 def _cmd_nearprim_verify(args):
     bound = DEFAULT_BOUND[args.model] if args.max_degree is None else args.max_degree
+    if bound < STEP[args.model]:
+        letter = GENERATOR_LETTER[args.model]
+        raise QueryError(f"--max-degree {bound} is below |{letter}1| = {STEP[args.model]}")
     model = hopf_model(args.model, bound)
     report = verify_equivalence(model, bound)
     checks = [
@@ -255,7 +263,15 @@ def _cmd_mmm_test(args):
     bound = DEFAULT_BOUND[args.flavor] if args.bound is None else args.bound
     _check_mmm_cap(args, "--bound", bound, defaulted=args.bound is None)
     algebra = MMMAlgebra(args.flavor, args.d, bound)
-    x = algebra.parse(args.expr)
+    try:
+        x = algebra.parse(args.expr)
+    except ParseError as exc:
+        # A valid generator above the bound is the bound's fault, not the name's.
+        degree = algebra.name_degree(exc.token) if exc.token else None
+        if degree is None or degree <= bound:
+            raise
+        flag = f"the default --bound {bound}" if args.bound is None else f"--bound {bound}"
+        raise QueryError(f"generator {exc.token!r} has degree {degree}, above {flag}") from None
     verdict = algebra.is_bordism_invariant(x)
     result = {
         "decision": "yes" if verdict.decision else "no",

@@ -1,32 +1,35 @@
 """Exact rational linear algebra: RREF, kernels, canonical subspaces.
 
-Everything is dense and exact over ``fractions.Fraction``.  Matrices are
-raw rows: lists of ints or Fractions, all of one stated width.  Every exact
-elimination runs in one core, ``_core.rref_int``, integer Gauss-Jordan
-elimination on Python ints; this module clears denominators on the way in
-and boxes Fractions on the way out.
+Everything is exact over the rationals.  Matrices are raw rows: lists of
+ints or Fractions, all of one stated width.  Every exact elimination runs in
+one core, ``_core.rref_int``, integer Gauss-Jordan elimination on Python
+ints; this module clears denominators on the way in.
 
-Subspaces are stored by their reduced-row-echelon basis with rows ordered by
-pivot column, which is a canonical form: two subspaces are equal iff their
-stored bases are equal entrywise.  Pivot selection is deterministic (leftmost
-nonzero column, topmost unprocessed row), so every route to the same subspace
-produces the same object.
+A subspace is stored by its primitive integer RREF rows, as the core returns
+them: row i is the i-th row of the rational reduced row echelon form scaled
+to integer entries with content 1 and a positive pivot entry, and rows are
+ordered by pivot column.  That scaling is unique, so the rows are a
+canonical form: two subspaces are equal iff their stored rows are equal
+entrywise.  Dimension, equality, hashing and the kernel certificate read the
+integer rows; the rational basis (pivot entries 1) is boxed into Fractions
+once, on the first read of ``Subspace.basis``.  Pivot selection is
+deterministic (leftmost nonzero column, topmost unprocessed row), so every
+route to the same subspace produces the same object.
 
-Kernels stay in the integers until the end.  The core returns primitive
-integer RREF rows; each kernel vector is built from them with integer
-entries, scaled by the lcm of the pivot entries it would divide by, and the
-vectors go straight into a second integer elimination that yields the
-canonical basis.  Only that final basis is boxed into Fractions.
+Kernels stay in the integers throughout.  Each kernel vector is built from
+the primitive RREF rows with integer entries, scaled by the lcm of the pivot
+entries it would divide by, and the vectors go straight into a second
+integer elimination that yields the canonical rows.
 `stacked_kernels` serves a growing stack of row blocks, as in a sweep where
 each step adds constraints: every block is reduced against the integer RREF
 rows kept from the blocks before it, so no prefix is eliminated twice.
 
 `kernel_basis` can also check a known answer instead of computing it.  Given
-a candidate subspace K it returns K only when (i) every row annihilates an
-integer-scaled basis of K, checked exactly, so K lies in the kernel and the
+a candidate subspace K it returns K only when (i) every row annihilates the
+integer rows of K, checked exactly, so K lies in the kernel and the
 rank is at most ncols - dim K, and (ii) some subset of the rows has rank at
 least ncols - dim K.  Then the kernel contains K and has its dimension, so
-it is K, and K's canonical basis is the one elimination would produce.  Rows
+it is K, and K's canonical rows are the ones elimination would produce.  Rows
 whose last nonzero columns are pairwise distinct are independent for free.
 The rest of (ii) counts the rank modulo the prime p = 2^31 - 1 with a sparse
 incremental echelon, fed those rows first and then the sparsest others, and
@@ -50,7 +53,6 @@ from .errors import DimensionMismatch
 COMPILED_CORE = False
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 #: the word-size prime 2^31 - 1 of the modular rank certificate
 PRIME = 2**31 - 1
@@ -72,26 +74,18 @@ def _int_rows(entries):
     return out
 
 
-def _reduced_rows(entries, ncols):
-    """Run the core and return canonical Fraction RREF rows plus pivots."""
-    out, pivots = _core.rref_int(_int_rows(entries), ncols)
-    rows = []
-    for r, pc in zip(out, pivots):
-        piv = r[pc]
-        rows.append(tuple(Fraction(e, piv) for e in r))
-    return rows, tuple(pivots)
-
-
 class Subspace:
-    """A linear subspace of Q^n in canonical reduced-row-echelon form."""
+    """A linear subspace of Q^n, stored by its primitive integer RREF rows."""
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "rows", "pivots", "_basis")
 
-    def __init__(self, ambient_dim, basis, pivots):
-        # Trusted constructor: rows must already be canonical.
+    def __init__(self, ambient_dim, rows, pivots):
+        # Trusted constructor: rows must already be primitive integer RREF
+        # rows (content 1, positive pivots), ordered by pivot.
         self.ambient_dim = ambient_dim
-        self.basis = tuple(tuple(row) for row in basis)
+        self.rows = tuple(tuple(row) for row in rows)
         self.pivots = tuple(pivots)
+        self._basis = None
 
     @classmethod
     def from_vectors(cls, ambient_dim, vectors):
@@ -99,7 +93,7 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient_dim:
                 raise DimensionMismatch(f"vector length {len(v)} != ambient {ambient_dim}")
-        rows, pivots = _reduced_rows(vectors, ambient_dim)
+        rows, pivots = _core.rref_int(_int_rows(vectors), ambient_dim)
         return cls(ambient_dim, rows, pivots)
 
     @classmethod
@@ -108,15 +102,24 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim):
-        rows = tuple(
-            tuple(_ONE if j == i else _ZERO for j in range(ambient_dim))
-            for i in range(ambient_dim)
-        )
-        return cls(ambient_dim, rows, tuple(range(ambient_dim)))
+        rows = [[0] * ambient_dim for _ in range(ambient_dim)]
+        for i, row in enumerate(rows):
+            row[i] = 1
+        return cls(ambient_dim, rows, range(ambient_dim))
+
+    @property
+    def basis(self):
+        """The canonical rational basis: each row divided by its pivot entry."""
+        if self._basis is None:
+            self._basis = tuple(
+                tuple(Fraction(e, row[p]) for e in row)
+                for row, p in zip(self.rows, self.pivots)
+            )
+        return self._basis
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.rows)
 
     def coordinates(self, vector):
         """Coefficients of ``vector`` over the stored basis, or None if outside."""
@@ -143,11 +146,11 @@ class Subspace:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self.rows))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
@@ -203,15 +206,11 @@ def _supports(rows, ncols):
 
 
 def _annihilates(supports, subspace):
-    """Whether every row is orthogonal to every basis vector of ``subspace``.
+    """Whether every row is orthogonal to every integer row of ``subspace``.
 
-    Each basis vector is scaled to dense integers once; each row then reads
-    only its own nonzero columns.
+    Each row reads only its own nonzero columns.
     """
-    vectors = []
-    for v in subspace.basis:
-        scale = lcm(*(e.denominator for e in v))
-        vectors.append([e.numerator * (scale // e.denominator) for e in v])
+    vectors = subspace.rows
     return not any(
         sum(row[j] * v[j] for j in cols) for cols, row in supports for v in vectors
     )
@@ -335,7 +334,7 @@ def subspace_equal(a, b):
         raise DimensionMismatch(
             f"ambient dimensions differ: {a.ambient_dim} != {b.ambient_dim}"
         )
-    return a.basis == b.basis
+    return a.rows == b.rows
 
 
 def subspace_sum(a, b):
@@ -343,7 +342,7 @@ def subspace_sum(a, b):
         raise DimensionMismatch(
             f"ambient dimensions differ: {a.ambient_dim} != {b.ambient_dim}"
         )
-    return Subspace.from_vectors(a.ambient_dim, list(a.basis) + list(b.basis))
+    return Subspace.from_vectors(a.ambient_dim, a.rows + b.rows)
 
 
 def subspace_intersection(a, b):
@@ -355,23 +354,19 @@ def subspace_intersection(a, b):
     n = a.ambient_dim
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(n)
-    # Columns are the basis vectors of a followed by those of b; a kernel
+    # Columns are the integer rows of a followed by those of b; a kernel
     # vector (x, y) encodes sum(x_i a_i) = sum(y_j b_j), a point of the
     # intersection.
     cols = a.dim + b.dim
-    stacked = []
-    for i in range(n):
-        row = [a.basis[j][i] for j in range(a.dim)]
-        row += [-b.basis[j][i] for j in range(b.dim)]
-        stacked.append(row)
+    stacked = [[r[i] for r in a.rows] + [-r[i] for r in b.rows] for i in range(n)]
     ker = kernel_basis(stacked, cols)
     vectors = []
-    for kv in ker.basis:
-        vec = [_ZERO] * n
-        for j in range(a.dim):
-            if kv[j]:
+    for kv in ker.rows:
+        vec = [0] * n
+        for x, row in zip(kv, a.rows):
+            if x:
                 for i in range(n):
-                    vec[i] += kv[j] * a.basis[j][i]
+                    vec[i] += x * row[i]
         vectors.append(vec)
     return Subspace.from_vectors(n, vectors)
 
@@ -391,10 +386,10 @@ def solve_in_span(vectors, target):
     if k == 0:
         return () if not any(target) else None
     augmented = [[vectors[j][i] for j in range(k)] + [target[i]] for i in range(n)]
-    rows, pivots = _reduced_rows(augmented, k + 1)
+    rows, pivots = _core.rref_int(_int_rows(augmented), k + 1)
     if k in pivots:
         return None
     coeffs = [_ZERO] * k
     for row, p in zip(rows, pivots):
-        coeffs[p] = row[k]
+        coeffs[p] = Fraction(row[k], row[p])
     return tuple(coeffs)

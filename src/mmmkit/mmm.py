@@ -20,7 +20,7 @@ components, whose characteristic numbers vanish on every bundle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -35,7 +35,7 @@ from .gradedalg import (
     parse_poly,
     vector_to_polynomial,
 )
-from .hopfmodel import STEP, hopf_model, l_class_components, restricted_model
+from .hopfmodel import MAX_DEGREE_CAP, STEP, hopf_model, l_class_components, restricted_model
 from .nearprim import npd
 
 _ZERO = Fraction(0)
@@ -46,7 +46,6 @@ _ONE = Fraction(1)
 _ALIASED = {("so", 2), ("u", 1)}
 
 
-@dataclass
 class InvarianceVerdict:
     """Outcome of the bordism-invariance decision for one MMM class.
 
@@ -55,10 +54,11 @@ class InvarianceVerdict:
     zero for even d and the complex flavor.
     """
 
-    decision: bool
-    reason: str = None
-    witness: Polynomial = None
-    correction: Polynomial = None
+    def __init__(self, decision, reason=None, witness=None, correction=None):
+        self.decision = decision
+        self.reason = reason
+        self.witness = witness
+        self.correction = correction
 
     def __bool__(self):
         return self.decision
@@ -125,6 +125,24 @@ class MMMAlgebra:
 
     def generator_names(self):
         return self.display_names or self.alphabet.names
+
+    def name_degree(self, name):
+        """The degree of the generator ``name`` in this flavor and d at any
+        degree bound up to the cap, or None when no such bound has it."""
+        if self.display_names is not None:
+            alias = re.fullmatch(r"e([1-9][0-9]*)", name)
+            if alias:
+                name = f"E{2 * int(alias[1])}_1"
+        match = re.fullmatch(r"E([1-9][0-9]*)_([1-9][0-9]*)", name)
+        if match is None:
+            return None
+        degree, ordinal = int(match[1]), int(match[2])
+        cohdeg = self.shift + degree
+        if cohdeg > MAX_DEGREE_CAP:
+            return None
+        if ordinal > len(enumerate_monomials(self.restricted.alphabet, cohdeg)):
+            return None
+        return degree
 
     def monomial_basis(self, n):
         return enumerate_monomials(self.alphabet, n)

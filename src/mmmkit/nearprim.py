@@ -30,14 +30,19 @@ kept from the blocks above it (`exactq.stacked_kernels`), and every order of
 that degree reads the sweep.  Only the sweep of the degree asked for last is
 kept, and it is rebuilt whenever the coproduct table it came from changes.
 
-The restricted route reads the same blocks.  Restriction keeps a generator,
-kills it or sends p_{d/2} to e^2, so it sends distinct surviving monomials
-to distinct monomials with coefficient 1.  Its matrix R_d is therefore the
-rows of every B_k (k >= d) whose right-hand factor survives, relabelled, and
-ker R_d contains the kernel route's answer K.  The route hands K to
-`exactq.kernel_basis` as a candidate, which returns it only when the rows
-certify it (they annihilate K, and a subset of them has rank ncols - dim K)
-and eliminates R_d in full otherwise.  Either way the result is exactly
+The rows of a degree are built once, as dense integer rows keyed by the
+pair (ea, eb) of tensor factors, and the kernel sweep and every restricted
+order read them.  The restricted route of order d sends each key (ea, eb)
+with |eb| >= d to (ea, er) for every term of the restricted eb, and rows that
+land on one key add up, scaled by the image coefficient: the linear map
+id (x) restrict applied to the stacked blocks.  Restriction keeps a
+generator, kills it or sends p_{d/2} to e^2, so it sends distinct surviving
+monomials to distinct monomials with coefficient 1.  Its matrix R_d is
+therefore the rows of every B_k (k >= d) whose right-hand factor survives,
+relabelled, and ker R_d contains the kernel route's answer K.  The route
+hands K to `exactq.kernel_basis` as a candidate, which returns it only when
+the rows certify it (they annihilate K, and a subset of them has rank
+ncols - dim K) and eliminates R_d in full otherwise.  Either way the result is exactly
 ker R_d, so a wrong K cannot hide a fault; most orders need no elimination.
 
 Every route of a degree reads one generator-monomial basis,
@@ -46,8 +51,8 @@ Every route of a degree reads one generator-monomial basis,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add
 
 from .errors import QueryError
 from .exactq import Subspace, kernel_basis, stacked_kernels, subspace_equal
@@ -61,24 +66,24 @@ from .gradedalg import (
 from .hopfmodel import hopf_model, restrict, restricted_model
 
 
-@dataclass(frozen=True)
 class NearPrimQuery:
     """A (model kind, degree, order) triple, validated on construction."""
 
-    kind: str
-    degree: int
-    order: int
+    __slots__ = ("kind", "degree", "order")
 
-    def __post_init__(self):
-        if self.kind not in ("u", "so"):
-            raise QueryError(f"unknown model kind {self.kind!r}")
-        if self.order < 1:
+    def __init__(self, kind, degree, order):
+        if kind not in ("u", "so"):
+            raise QueryError(f"unknown model kind {kind!r}")
+        if order < 1:
             raise QueryError("the order must be at least 1")
-        if self.degree < self.order:
+        if degree < order:
             raise QueryError(
-                f"near-primitives need degree >= order; got degree {self.degree}"
-                f" < order {self.order}"
+                f"near-primitives need degree >= order; got degree {degree}"
+                f" < order {order}"
             )
+        self.kind = kind
+        self.degree = degree
+        self.order = order
 
 
 @lru_cache(maxsize=None)
@@ -105,28 +110,15 @@ def _delta_bar_slice(kind, max_degree, m):
     return basis, tuple(columns)
 
 
-def _distinct_rows(ncols, entries):
-    """Dense integer rows of a sparse matrix, without zero or repeated rows.
-
-    ``entries`` yields (row key, column, value) triples; values that share a
-    key and a column add up.  Dropping zero and repeated rows leaves the
-    kernel as it is and can halve the elimination.
-    """
-    rows = {}
-    for key, j, c in entries:
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = [0] * ncols
-        row[j] += c
-    return list(dict.fromkeys(tuple(row) for row in rows.values() if any(row)))
-
-
 class _GradedSlice:
-    """The reduced-coproduct entries of one degree m, grouped by |eb|.
+    """The reduced-coproduct matrix of one degree m, as dense integer rows.
 
-    ``blocks`` maps each degree k of a right-hand factor eb to the entries
-    ((ea, eb), column, coefficient) with |eb| = k; ``degrees`` lists those k
-    from the highest down, the order of the downward sweep.
+    ``blocks[k]`` maps each right-hand factor eb of degree k = |eb| to the
+    pairs ``(ea, row)``, where ``row[j]`` is the coefficient of ea (x) eb in
+    the reduced coproduct of basis monomial j; zero rows are left out.  The
+    rows are built once per degree and read by the kernel sweep and by every
+    restricted order.  ``degrees`` lists the k from the highest down, the
+    order of the downward sweep.
     """
 
     def __init__(self, key, columns, ncols, blocks):
@@ -137,24 +129,41 @@ class _GradedSlice:
         self.degrees = sorted(blocks, reverse=True)
         self._kernels = None
 
-    def entries_from(self, d):
-        """Every entry whose right-hand factor has degree at least d."""
-        for k in self.degrees:
-            if k < d:
-                break
-            yield from self.blocks[k]
-
     def kernel(self, d):
         """The order-d kernel; the first call sweeps every order at once."""
         if self._kernels is None:
-            self._kernels = stacked_kernels(
-                [_distinct_rows(self.ncols, self.blocks[k]) for k in self.degrees],
-                self.ncols,
-            )
+            # Repeated rows leave the kernel as it is and can halve the
+            # elimination.
+            blocks = []
+            for k in self.degrees:
+                rows = (row for pairs in self.blocks[k].values() for _, row in pairs)
+                blocks.append(list(dict.fromkeys(rows)))
+            self._kernels = stacked_kernels(blocks, self.ncols)
         constrained = sum(1 for k in self.degrees if k >= d)
         if not constrained:
             return Subspace.full(self.ncols)
         return self._kernels[constrained - 1]
+
+    def restricted_rows(self, d, rank):
+        """The distinct rows of the order-d matrix restricted to rank ``rank``.
+
+        Each key (ea, eb) with |eb| >= d goes to (ea, er) for every term
+        cr * er of the restricted eb, and rows that share a key add up; each
+        eb is restricted once.
+        """
+        kind, max_degree, _ = self.key
+        rows = {}
+        for k in self.degrees:
+            if k < d:
+                break
+            for eb, pairs in self.blocks[k].items():
+                for er, cr in _restricted_monomial(kind, max_degree, rank, eb):
+                    for ea, row in pairs:
+                        image = row if cr == 1 else tuple(cr * c for c in row)
+                        key = (ea, er)
+                        kept = rows.get(key)
+                        rows[key] = image if kept is None else tuple(map(add, kept, image))
+        return list(dict.fromkeys(rows.values()))
 
 
 # The slice of the degree asked for last.  It is rebuilt whenever
@@ -164,24 +173,31 @@ _current_slice = None
 
 
 def _graded_slice(model, m):
-    """The degree-m entries grouped by |eb|; kept for the latest degree only."""
+    """The degree-m rows grouped by |eb|; kept for the latest degree only."""
     global _current_slice
     key = (model.kind, model.max_degree, m)
     basis, columns = _delta_bar_slice(*key)
     current = _current_slice
     if current is not None and current.key == key and current.columns is columns:
         return current
-    degree_of = model.generators.degree
-    degrees = {}
-    blocks = {}
+    ncols = len(basis)
+    rows = {}  # eb -> {ea: row}
     for j, col in enumerate(columns):
-        for pair, c in col:
-            eb = pair[1]
-            k = degrees.get(eb)
-            if k is None:
-                k = degrees[eb] = degree_of(eb)
-            blocks.setdefault(k, []).append((pair, j, c))
-    _current_slice = _GradedSlice(key, columns, len(basis), blocks)
+        for (ea, eb), c in col:
+            by_ea = rows.get(eb)
+            if by_ea is None:
+                by_ea = rows[eb] = {}
+            row = by_ea.get(ea)
+            if row is None:
+                row = by_ea[ea] = [0] * ncols
+            row[j] += c
+    degree_of = model.generators.degree
+    blocks = {}
+    for eb, by_ea in rows.items():
+        pairs = tuple((ea, tuple(row)) for ea, row in by_ea.items() if any(row))
+        if pairs:
+            blocks.setdefault(degree_of(eb), {})[eb] = pairs
+    _current_slice = _GradedSlice(key, columns, ncols, blocks)
     return _current_slice
 
 
@@ -273,9 +289,11 @@ def near_primitive_kernel_restricted(model, m, d):
     The second tensor factor is projected to degrees >= d and then restricted
     to BU(d/2) (complex, even d) or BSO(d) (oriented, d >= 2).  Orders with
     no faithful pairing raise: odd complex orders have no matching rank, and
-    BSO(1) is rationally trivial so the composite detects nothing.  The
-    order-d kernel route's answer is offered as a candidate and returned only
-    when the restricted rows certify it.
+    BSO(1) is rationally trivial so the composite detects nothing.  The rows
+    are the degree's keyed rows of the kernel route, relabelled through the
+    restriction, not rebuilt from the coproduct table.  The order-d kernel
+    route's answer is offered as a candidate and returned only when the
+    restricted rows certify it.
     """
     NearPrimQuery(model.kind, m, d)
     if m > model.max_degree:
@@ -286,12 +304,7 @@ def near_primitive_kernel_restricted(model, m, d):
             raise QueryError("odd orders have no restricted pairing over the complex model")
         raise QueryError("restriction to BSO(1) kills every positive-degree class")
     graded = _graded_slice(model, m)
-    entries = (
-        ((pair[0], er), j, c * cr)
-        for pair, j, c in graded.entries_from(d)
-        for er, cr in _restricted_monomial(model.kind, model.max_degree, rank, pair[1])
-    )
-    rows = _distinct_rows(graded.ncols, entries)
+    rows = graded.restricted_rows(d, rank)
     return kernel_basis(rows, graded.ncols, candidate=graded.kernel(d))
 
 
@@ -324,24 +337,26 @@ def npd(model, d, n):
 # --- the sweep ----------------------------------------------------------------
 
 
-@dataclass
 class SweepFailure:
-    degree: int
-    order: int
-    check: str
-    detail: str
+    """One failed check of the sweep, at degree m and order d."""
+
+    def __init__(self, degree, order, check, detail):
+        self.degree = degree
+        self.order = order
+        self.check = check
+        self.detail = detail
 
 
-@dataclass
 class EquivalenceReport:
     """Outcome of sweeping kernel, closed-form and restricted routes."""
 
-    kind: str
-    max_degree: int
-    checked: int = 0
-    skipped_restricted: int = 0
-    dimensions: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
+    def __init__(self, kind, max_degree):
+        self.kind = kind
+        self.max_degree = max_degree
+        self.checked = 0
+        self.skipped_restricted = 0
+        self.dimensions = {}
+        self.failures = []
 
     @property
     def all_passed(self):

@@ -124,6 +124,31 @@ def restrict_by_substitution(model, d, x):
     return x.substitute(target, images)
 
 
+def restricted_rows_by_entries(model, columns, d, rank, image=None):
+    """The order-d restricted kernel matrix, assembled entry by entry.
+
+    ``columns[j]`` lists the ((ea, eb), coefficient) terms of the reduced
+    coproduct of basis monomial j.  Every entry with |eb| >= d is restricted
+    on its own and lands on row (ea, er) for each term cr * er of the image
+    of eb; entries that share a row and a column add up.  ``image(eb)``
+    gives the (er, cr) terms, by default through `restrict_by_substitution`.
+    Returns the rows keyed by (ea, er).
+    """
+    if image is None:
+        def image(eb):
+            x = Polynomial.from_monomial(model.generators, eb)
+            return restrict_by_substitution(model, rank, x).terms.items()
+    ncols = len(columns)
+    rows = {}
+    for j, col in enumerate(columns):
+        for (ea, eb), c in col:
+            if model.generators.degree(eb) < d:
+                continue
+            for er, cr in image(eb):
+                rows.setdefault((ea, er), [0] * ncols)[j] += c * cr
+    return rows
+
+
 def l_class_oracle(kmax, target_alphabet):
     """L_1..L_kmax by expanding the product of x_i/tanh(x_i) over 6 roots.
 

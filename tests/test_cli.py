@@ -1,7 +1,11 @@
 """CLI surface: golden lines, JSON/table agreement, exit codes."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
@@ -131,6 +135,19 @@ def test_out_flag_writes_the_json_document(tmp_path, capsys):
     assert doc["result"]["dimension"] == 2
     assert doc["query"]["command"] == "nearprim basis"
     assert terms_to_text(doc["result"]["basis"][0]) == "Q1^2"
+
+
+@pytest.mark.parametrize("where", ["missing directory", "a directory"])
+def test_out_to_an_unwritable_path_exits_two(where, tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path
+    reason = "No such file or directory" if where == "missing directory" else "Is a directory"
+    code, out, err = invoke(
+        capsys,
+        "nearprim", "basis", "--model", "so", "--degree", "8", "--order", "5",
+        "--out", str(path),
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write --out {path}: {reason}\n"
 
 
 def test_parse_error_exit_two_names_token(capsys):
@@ -310,3 +327,48 @@ def test_cap_errors_name_the_users_flags(argv, message, monkeypatch, capsys):
     code, out, err = invoke(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("nearprim", "verify", "--model", "so", "--max-degree", "2"), "--max-degree 2 is below |p1| = 4"),
+        (("nearprim", "verify", "--model", "u", "--max-degree", "1"), "--max-degree 1 is below |c1| = 2"),
+        (
+            ("mmm", "test", "--flavor", "so", "-d", "4", "--expr", "E4_1", "--bound", "2"),
+            "generator 'E4_1' has degree 4, above --bound 2",
+        ),
+        (
+            ("mmm", "test", "--flavor", "so", "-d", "2", "--expr", "e1 + e50"),
+            "generator 'e50' has degree 100, above the default --bound 40",
+        ),
+        (
+            ("mmm", "test", "--flavor", "so", "-d", "4", "--expr", "E9_1", "--bound", "2"),
+            "unknown generator 'E9_1' at position 0 (token 'E9_1')",
+        ),
+        (
+            ("mmm", "test", "--flavor", "so", "-d", "4", "--expr", "E4_4", "--bound", "2"),
+            "unknown generator 'E4_4' at position 0 (token 'E4_4')",
+        ),
+    ],
+)
+def test_bound_errors_name_the_users_flags(argv, message, capsys):
+    """A bound below what the query asks for is named by its flag; a name
+    that no bound admits stays an unknown generator."""
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_the_cli_does_not_import_dataclasses_or_inspect():
+    """Every CLI process pays for its imports; keep the heavy ones out."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, mmmkit.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "[]\n"

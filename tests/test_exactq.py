@@ -399,3 +399,37 @@ def test_rref_int_returns_the_canonical_primitive_rref(case, data):
     )
     moved = [[c * e for e in rows[i]] for c, i in zip(scales, order)]
     assert exactq._core.rref_int(moved, ncols) == (out, pivots)
+
+
+@settings(deadline=None)
+@given(integer_matrices(), st.data())
+def test_subspace_rows_are_canonical_and_box_to_the_basis(case, data):
+    ncols, rows = case
+    spaces = [Subspace.from_vectors(ncols, rows), Subspace.full(ncols), Subspace.zero(ncols)]
+    for s in spaces:
+        assert len(s.rows) == len(s.pivots) == s.dim
+        assert all(a < b for a, b in zip(s.pivots, s.pivots[1:]))
+        for row, p in zip(s.rows, s.pivots):
+            assert all(type(e) is int for e in row)
+            assert row[p] > 0 and not any(row[:p]) and gcd(*row) == 1
+        assert all(type(e) is Fraction for row in s.basis for e in row)
+        assert s.basis == tuple(
+            tuple(Fraction(e, row[p]) for e in row) for row, p in zip(s.rows, s.pivots)
+        )
+    # Equality and hashing read the integer rows and agree with the basis:
+    # compare with the same space from rescaled Fraction vectors, and with
+    # a space of random vectors.
+    s = spaces[0]
+    scales = data.draw(
+        st.lists(st.integers(-4, 4).filter(bool), min_size=s.dim, max_size=s.dim)
+    )
+    same = Subspace.from_vectors(
+        ncols, [[e * Fraction(1, c) for e in row] for c, row in zip(scales, s.basis)]
+    )
+    row = st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols)
+    other_rows = data.draw(st.lists(row, max_size=6))
+    for t in [same, Subspace.from_vectors(ncols, other_rows)] + spaces:
+        assert (s == t) == (s.basis == t.basis) == subspace_equal(s, t)
+        if s == t:
+            assert hash(s) == hash(t)
+    assert s == same

@@ -32,6 +32,8 @@ from mmmkit.nearprim import (
 )
 from mmmkit.exactq import Subspace, kernel_basis, subspace_equal
 
+from oracles import restricted_rows_by_entries
+
 
 def mono_names(model, monos):
     return [
@@ -353,15 +355,56 @@ def test_restricted_kernel_equals_the_one_shot_kernel_of_its_rows():
                 rank = restricted_pairing(kind, d)
                 if rank is None:
                     continue
-                rows = {}
-                for j, col in enumerate(columns):
-                    for (ea, eb), c in col:
-                        if model.generators.degree(eb) < d:
-                            continue
-                        for er, cr in nearprim._restricted_monomial(kind, bound, rank, eb):
-                            rows.setdefault((ea, er), [0] * len(basis))[j] += c * cr
+                rows = restricted_rows_by_entries(model, columns, d, rank)
                 expected = kernel_basis(list(rows.values()), len(basis))
                 assert near_primitive_kernel_restricted(model, m, d) == expected
+
+
+@pytest.mark.parametrize("kind,bound", [("u", 14), ("so", 24)])
+def test_restricted_rows_equal_the_entry_by_entry_assembly(kind, bound):
+    """The restricted rows read from the degree's keyed rows are, as a set,
+    the nonzero rows of the entry-by-entry assembly, and give its kernel."""
+    model = hopf_model(kind, bound)
+    for m in range(model.step, bound + 1, model.step):
+        basis, columns = nearprim._delta_bar_slice(kind, bound, m)
+        for d in range(1, m + 1):
+            rank = restricted_pairing(kind, d)
+            if rank is None:
+                continue
+            reference = restricted_rows_by_entries(model, columns, d, rank)
+            rows = nearprim._graded_slice(model, m).restricted_rows(d, rank)
+            assert len(set(rows)) == len(rows)
+            assert set(rows) == {tuple(row) for row in reference.values() if any(row)}
+            assert near_primitive_kernel_restricted(model, m, d) == kernel_basis(
+                list(reference.values()), len(basis)
+            )
+
+
+def test_restricted_rows_scale_and_add_up_under_a_merging_map(monkeypatch):
+    """Restriction never scales or merges terms, but the row map must
+    handle a linear map that does: with a stand-in that sends many eb to
+    shared monomials with coefficients other than 1, the rows still match
+    the entry-by-entry assembly through the same map."""
+    kind, bound = "so", 16
+
+    def merging(kind_, bound_, rank, eb):
+        return (((sum(eb) % 3,), 2), ((7,), -(eb[0] + 1)), ((eb[-1],), 1))
+
+    monkeypatch.setattr(nearprim, "_restricted_monomial", merging)
+    model = hopf_model(kind, bound)
+    for m in range(model.step, bound + 1, model.step):
+        basis, columns = nearprim._delta_bar_slice(kind, bound, m)
+        for d in range(2, m + 1):
+            reference = restricted_rows_by_entries(
+                model, columns, d, d, image=lambda eb: merging(kind, bound, d, eb)
+            )
+            rows = nearprim._graded_slice(model, m).restricted_rows(d, d)
+            assert {row for row in rows if any(row)} == {
+                tuple(row) for row in reference.values() if any(row)
+            }
+            assert kernel_basis(rows, len(basis)) == kernel_basis(
+                list(reference.values()), len(basis)
+            )
 
 
 def _wrong_candidate(true, how):
