@@ -125,24 +125,35 @@ class CohomologyRing:
                 total += coeff * self.fundamental.get(exp, _ZERO)
         return Fraction(total)
 
-    def chern_class(self, k):
-        """k-th Chern class of the tangent bundle."""
+    def total_chern(self):
+        """Total Chern class of the tangent bundle."""
         if self.tangent_chern is None:
             raise QueryError(f"{self!r} carries no tangent data")
-        return self.tangent_chern.degree_slice(2 * k)
+        return self.tangent_chern
 
-    def pontrjagin_class(self, k):
-        """p_k of the underlying real tangent bundle, from the Chern classes.
+    def chern_class(self, k):
+        """k-th Chern class of the tangent bundle."""
+        return self.total_chern().degree_slice(2 * k)
 
-        1 - p_1 + p_2 - ... = c(T) * c(T-conjugate), so
-        p_k = (-1)^k sum_{i+j=2k} (-1)^j c_i c_j.
-        """
-        acc = self.zero()
-        for i in range(0, 2 * k + 1):
-            j = 2 * k - i
-            term = self.mul(self.chern_class(i), self.chern_class(j))
-            acc = acc + (term if j % 2 == 0 else -term)
-        return self.reduce(acc if k % 2 == 0 else -acc)
+
+def pontrjagin_classes(ring, chern, kmax):
+    """[p_1, ..., p_kmax] in ``ring`` of the real bundle underlying a complex
+    bundle with total Chern class ``chern``.
+
+    1 - p_1 + p_2 - ... = c * c-conjugate, where the conjugate flips the
+    sign of every odd c_i, so p_k = (-1)^k sum_{i+j=2k} (-1)^j c_i c_j.
+    """
+    straight = conj = ring.zero()
+    for i in range(0, 2 * kmax + 1):
+        c = chern.degree_slice(2 * i)
+        straight = straight + c
+        conj = conj + (c if i % 2 == 0 else -c)
+    product = ring.mul(straight, conj)
+    out = []
+    for k in range(1, kmax + 1):
+        slice_ = product.degree_slice(4 * k)
+        out.append(slice_ if k % 2 == 0 else -slice_)
+    return out
 
 
 def point_ring():
@@ -408,22 +419,25 @@ def total_space_char_numbers(bundle):
     numbers = {}
     half = top // 2
     c_alph = GeneratorAlphabet([(f"c{i}", 2 * i) for i in range(1, half + 1)])
+    chern = [total.chern_class(i) for i in range(1, half + 1)]
     for exp in enumerate_monomials(c_alph, top):
-        value = total.one()
-        for i, e in enumerate(exp):
-            for _ in range(e):
-                value = total.mul(value, total.chern_class(i + 1))
-        numbers[_format(c_alph, exp)] = total.evaluate(value)
+        numbers[_format(c_alph, exp)] = total.evaluate(_product(total, chern, exp))
     if top % 4 == 0:
         quarter = top // 4
         p_alph = GeneratorAlphabet([(f"p{i}", 4 * i) for i in range(1, quarter + 1)])
+        pontrjagin = pontrjagin_classes(total, total.total_chern(), quarter)
         for exp in enumerate_monomials(p_alph, top):
-            value = total.one()
-            for i, e in enumerate(exp):
-                for _ in range(e):
-                    value = total.mul(value, total.pontrjagin_class(i + 1))
-            numbers[_format(p_alph, exp)] = total.evaluate(value)
+            numbers[_format(p_alph, exp)] = total.evaluate(_product(total, pontrjagin, exp))
     return numbers
+
+
+def _product(ring, classes, exp):
+    """The product in ``ring`` of ``classes[i]`` to the power ``exp[i]``."""
+    value = ring.one()
+    for factor, e in zip(classes, exp):
+        for _ in range(e):
+            value = ring.mul(value, factor)
+    return value
 
 
 def _format(alphabet, exp):
@@ -472,8 +486,8 @@ def verify_motivating_identity(bundle, j, flavor="so"):
             raise QueryError(f"degree 4j = {4 * j} exceeds the total space dimension")
         model = hopf_model("so", 4 * j)
         sj = model.power_sum(j)
-        classes_total = [total.pontrjagin_class(i) for i in range(1, j + 1)]
-        vertical = _vertical_pontrjagin(bundle, j)
+        classes_total = pontrjagin_classes(total, total.total_chern(), j)
+        vertical = pontrjagin_classes(total, bundle.vertical_chern, j)
     elif flavor == "u":
         if 2 * j > total.top_degree:
             raise QueryError(f"degree 2j = {2 * j} exceeds the total space dimension")
@@ -494,20 +508,3 @@ def verify_motivating_identity(bundle, j, flavor="so"):
         bundle.label, flavor, j, total_side, base_side, class_level
     )
 
-
-def _vertical_pontrjagin(bundle, jmax):
-    """p_1..p_jmax of the vertical tangent bundle, from its Chern classes."""
-    total = bundle.total
-    conj = Polynomial.zero(total.alphabet)
-    straight = Polynomial.zero(total.alphabet)
-    bound = 2 * jmax
-    for i in range(0, bound + 1):
-        c = bundle.vertical_chern.degree_slice(2 * i)
-        straight = straight + c
-        conj = conj + (c if i % 2 == 0 else -c)
-    product = total.mul(straight, conj)
-    out = []
-    for k in range(1, jmax + 1):
-        slice_ = product.degree_slice(4 * k)
-        out.append(total.reduce(slice_ if k % 2 == 0 else -slice_))
-    return out

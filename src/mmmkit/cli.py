@@ -426,6 +426,11 @@ def _cmd_bundle_custom(args):
             f" and at least two line bundles",
             token=args.twist,
         )
+    if args.numbers and len(twists) != 2 * width:
+        raise QueryError(
+            f"--numbers needs exactly two line bundles in --twist;"
+            f" got {len(twists) // width}"
+        )
     grouped = [
         tuple(twists[i : i + width]) for i in range(0, len(twists), width)
     ]

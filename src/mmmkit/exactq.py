@@ -262,9 +262,8 @@ def _certify_kernel(rows, ncols, candidate):
     are independent (triangular), so they count without elimination.  Next
     the rank is counted mod p, those rows first and then the sparsest
     others, since rank mod p <= rank over Q.  Only if that falls short are
-    the sparsest other rows eliminated exactly, in chunks, until the rank is
-    reached.  If it never is, the last elimination covered every row and its
-    kernel is returned.
+    all rows eliminated exactly, once: the candidate stands if that reaches
+    the rank, and otherwise the elimination's kernel is returned.
     """
     supports = _supports(rows, ncols)
     if not _annihilates(supports, candidate):
@@ -285,17 +284,10 @@ def _certify_kernel(rows, ncols, candidate):
     seeds = list(seeds.values())
     if _rank_mod_p(seeds + rest, target) >= target:
         return candidate
-    reduced = [row for _, row in seeds]
-    start = size = 0
-    while True:
-        size = max(target - len(reduced), 2 * size)
-        chunk = [row for _, row in rest[start : start + size]]
-        start += size
-        reduced, pivots = _core.rref_int(reduced + chunk, ncols)
-        if len(pivots) >= target:
-            return candidate
-        if start >= len(rest):
-            return _kernel_of_rref(reduced, pivots, ncols)
+    reduced, pivots = _core.rref_int([row for _, row in seeds + rest], ncols)
+    if len(pivots) >= target:
+        return candidate
+    return _kernel_of_rref(reduced, pivots, ncols)
 
 
 def _kernel_of_rref(reduced, pivots, ncols):

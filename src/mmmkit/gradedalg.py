@@ -3,12 +3,16 @@
 Monomials are dense exponent tuples over a fixed, ordered generator alphabet.
 Generators of odd degree are exterior: their exponents never exceed one and
 products pick up Koszul signs from the transpositions needed to sort the
-factors back into alphabet order.  Coefficients are exact rationals held in
-the smallest type that is exact: an ``int`` when integral, a ``Fraction``
-only when the denominator is above 1.  Coproducts, Newton power sums and
-restrictions have integer coefficients, so they run on plain ints; an
-integral coefficient equals and hashes like the ``Fraction`` of the same
-value, and both carry ``numerator`` and ``denominator``.
+factors back into alphabet order.  :class:`Polynomial` is the one container:
+a tensor-square element is a polynomial over the doubled alphabet (the
+generators twice, left copy first), which :class:`TensorElement` wraps.
+
+Coefficients are exact rationals held in the smallest type that is exact: an
+``int`` when integral, a ``Fraction`` only when the denominator is above 1.
+Coproducts, Newton power sums and restrictions have integer coefficients, so
+they run on plain ints; an integral coefficient equals and hashes like the
+``Fraction`` of the same value, and both carry ``numerator`` and
+``denominator``.
 
 The canonical order on monomials of a fixed degree is descending
 lexicographic on exponent tuples, so higher powers of earlier generators come
@@ -46,7 +50,7 @@ def _coefficient(value):
 class GeneratorAlphabet:
     """An ordered list of graded generators; parity is degree mod 2."""
 
-    __slots__ = ("names", "degrees", "parities", "odd_indices", "_index")
+    __slots__ = ("names", "degrees", "parities", "odd_indices", "_index", "_doubled")
 
     def __init__(self, entries):
         names = []
@@ -63,6 +67,7 @@ class GeneratorAlphabet:
         self.parities = tuple(d & 1 for d in degrees)
         self.odd_indices = tuple(i for i, p in enumerate(self.parities) if p)
         self._index = {n: i for i, n in enumerate(names)}
+        self._doubled = None
 
     def __len__(self):
         return len(self.names)
@@ -96,14 +101,20 @@ class GeneratorAlphabet:
     def monomial_dict(self, exponents):
         return {n: e for n, e in zip(self.names, exponents) if e}
 
+    def doubled(self):
+        """The generators twice, left copy first and the right copy primed;
+        the alphabet of the tensor square.  Built once per alphabet."""
+        if self._doubled is None:
+            entries = list(zip(self.names, self.degrees))
+            self._doubled = GeneratorAlphabet(
+                entries + [(name + "'", degree) for name, degree in entries]
+            )
+        return self._doubled
+
 
 def _canonical_key(exponents):
     # Descending lexicographic within a degree slice.
     return tuple(-e for e in exponents)
-
-
-def monomial_sort_key(alphabet, exponents):
-    return (alphabet.degree(exponents), _canonical_key(exponents))
 
 
 def _koszul(odd_indices, ea, eb):
@@ -398,18 +409,31 @@ def vector_to_polynomial(alphabet, vector, basis):
 
 
 class TensorElement:
-    """Element of the two-fold tensor product of the polynomial algebra."""
+    """Element of the tensor square H (x) H of a polynomial algebra H.
 
-    __slots__ = ("alphabet", "terms")
+    H (x) H is again free graded-commutative, on ``alphabet.doubled()``, so
+    the element is stored as a :class:`Polynomial` there: ea (x) eb is the
+    monomial ``ea + eb``, and the sign of moving b1 past a2 in
+    (a1 (x) b1)(a2 (x) b2) is that polynomial product's Koszul sign.
+    ``alphabet`` is the factor alphabet, and ``terms`` reads the polynomial
+    back keyed by ``(ea, eb)``.
+    """
+
+    __slots__ = ("alphabet", "poly")
 
     def __init__(self, alphabet, terms=()):
         self.alphabet = alphabet
-        clean = {}
-        for key, coeff in dict(terms).items():
-            coeff = _coefficient(coeff)
-            if coeff:
-                clean[(tuple(key[0]), tuple(key[1]))] = coeff
-        self.terms = clean
+        self.poly = Polynomial(
+            alphabet.doubled(),
+            {tuple(ea) + tuple(eb): c for (ea, eb), c in dict(terms).items()},
+        )
+
+    @classmethod
+    def _of(cls, alphabet, poly):
+        element = object.__new__(cls)
+        element.alphabet = alphabet
+        element.poly = poly
+        return element
 
     @classmethod
     def zero(cls, alphabet):
@@ -417,95 +441,52 @@ class TensorElement:
 
     @classmethod
     def one(cls, alphabet):
-        u = alphabet.unit()
-        return cls(alphabet, {(u, u): 1})
+        return cls._of(alphabet, Polynomial.one(alphabet.doubled()))
 
     @classmethod
     def tensor(cls, left, right):
         if left.alphabet != right.alphabet:
             raise AlphabetMismatch("tensor factors use different alphabets")
-        out = {}
-        for ea, ca in left.terms.items():
-            for eb, cb in right.terms.items():
-                out[(ea, eb)] = out.get((ea, eb), 0) + ca * cb
-        return cls(left.alphabet, out)
+        terms = {
+            ea + eb: ca * cb
+            for ea, ca in left.terms.items()
+            for eb, cb in right.terms.items()
+        }
+        return cls._of(left.alphabet, Polynomial(left.alphabet.doubled(), terms))
+
+    @property
+    def terms(self):
+        n = len(self.alphabet)
+        return {(e[:n], e[n:]): c for e, c in self.poly.terms.items()}
 
     def is_zero(self):
-        return not self.terms
+        return not self.poly.terms
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.poly.terms)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, TensorElement)
-            and self.alphabet == other.alphabet
-            and self.terms == other.terms
-        )
+        return isinstance(other, TensorElement) and self.poly == other.poly
 
     def __add__(self, other):
         if not isinstance(other, TensorElement):
             return NotImplemented
-        if self.alphabet != other.alphabet:
-            raise AlphabetMismatch("operands use different alphabets")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return TensorElement(self.alphabet, out)
+        return TensorElement._of(self.alphabet, self.poly + other.poly)
 
     def __neg__(self):
-        return TensorElement(self.alphabet, {k: -c for k, c in self.terms.items()})
+        return TensorElement._of(self.alphabet, -self.poly)
 
     def __sub__(self, other):
         if not isinstance(other, TensorElement):
             return NotImplemented
-        return self + (-other)
+        return TensorElement._of(self.alphabet, self.poly - other.poly)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = _coefficient(other)
-            if not q:
-                return TensorElement.zero(self.alphabet)
-            return TensorElement(
-                self.alphabet, {k: c * q for k, c in self.terms.items()}
-            )
-        if not isinstance(other, TensorElement):
+        if isinstance(other, TensorElement):
+            other = other.poly
+        elif not isinstance(other, (int, Fraction)):
             return NotImplemented
-        if self.alphabet != other.alphabet:
-            raise AlphabetMismatch("operands use different alphabets")
-        odd = self.alphabet.odd_indices
-        parity = self.alphabet.parities
-        out = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                # (a1 x b1)(a2 x b2) = +- (a1 a2) x (b1 b2), with the sign of
-                # moving b1 past a2.
-                c = c1 * c2
-                if odd:
-                    par_b1 = sum(b1[i] for i in odd) & 1
-                    par_a2 = sum(a2[i] for i in odd) & 1
-                    if par_b1 and par_a2:
-                        c = -c
-                    sa = _koszul(odd, a1, a2)
-                    sb = _koszul(odd, b1, b2)
-                    if sa is None or sb is None:
-                        continue
-                    if (sa + sb) & 1:
-                        c = -c
-                key = (
-                    tuple(x + y for x, y in zip(a1, a2)),
-                    tuple(x + y for x, y in zip(b1, b2)),
-                )
-                s = out.get(key, 0) + c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return TensorElement(self.alphabet, out)
+        return TensorElement._of(self.alphabet, self.poly * other)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -513,21 +494,17 @@ class TensorElement:
         return NotImplemented
 
     def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative powers are not defined here")
-        result = TensorElement.one(self.alphabet)
-        for _ in range(n):
-            result = result * self
-        return result
+        return TensorElement._of(self.alphabet, self.poly**n)
 
     def __repr__(self):
         parts = []
         alph = self.alphabet
-        for (ea, eb), c in sorted(self.terms.items())[:6]:
+        terms = self.terms
+        for (ea, eb), c in sorted(terms.items())[:6]:
             pa = Polynomial.from_monomial(alph, ea)
             pb = Polynomial.from_monomial(alph, eb)
             parts.append(f"{c}*({format_poly(pa)})x({format_poly(pb)})")
-        more = "" if len(self.terms) <= 6 else f" ... {len(self.terms)} terms"
+        more = "" if len(terms) <= 6 else f" ... {len(terms)} terms"
         return f"TensorElement({' + '.join(parts)}{more})"
 
 

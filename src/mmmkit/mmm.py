@@ -123,9 +123,6 @@ class MMMAlgebra:
     def format(self, poly):
         return format_poly(poly, self.display_names)
 
-    def generator_names(self):
-        return self.display_names or self.alphabet.names
-
     def name_degree(self, name):
         """The degree of the generator ``name`` in this flavor and d at any
         degree bound up to the cap, or None when no such bound has it."""

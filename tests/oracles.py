@@ -149,6 +149,46 @@ def restricted_rows_by_entries(model, columns, d, rank, image=None):
     return rows
 
 
+def _merge_sign(alphabet, ea, eb):
+    """The sign of sorting the odd factors of ea followed by those of eb into
+    alphabet order, or 0 when an odd generator occurs in both."""
+    odd = [i for i, parity in enumerate(alphabet.parities) if parity]
+    if any(ea[i] and eb[i] for i in odd):
+        return 0
+    inversions = sum(1 for i in odd if ea[i] for j in odd if eb[j] and j < i)
+    return -1 if inversions % 2 else 1
+
+
+def tensor_product_by_pairs(alphabet, left, right):
+    """The product in H (x) H of two ``{(ea, eb): c}`` dicts, pair by pair.
+
+    (a1 (x) b1)(a2 (x) b2) = (-1)^(|b1||a2|) (a1 a2) (x) (b1 b2), with the
+    signs of merging a1 with a2 and b1 with b2.  Zero entries are dropped.
+    """
+    out = {}
+    for (a1, b1), c1 in left.items():
+        for (a2, b2), c2 in right.items():
+            sign = _merge_sign(alphabet, a1, a2) * _merge_sign(alphabet, b1, b2)
+            if alphabet.degree(b1) % 2 and alphabet.degree(a2) % 2:
+                sign = -sign
+            if sign:
+                key = (
+                    tuple(x + y for x, y in zip(a1, a2)),
+                    tuple(x + y for x, y in zip(b1, b2)),
+                )
+                out[key] = out.get(key, 0) + sign * c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def tensor_sum_by_pairs(*scaled):
+    """The sum of ``(scalar, {(ea, eb): c})`` pairs, zero entries dropped."""
+    out = {}
+    for q, terms in scaled:
+        for key, c in terms.items():
+            out[key] = out.get(key, 0) + q * c
+    return {key: c for key, c in out.items() if c}
+
+
 def l_class_oracle(kmax, target_alphabet):
     """L_1..L_kmax by expanding the product of x_i/tanh(x_i) over 6 roots.
 

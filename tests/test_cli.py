@@ -254,6 +254,20 @@ def test_bundle_custom_rank_three_passes_its_checks(capsys):
 
 
 @pytest.mark.parametrize(
+    "base, twist, count",
+    [("cp2", "0,1,2", 3), ("cp1", "0,1,2,3", 4), ("cp1xcp1", "0,0,1,1,2,2", 3)],
+)
+def test_numbers_on_more_than_two_line_bundles_name_both_flags(base, twist, count, capsys):
+    code, out, err = invoke(
+        capsys, "bundle", "custom", "--base", base, "--twist", twist, "--numbers"
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: --numbers needs exactly two line bundles in --twist; got {count}\n"
+    )
+
+
+@pytest.mark.parametrize(
     "argv,flag",
     [
         (("mmm", "test", "--flavor", "so", "-d", "2", "--expr", "e1", "--bound", "0"), "--bound"),

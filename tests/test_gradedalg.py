@@ -21,6 +21,8 @@ from mmmkit.gradedalg import (
 )
 from mmmkit.hopfmodel import hopf_model, restrict
 
+from oracles import tensor_product_by_pairs, tensor_sum_by_pairs
+
 EVEN = GeneratorAlphabet([("c1", 2), ("c2", 4), ("c3", 6)])
 MIXED = GeneratorAlphabet([("a", 1), ("b", 2), ("u", 3), ("v", 4)])
 
@@ -262,6 +264,36 @@ def test_arithmetic_keeps_integral_coefficients_int(case):
     t = TensorElement.tensor(x, y)
     for element in (t, t * t, t * q, t - TensorElement.tensor(y, x)):
         assert in_smallest_ring(element)
+
+
+@st.composite
+def tensor_cases(draw):
+    """Two tensor-square elements over EVEN or MIXED as ``{(ea, eb): c}``
+    dicts with nonzero coefficients, a scalar and a small exponent."""
+    alphabet = draw(st.sampled_from([EVEN, MIXED]))
+    exponent = st.tuples(*(st.integers(0, 1 if p else 2) for p in alphabet.parities))
+    terms = st.dictionaries(
+        st.tuples(exponent, exponent), COEFFICIENTS.filter(bool), max_size=4
+    )
+    return alphabet, draw(terms), draw(terms), draw(COEFFICIENTS), draw(st.integers(0, 3))
+
+
+@settings(deadline=None)
+@given(tensor_cases())
+def test_tensor_arithmetic_equals_the_pair_key_formula(case):
+    alphabet, x, y, q, n = case
+    s, t = TensorElement(alphabet, x), TensorElement(alphabet, y)
+    assert s.alphabet == alphabet and s.terms == x and t.terms == y
+    assert (s * t).terms == tensor_product_by_pairs(alphabet, x, y)
+    assert (s + t).terms == tensor_sum_by_pairs((1, x), (1, y))
+    assert (s - t).terms == tensor_sum_by_pairs((1, x), (-1, y))
+    assert (-s).terms == tensor_sum_by_pairs((-1, x))
+    assert (s * q).terms == (q * s).terms == tensor_sum_by_pairs((q, x))
+    unit = alphabet.unit()
+    power = {(unit, unit): 1}
+    for _ in range(n):
+        power = tensor_product_by_pairs(alphabet, power, x)
+    assert (s**n).terms == power
 
 
 @settings(deadline=None)
