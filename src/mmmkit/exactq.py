@@ -24,20 +24,24 @@ integer elimination that yields the canonical rows.
 each step adds constraints: every block is reduced against the integer RREF
 rows kept from the blocks before it, so no prefix is eliminated twice.
 
-`kernel_basis` can also check a known answer instead of computing it.  Given
-a candidate subspace K it returns K only when (i) every row annihilates the
-integer rows of K, checked exactly, so K lies in the kernel and the
-rank is at most ncols - dim K, and (ii) some subset of the rows has rank at
-least ncols - dim K.  Then the kernel contains K and has its dimension, so
-it is K, and K's canonical rows are the ones elimination would produce.  Rows
-whose last nonzero columns are pairwise distinct are independent for free.
-The rest of (ii) counts the rank modulo the prime p = 2^31 - 1 with a sparse
-incremental echelon, fed those rows first and then the sparsest others, and
-stops once the rank is reached.  For an integer matrix the rank mod p is at
-most the rank over Q, so a rank reached mod p is reached over Q.  Only when
-it falls short does the one core run, exactly, on as few rows as reach the
-rank.  A candidate that fails either test costs the full elimination, never
-a wrong answer.
+A known kernel can be certified instead of computed.  `KernelCertificate`
+takes a growing stack of row blocks, each with a candidate K that the caller
+vouches the earlier blocks annihilate, and accepts K only when (i) every new
+row annihilates the integer rows of K, checked exactly, so K lies in the
+kernel of the stack and its rank is at most ncols - dim K, and (ii) some
+subset of the rows so far has rank at least ncols - dim K.  Then the kernel
+contains K and has its dimension, so it is K, and K's canonical rows are the
+ones elimination would produce.  (ii) is counted modulo the prime
+p = 2^31 - 1 in one sparse echelon, `RankModP`, kept across the blocks.  A
+row whose last nonzero column is new joins it without reduction, so each
+block feeds those rows first and then the sparsest others, and stops once
+the rank is reached.  For an integer matrix the rank mod p is at most the
+rank over Q, so a rank reached mod p is reached over Q.  The near-primitive
+kernel route certifies a whole degree this way, one block per order;
+`kernel_basis` with a candidate certifies a single block, and when that
+fails the one core eliminates the rows exactly and returns the candidate
+only if it is the kernel.  A candidate that fails costs the full
+elimination, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -195,7 +199,11 @@ def kernel_basis(rows, ncols, candidate=None):
         raise DimensionMismatch(
             f"candidate lives in Q^{candidate.ambient_dim}, the rows in Q^{ncols}"
         )
-    return _certify_kernel(_int_rows(rows), ncols, candidate)
+    rows = _int_rows(rows)
+    if KernelCertificate(ncols).extend(rows, candidate):
+        return candidate
+    kernel = stacked_kernels([rows], ncols)[0]
+    return candidate if kernel == candidate else kernel
 
 
 def _supports(rows, ncols):
@@ -216,30 +224,48 @@ def _annihilates(supports, subspace):
     )
 
 
-def _rank_mod_p(supports, target=None, p=PRIME):
-    """Rank over F_p of integer rows given as ``(nonzero columns, row)``,
-    counted only until it reaches ``target``.
+class RankModP:
+    """A row echelon over F_p that grows one integer row at a time.
 
-    Rows are reduced one at a time against an echelon that keeps, per pivot
-    column, one sparse row whose last nonzero entry sits there and is 1.  A
-    row that does not reduce to zero joins the echelon at its last nonzero
-    column.  Reduction mod p can only lose independence, so for an integer
-    matrix the result is at most the rank over Q.
+    Every kept row sits under its last nonzero column mod p, so the kept
+    rows are triangular and their number is the rank over F_p of all rows
+    added.  A row whose last nonzero column is not taken yet joins as it
+    is, with no reduction; it is scaled to a sparse row ending in 1 only
+    when a later row ending in that column needs it.  Any other row is
+    reduced against the kept rows from its last column down and joins at
+    the first free column it meets, or vanishes.  Reduction mod p can only
+    lose independence, so for an integer matrix the rank is at most the
+    rank over Q.  ``p`` defaults to the current ``PRIME``.
     """
-    echelon = {}
-    for cols, row in supports:
-        r = {}
-        for j in cols:
-            c = row[j] % p
-            if c:
-                r[j] = c
+
+    __slots__ = ("p", "kept")
+
+    def __init__(self, p=None):
+        self.p = PRIME if p is None else p
+        # last column -> the row as added, ``(cols, row)``, or once scaled a
+        # dict {column: entry mod p} whose entry at the last column is 1
+        self.kept = {}
+
+    @property
+    def rank(self):
+        return len(self.kept)
+
+    def add(self, cols, row):
+        """Add an integer row, given with its ascending nonzero columns."""
+        p, kept = self.p, self.kept
+        last = cols[-1]
+        if last not in kept and row[last] % p:
+            kept[last] = (cols, row)
+            return
+        r = _mod_p(cols, row, p)
         while r:
             j = max(r)
-            pivot_row = echelon.get(j)
+            pivot_row = kept.get(j)
             if pivot_row is None:
-                inverse = pow(r[j], -1, p)
-                echelon[j] = {k: c * inverse % p for k, c in r.items()}
-                break
+                kept[j] = _scaled(r, p)
+                return
+            if type(pivot_row) is tuple:
+                pivot_row = kept[j] = _scaled(_mod_p(*pivot_row, p), p)
             f = r[j]
             for k, c in pivot_row.items():
                 c = (r.get(k, 0) - f * c) % p
@@ -247,47 +273,89 @@ def _rank_mod_p(supports, target=None, p=PRIME):
                     r[k] = c
                 else:
                     del r[k]
-        if target is not None and len(echelon) >= target:
+
+
+def _mod_p(cols, row, p):
+    r = {}
+    for j in cols:
+        c = row[j] % p
+        if c:
+            r[j] = c
+    return r
+
+
+def _scaled(r, p):
+    """A sparse row mod p scaled so that its last entry is 1."""
+    inverse = pow(r[max(r)], -1, p)
+    return {k: c * inverse % p for k, c in r.items()}
+
+
+def _rank_mod_p(supports, target=None, p=None):
+    """Rank over F_p of integer rows given as ``(nonzero columns, row)``,
+    counted only until it reaches ``target``."""
+    echelon = RankModP(p)
+    for cols, row in supports:
+        if target is not None and echelon.rank >= target:
             break
-    return len(echelon)
+        echelon.add(cols, row)
+    return echelon.rank
 
 
-def _certify_kernel(rows, ncols, candidate):
-    """The kernel of integer ``rows``, returning ``candidate`` when certified.
+class KernelCertificate:
+    """Certifies, block by block, that a growing stack of integer rows has a
+    known kernel, without eliminating it.
 
-    (i) If every row annihilates the candidate K, then K lies in the kernel
-    and rank <= ncols - dim K.  (ii) Any subset of rows of rank at least
-    ncols - dim K then pins the rank, so the kernel has the dimension of K
-    and equals it.  Rows whose last nonzero columns are pairwise distinct
-    are independent (triangular), so they count without elimination.  Next
-    the rank is counted mod p, those rows first and then the sparsest
-    others, since rank mod p <= rank over Q.  Only if that falls short are
-    all rows eliminated exactly, once: the candidate stands if that reaches
-    the rank, and otherwise the elimination's kernel is returned.
+    ``extend(rows, K)`` adds a block of rows and returns True when the
+    whole stack so far has kernel exactly K.  The caller vouches that the
+    rows added before annihilate K.  (i) The new rows are checked exactly
+    to annihilate K, so K lies in the kernel of the stack and its rank is
+    at most ncols - dim K.  (ii) The rows then feed one `RankModP` echelon,
+    kept across blocks, until its rank reaches ncols - dim K; the rank mod
+    p is at most the rank over Q, so the kernel has the dimension of K and
+    equals it.  Each block feeds first the sparsest row for every last
+    column the echelon has not taken yet, which join without reduction,
+    then the rest, sparsest first; rows not needed stay queued for the next
+    block.  A False says nothing more about the stack, and the certificate
+    must not be extended after it.
     """
-    supports = _supports(rows, ncols)
-    if not _annihilates(supports, candidate):
-        return stacked_kernels([rows], ncols)[0]
-    target = ncols - candidate.dim
-    seeds = {}  # last nonzero column -> the sparsest row ending there
-    rest = []
-    for item in supports:
-        last = item[0][-1]
-        kept = seeds.setdefault(last, item)
-        if kept is not item:
-            if len(item[0]) < len(kept[0]):
-                seeds[last], item = item, kept
-            rest.append(item)
-    if len(seeds) >= target:
-        return candidate
-    rest.sort(key=lambda item: len(item[0]))
-    seeds = list(seeds.values())
-    if _rank_mod_p(seeds + rest, target) >= target:
-        return candidate
-    reduced, pivots = _core.rref_int([row for _, row in seeds + rest], ncols)
-    if len(pivots) >= target:
-        return candidate
-    return _kernel_of_rref(reduced, pivots, ncols)
+
+    __slots__ = ("ncols", "echelon", "queued")
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self.echelon = RankModP()
+        self.queued = []
+
+    def extend(self, rows, candidate):
+        supports = _supports(rows, self.ncols)
+        if not _annihilates(supports, candidate):
+            return False
+        echelon = self.echelon
+        target = self.ncols - candidate.dim
+        queue = self._feed_order(self.queued + supports)
+        fed = 0
+        while echelon.rank < target and fed < len(queue):
+            echelon.add(*queue[fed])
+            fed += 1
+        self.queued = queue[fed:]
+        return echelon.rank >= target
+
+    def _feed_order(self, supports):
+        kept = self.echelon.kept
+        seeds = {}  # last column not yet taken -> the sparsest row ending there
+        rest = []
+        for item in supports:
+            last = item[0][-1]
+            if last in kept:
+                rest.append(item)
+                continue
+            held = seeds.setdefault(last, item)
+            if held is not item:
+                if len(item[0]) < len(held[0]):
+                    seeds[last], item = item, held
+                rest.append(item)
+        rest.sort(key=lambda item: len(item[0]))
+        return list(seeds.values()) + rest
 
 
 def _kernel_of_rref(reduced, pivots, ncols):

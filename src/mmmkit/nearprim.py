@@ -24,26 +24,37 @@ block B_k per degree k = |eb| of the right-hand factor, over every k >= d:
 
     kernel(d) = kernel(d+1) meet ker B_d,    kernel(m) = the whole slice.
 
-The kernel route therefore sweeps each degree m downward once, from d = m to
-d = 1: every block is eliminated a single time, against the integer RREF rows
-kept from the blocks above it (`exactq.stacked_kernels`), and every order of
-that degree reads the sweep.  Only the sweep of the degree asked for last is
-kept, and it is rebuilt whenever the coproduct table it came from changes.
+The kernel route passes over each degree m once, from the highest block
+down, and certifies each prefix kernel as the closed-form span S_k of order
+k instead of eliminating it (`exactq.KernelCertificate`).  As k falls, the
+window m - k < |Q_i| < k shrinks, so the closed-form monomial sets are
+nested; the pass checks with a subset test that each set lies in the one
+above instead of assuming it, so the blocks above, which annihilate the
+larger span, annihilate S_k too.  Only the new block B_k is then checked
+exactly against S_k, and its rows join one mod-p echelon kept across the
+degree until the rank reaches ncols - dim S_k.  If any check fails, the
+degree's blocks are eliminated exactly instead, each once against the integer
+RREF rows kept from the blocks above it (`exactq.stacked_kernels`).  Either
+way the route returns the kernel of its own rows, so a wrong closed form
+still surfaces as a monomial-basis failure.  Only the pass of the degree
+asked for last is kept, with that degree's closed-form spans, and both are
+rebuilt whenever the coproduct table they came from changes.
 
 The rows of a degree are built once, as dense integer rows keyed by the
-pair (ea, eb) of tensor factors, and the kernel sweep and every restricted
-order read them.  The restricted route of order d sends each key (ea, eb)
-with |eb| >= d to (ea, er) for every term of the restricted eb, and rows that
-land on one key add up, scaled by the image coefficient: the linear map
-id (x) restrict applied to the stacked blocks.  Restriction keeps a
-generator, kills it or sends p_{d/2} to e^2, so it sends distinct surviving
-monomials to distinct monomials with coefficient 1.  Its matrix R_d is
-therefore the rows of every B_k (k >= d) whose right-hand factor survives,
-relabelled, and ker R_d contains the kernel route's answer K.  The route
-hands K to `exactq.kernel_basis` as a candidate, which returns it only when
-the rows certify it (they annihilate K, and a subset of them has rank
-ncols - dim K) and eliminates R_d in full otherwise.  Either way the result is exactly
-ker R_d, so a wrong K cannot hide a fault; most orders need no elimination.
+pair (ea, eb) of tensor factors, and the kernel route's pass and every
+restricted order read them.  The restricted route of order d sends each key
+(ea, eb) with |eb| >= d to (ea, er) for every term of the restricted eb, and
+rows that land on one key add up, scaled by the image coefficient: the
+linear map id (x) restrict applied to the stacked blocks.  Restriction keeps
+a generator, kills it or sends p_{d/2} to e^2, so it sends distinct
+surviving monomials to distinct monomials with coefficient 1.  Its matrix
+R_d is therefore the rows of every B_k (k >= d) whose right-hand factor
+survives, relabelled, and ker R_d contains the kernel route's answer K.  The
+route hands K to `exactq.kernel_basis` as a candidate, which returns it only
+when the rows certify it (they annihilate K, and a subset of them has rank
+ncols - dim K) and eliminates R_d in full otherwise.  Either way the result
+is exactly ker R_d, so a wrong K cannot hide a fault; most orders need no
+elimination.
 
 Every route of a degree reads one generator-monomial basis,
 `_generator_basis`, enumerated once per (kind, bound, degree).
@@ -55,7 +66,13 @@ from functools import lru_cache
 from operator import add
 
 from .errors import QueryError
-from .exactq import Subspace, kernel_basis, stacked_kernels, subspace_equal
+from .exactq import (
+    KernelCertificate,
+    Subspace,
+    kernel_basis,
+    stacked_kernels,
+    subspace_equal,
+)
 from .gradedalg import (
     Polynomial,
     degree_slice_vector,
@@ -116,12 +133,13 @@ class _GradedSlice:
     ``blocks[k]`` maps each right-hand factor eb of degree k = |eb| to the
     pairs ``(ea, row)``, where ``row[j]`` is the coefficient of ea (x) eb in
     the reduced coproduct of basis monomial j; zero rows are left out.  The
-    rows are built once per degree and read by the kernel sweep and by every
-    restricted order.  ``degrees`` lists the k from the highest down, the
-    order of the downward sweep.
+    rows are built once per degree and read by the kernel route's pass and
+    by every restricted order.  ``degrees`` lists the k from the highest
+    down, the order of that downward pass.
     """
 
-    def __init__(self, key, columns, ncols, blocks):
+    def __init__(self, model, key, columns, ncols, blocks):
+        self.model = model
         self.key = key
         self.columns = columns
         self.ncols = ncols
@@ -130,19 +148,58 @@ class _GradedSlice:
         self._kernels = None
 
     def kernel(self, d):
-        """The order-d kernel; the first call sweeps every order at once."""
+        """The order-d kernel; the first call serves every order at once."""
         if self._kernels is None:
-            # Repeated rows leave the kernel as it is and can halve the
-            # elimination.
-            blocks = []
-            for k in self.degrees:
-                rows = (row for pairs in self.blocks[k].values() for _, row in pairs)
-                blocks.append(list(dict.fromkeys(rows)))
-            self._kernels = stacked_kernels(blocks, self.ncols)
+            self._kernels = self._prefix_kernels()
         constrained = sum(1 for k in self.degrees if k >= d)
         if not constrained:
             return Subspace.full(self.ncols)
         return self._kernels[constrained - 1]
+
+    def _prefix_kernels(self):
+        """The kernel of the blocks k' >= k, for each k in ``degrees``.
+
+        Certified against the closed form when every block passes, and
+        otherwise eliminated exactly with `exactq.stacked_kernels`.
+        """
+        # A repeated row leaves the kernel as it is, and a row met in a block
+        # above already annihilates every span certified below it.
+        seen = set()
+        blocks = []
+        for k in self.degrees:
+            fresh = []
+            for pairs in self.blocks[k].values():
+                for _, row in pairs:
+                    if row not in seen:
+                        seen.add(row)
+                        fresh.append(row)
+            blocks.append(fresh)
+        spans = self._certified_spans(blocks)
+        return spans if spans is not None else stacked_kernels(blocks, self.ncols)
+
+    def _certified_spans(self, blocks):
+        """The closed-form span S_k of order k for each block degree k, if
+        the rows certify every one of them as the kernel of blocks k' >= k.
+
+        One downward pass: S_k's monomials must lie among those of the span
+        above, so the blocks above annihilate S_k too; the new block B_k
+        must annihilate S_k and bring the rank of the rows so far to
+        ncols - dim S_k.  Returns None at the first check that fails.
+        """
+        model, m = self.model, self.key[2]
+        certificate = KernelCertificate(self.ncols)
+        above = None  # the monomials of the span above
+        spans = []
+        for k, rows in zip(self.degrees, blocks):
+            monos = near_primitive_monomials(model, m, k)
+            if above is not None and not above.issuperset(monos):
+                return None
+            span = _closed_span(model, m, monos)
+            if not certificate.extend(rows, span):
+                return None
+            above = set(monos)
+            spans.append(span)
+        return spans
 
     def restricted_rows(self, d, rank):
         """The distinct rows of the order-d matrix restricted to rank ``rank``.
@@ -171,10 +228,16 @@ class _GradedSlice:
 # it was built from.
 _current_slice = None
 
+# The closed-form spans of the degree asked for last, keyed by monomial set:
+# orders with no generator degree between them admit the same monomials, so
+# the kernel certificate and every order's span read one entry.  Dropped
+# when the degree changes and whenever the degree's slice is rebuilt.
+_spans = (None, {})
+
 
 def _graded_slice(model, m):
     """The degree-m rows grouped by |eb|; kept for the latest degree only."""
-    global _current_slice
+    global _current_slice, _spans
     key = (model.kind, model.max_degree, m)
     basis, columns = _delta_bar_slice(*key)
     current = _current_slice
@@ -197,15 +260,17 @@ def _graded_slice(model, m):
         pairs = tuple((ea, tuple(row)) for ea, row in by_ea.items() if any(row))
         if pairs:
             blocks.setdefault(degree_of(eb), {})[eb] = pairs
-    _current_slice = _GradedSlice(key, columns, ncols, blocks)
+    _spans = (key, {})
+    _current_slice = _GradedSlice(model, key, columns, ncols, blocks)
     return _current_slice
 
 
 def near_primitive_kernel(model, m, d):
     """Order-d near-primitives in degree m, as a kernel computation.
 
-    The first order asked for in a degree sweeps every order of that degree
-    at once; the orders after it read the same sweep.
+    The first order asked for in a degree serves every order of that degree
+    at once, certified against the closed form; the orders after it read
+    the same pass.
     """
     NearPrimQuery(model.kind, m, d)
     if m > model.max_degree:
@@ -249,23 +314,23 @@ def _primitive_monomial(kind, max_degree, exp):
     return degree_slice_vector(poly, m, basis)
 
 
-# The span asked for last, with its model, degree and monomials.  Orders
-# with no generator degree between them admit the same monomials, so a sweep
-# over d reuses it; older spans are dropped.
-_last_span = (None, None)
-
-
 def near_primitive_span(model, m, d):
     """The closed-form basis as a subspace in generator-monomial coordinates."""
-    global _last_span
-    monos = near_primitive_monomials(model, m, d)
-    key = (model.kind, model.max_degree, m, monos)
-    if _last_span[0] == key:
-        return _last_span[1]
-    ncols = len(_generator_basis(model.kind, model.max_degree, m))
-    vectors = [_primitive_monomial(model.kind, model.max_degree, e) for e in monos]
-    span = Subspace.from_vectors(ncols, vectors)
-    _last_span = (key, span)
+    return _closed_span(model, m, near_primitive_monomials(model, m, d))
+
+
+def _closed_span(model, m, monos):
+    """The span of primitive monomials of degree m, read through ``_spans``."""
+    global _spans
+    key = (model.kind, model.max_degree, m)
+    if _spans[0] != key:
+        _spans = (key, {})
+    cache = _spans[1]
+    monos = tuple(monos)
+    span = cache.get(monos)
+    if span is None:
+        vectors = [_primitive_monomial(model.kind, model.max_degree, e) for e in monos]
+        span = cache[monos] = Subspace.from_vectors(len(_generator_basis(*key)), vectors)
     return span
 
 

@@ -185,6 +185,36 @@ def test_stacked_kernels_equal_the_kernel_of_every_prefix(case):
             assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in stacked)
 
 
+@settings(deadline=None)
+@given(row_blocks())
+def test_kernel_certificate_accepts_exactly_the_kernel_of_every_prefix(case):
+    """Fed the blocks one by one, each with a candidate that the blocks
+    before it annihilate, the certificate says yes exactly when the
+    candidate is the kernel of the stack so far.  Entries of at most 3 in
+    at most 6 columns keep every minor below 2^31 - 1, so no rank is lost
+    mod that prime and the answer is exact both ways."""
+    ncols, blocks = case
+    kernels = stacked_kernels(blocks, ncols)
+    for i, block in enumerate(blocks):
+        truth = kernels[i]
+        before = kernels[i - 1] if i else Subspace.full(ncols)
+        outside = [v for v in before.basis if not truth.contains(v)]
+        candidates = [truth, before, Subspace.zero(ncols)]
+        if truth.dim:
+            candidates.append(Subspace.from_vectors(ncols, truth.basis[1:]))
+        if outside:
+            candidates.append(Subspace.from_vectors(ncols, list(truth.basis) + outside[:1]))
+            if truth.dim:
+                candidates.append(
+                    Subspace.from_vectors(ncols, list(truth.basis[1:]) + outside[:1])
+                )
+        for candidate in candidates:
+            certificate = exactq.KernelCertificate(ncols)
+            for earlier, kernel in zip(blocks[:i], kernels):
+                assert certificate.extend(earlier, kernel)
+            assert certificate.extend(block, candidate) == (candidate == truth)
+
+
 @st.composite
 def fraction_rows(draw):
     """A width and a list of rational rows of that width."""
@@ -277,6 +307,35 @@ def test_rank_mod_p_is_at_most_the_rank_over_q(case, p):
     assert rank_p <= _exact_rank(rows, ncols)
     for target in range(1, ncols + 1):
         assert exactq._rank_mod_p(supports, target, p) == min(rank_p, target)
+
+
+def _dense_rank_mod_p(rows, ncols, p):
+    """Rank over F_p by plain Gaussian elimination on dense rows."""
+    m = [[e % p for e in row] for row in rows]
+    rank = 0
+    for c in range(ncols):
+        pivot = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inverse = pow(m[rank][c], -1, p)
+        for r in range(len(m)):
+            if r != rank and m[r][c]:
+                f = m[r][c] * inverse
+                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+@settings(deadline=None)
+@given(sparse_rows(), st.sampled_from([2, 3, 5]))
+@example((2, [[2, 1], [0, 1]]), 2)
+@example((2, [[1, 2], [0, 1]]), 2)
+def test_rank_mod_p_equals_the_dense_rank_over_f_p(case, p):
+    # Rows whose last entry vanishes mod p must not join as they are.
+    ncols, rows = case
+    supports = exactq._supports(rows, ncols)
+    assert exactq._rank_mod_p(supports, p=p) == _dense_rank_mod_p(rows, ncols, p)
 
 
 @settings(deadline=None)

@@ -368,3 +368,20 @@ def test_witness_re_expansion_across_invariant_bases():
                 verdict = alg.is_bordism_invariant(x)
                 assert verdict.decision
                 assert alg.hat(verdict.witness) + verdict.correction == x
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="for odd d, is_bordism_invariant accepts hat(NP_d) + K_n while"
+    " bordism_invariant_space adds only the linear part of K_n",
+)
+@pytest.mark.parametrize("d, expr", [(5, "E3_1*E3_2"), (3, "E1_1*E5_1")])
+def test_odd_d_space_holds_every_class_the_test_accepts(d, expr):
+    """`mmm test` and `mmm space` must agree: a class tested invariant lies
+    in the invariant space of its degree.  Both classes below are proper
+    products in the K ideal, so the test says yes and today's space, which
+    keeps only K_n's linear part, leaves them out."""
+    alg = mmm_algebra("so", d, 6)
+    x = alg.parse(expr)
+    assert alg.is_bordism_invariant(x).decision
+    assert alg.bordism_invariant_space(6).contains(slice_vec(alg, x, 6))

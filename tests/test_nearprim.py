@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import comb
 
 import pytest
 
-from mmmkit import nearprim
+from mmmkit import exactq, nearprim
 from mmmkit.errors import QueryError
 from mmmkit.gradedalg import (
     GeneratorAlphabet,
@@ -448,3 +449,142 @@ def test_restricted_route_ignores_a_wrong_candidate(monkeypatch, how):
 
     monkeypatch.undo()
     assert verify_equivalence(ms, 12).all_passed
+
+
+# --- the kernel route's certificate against the closed form --------------------
+
+
+def _one_shot_kernel(model, m, d):
+    """The kernel of every row with |eb| >= d, eliminated at once."""
+    basis, columns = nearprim._delta_bar_slice(model.kind, model.max_degree, m)
+    rows = {}
+    for j, col in enumerate(columns):
+        for (ea, eb), c in col:
+            if model.generators.degree(eb) >= d:
+                rows.setdefault((ea, eb), [0] * len(basis))[j] += c
+    return kernel_basis(list(rows.values()), len(basis))
+
+
+def _wrong_closed_form(model, m, how):
+    """An order k of degree m that is a block degree of the kernel route,
+    and a wrong monomial set for it.
+
+    * "subspace": the true set less one monomial; every check but the rank
+      passes.
+    * "superspace": the true set plus a monomial of the set above; it is
+      nested, but the new block does not annihilate it.
+    * "not nested": the true set with one monomial swapped for one outside
+      the set above that the new block annihilates; only the nesting test
+      can tell.
+    """
+    graded = nearprim._graded_slice(model, m)
+    primitive = lambda e: nearprim._primitive_monomial(model.kind, model.max_degree, e)
+    above = None
+    for k in graded.degrees:
+        true = near_primitive_monomials(model, m, k)
+        rows = [row for pairs in graded.blocks[k].values() for _, row in pairs]
+        if how == "subspace" and len(true) >= 2:
+            return k, true[1:]
+        if how == "superspace" and above is not None:
+            extra = [e for e in above if e not in true]
+            if extra:
+                return k, true + extra[:1]
+        if how == "not nested" and above is not None:
+            for e in enumerate_monomials(model.primitives, m):
+                v = primitive(e)
+                if e not in above and not any(
+                    sum(a * b for a, b in zip(row, v)) for row in rows
+                ):
+                    return k, true[1:] + [e]
+        above = true
+    raise AssertionError(f"no {how} case in degree {m}")
+
+
+@pytest.mark.parametrize("how", ["subspace", "superspace", "not nested"])
+def test_a_wrong_closed_form_fails_with_the_exact_kernels_witness(monkeypatch, how):
+    """A wrong closed-form set at one block order must not be certified: the
+    degree's kernels stay the exact ones, and the sweep reports exactly one
+    monomial-basis failure there, whose witness compares the exact kernel
+    with the wrong span."""
+    model = hopf_model("so", 16)
+    m = 16
+    k, wrong = _wrong_closed_form(model, m, how)
+    wrong_span = Subspace.from_vectors(
+        len(nearprim._generator_basis("so", 16, m)),
+        [nearprim._primitive_monomial("so", 16, e) for e in wrong],
+    )
+    exact = {d: _one_shot_kernel(model, m, d) for d in range(1, m + 1)}
+    assert exact[k] != wrong_span
+    witness = nearprim._difference_witness(model, m, exact[k], wrong_span)
+
+    original = nearprim.near_primitive_monomials
+
+    def patched(model_, m_, d_):
+        return list(wrong) if (m_, d_) == (m, k) else original(model_, m_, d_)
+
+    monkeypatch.setattr(nearprim, "near_primitive_monomials", patched)
+    monkeypatch.setattr(nearprim, "_current_slice", None)
+    report = verify_equivalence(model, 16)
+    assert [(f.degree, f.order, f.check, f.detail) for f in report.failures] == [
+        (m, k, "monomial-basis", witness)
+    ]
+    for d in range(1, m + 1):
+        assert near_primitive_kernel(model, m, d) == exact[d]
+
+
+def _all_subspaces(model, bound):
+    out = {}
+    for m in range(model.step, bound + 1, model.step):
+        for d in range(1, m + 1):
+            out[m, d, "kernel"] = near_primitive_kernel(model, m, d)
+            if restricted_pairing(model.kind, d) is not None:
+                out[m, d, "restricted"] = near_primitive_kernel_restricted(model, m, d)
+    return out
+
+
+@pytest.mark.parametrize("kind, bound, m", [("u", 12, 10), ("so", 20, 16)])
+def test_a_rank_lost_mod_p_falls_back_and_keeps_every_subspace(monkeypatch, kind, bound, m):
+    """Scaling every coproduct coefficient of degree m by the prime keeps
+    each kernel over Q but loses all rank mod p: that degree, and no other,
+    falls back to elimination, and every kernel and restricted subspace
+    stays as it was."""
+    model = hopf_model(kind, bound)
+    monkeypatch.setattr(nearprim, "_current_slice", None)
+    clean = _all_subspaces(model, bound)
+
+    p = 7
+    monkeypatch.setattr(exactq, "PRIME", p)
+    original = nearprim._delta_bar_slice
+
+    @lru_cache(maxsize=None)
+    def scaled(kind_, bound_, m_):
+        basis, columns = original(kind_, bound_, m_)
+        if m_ != m:
+            return basis, columns
+        return basis, tuple(tuple((pair, p * c) for pair, c in col) for col in columns)
+
+    monkeypatch.setattr(nearprim, "_delta_bar_slice", scaled)
+    fallen = []
+    stacked = nearprim.stacked_kernels
+
+    def recording(blocks, ncols):
+        fallen.append(nearprim._current_slice.key[2])
+        return stacked(blocks, ncols)
+
+    monkeypatch.setattr(nearprim, "stacked_kernels", recording)
+    assert verify_equivalence(model, bound).all_passed
+    assert fallen == [m]
+    assert _all_subspaces(model, bound) == clean
+
+
+@pytest.mark.parametrize("kind, bound", [("u", 14), ("u", 16), ("so", 24), ("so", 28)])
+def test_the_certificate_serves_every_degree_without_elimination(monkeypatch, kind, bound):
+    """On the true closed form no degree of the kernel route falls back to
+    elimination."""
+
+    def refuse(blocks, ncols):
+        raise AssertionError("the kernel route fell back to elimination")
+
+    monkeypatch.setattr(nearprim, "stacked_kernels", refuse)
+    monkeypatch.setattr(nearprim, "_current_slice", None)
+    assert verify_equivalence(hopf_model(kind, bound), bound).all_passed
