@@ -447,10 +447,7 @@ def _format(alphabet, exp):
 class IdentityReport:
     """Both sides of the fibre-integration identity for one (bundle, j)."""
 
-    def __init__(self, bundle, flavor, j, total_side, base_side, class_level_equal):
-        self.bundle = bundle
-        self.flavor = flavor
-        self.j = j
+    def __init__(self, total_side, base_side, class_level_equal):
         self.total_side = total_side
         self.base_side = base_side
         self.class_level_equal = class_level_equal
@@ -458,17 +455,6 @@ class IdentityReport:
     @property
     def equal(self):
         return self.total_side == self.base_side and self.class_level_equal
-
-    def to_doc(self):
-        return {
-            "bundle": self.bundle,
-            "flavor": self.flavor,
-            "j": self.j,
-            "totalSide": [self.total_side.numerator, self.total_side.denominator],
-            "baseSide": [self.base_side.numerator, self.base_side.denominator],
-            "classLevelEqual": self.class_level_equal,
-            "pass": self.equal,
-        }
 
 
 def verify_motivating_identity(bundle, j, flavor="so"):
@@ -504,7 +490,5 @@ def verify_motivating_identity(bundle, j, flavor="so"):
     total_side = total.evaluate(x_total)
     base_side = bundle.base.evaluate(bundle.fibre_integrate(x_vertical))
     class_level = bundle.fibre_integrate(x_total) == bundle.fibre_integrate(x_vertical)
-    return IdentityReport(
-        bundle.label, flavor, j, total_side, base_side, class_level
-    )
+    return IdentityReport(total_side, base_side, class_level)
 

@@ -350,24 +350,18 @@ def _bundle_doc(bundle, command_query, with_numbers):
             "detail": f"c_{bundle.rank - 1}(Tv) evaluates to {bundle.rank} on the fibre",
         },
     ]
-    for j in range(1, bundle.total.top_degree // 4 + 1):
-        rep = bundles.verify_motivating_identity(bundle, j, "so")
-        checks.append(
-            {
-                "name": f"motivating-identity-so-j{j}",
-                "pass": rep.equal,
-                "detail": f"both sides {_rational_text(rep.total_side.numerator, rep.total_side.denominator)}",
-            }
-        )
-    for j in range(1, bundle.total.top_degree // 2 + 1):
-        rep = bundles.verify_motivating_identity(bundle, j, "u")
-        checks.append(
-            {
-                "name": f"motivating-identity-u-j{j}",
-                "pass": rep.equal,
-                "detail": f"both sides {_rational_text(rep.total_side.numerator, rep.total_side.denominator)}",
-            }
-        )
+    # X_j has degree 4j (so) or 2j (u).
+    for flavor, step in (("so", 4), ("u", 2)):
+        for j in range(1, bundle.total.top_degree // step + 1):
+            rep = bundles.verify_motivating_identity(bundle, j, flavor)
+            side = rep.total_side
+            checks.append(
+                {
+                    "name": f"motivating-identity-{flavor}-j{j}",
+                    "pass": rep.equal,
+                    "detail": f"both sides {_rational_text(side.numerator, side.denominator)}",
+                }
+            )
     result = {"bundle": bundle.label, "topDegree": bundle.total.top_degree}
     if with_numbers:
         e_alphabet = [("e%d" % i, 2 * i) for i in range(1, base_top // 2 + 1)]

@@ -12,16 +12,17 @@ fibre integral of X evaluated on the vertical tangent bundle: linear,
 monomial-to-generator, zero in cohomological degrees at most d.
 
 `is_bordism_invariant` decides whether an MMM class depends only on the
-cobordism class of the total space: for even d and the complex flavor the
-class must be generator-linear with hat-preimage in NP_d; for odd d the
-test runs modulo the ideal K generated by hatted restricted L-class
-components, whose characteristic numbers vanish on every bundle.
+cobordism class of the total space: exactly when it is the hat of a class
+in NP_d, modulo the ideal K generated by hatted restricted L-class
+components, whose characteristic numbers vanish on every bundle.  K is
+zero for even d and the complex flavor, so one decision path serves every
+flavor and d.  It and `bordism_invariant_space` read one per-degree
+construction of NP_d's hat image.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import AlphabetMismatch, QueryError
@@ -37,9 +38,6 @@ from .gradedalg import (
 )
 from .hopfmodel import MAX_DEGREE_CAP, STEP, hopf_model, l_class_components, restricted_model
 from .nearprim import npd
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # Algebras whose generators carry the classical e_i names: a single
 # degree-2 generator downstairs, so e_i is the hat of its (i+1)-st power.
@@ -111,6 +109,8 @@ class MMMAlgebra:
         else:
             self.display_names = None
             self.aliases = {}
+        # Only odd oriented d has a K ideal; it is zero otherwise.
+        self._odd = kind == "so" and d % 2 == 1
         self._k_gens = None
 
     def __repr__(self):
@@ -187,7 +187,7 @@ class MMMAlgebra:
     # --- the K ideal (odd oriented d) ----------------------------------
 
     def _require_odd(self):
-        if self.kind != "so" or self.d % 2 == 0:
+        if not self._odd:
             raise QueryError("the K ideal only exists for odd oriented rank")
 
     def k_ideal_generators(self):
@@ -207,7 +207,10 @@ class MMMAlgebra:
         return list(self._k_gens)
 
     def _k_products(self, n):
-        """Monomial multiples of the K generators spanning the degree-n slice."""
+        """Monomial multiples of the K generators spanning the degree-n slice;
+        none when there is no K ideal."""
+        if not self._odd:
+            return []
         products = []
         for g in self.k_ideal_generators():
             gdeg = g.homogeneous_degree()
@@ -222,23 +225,29 @@ class MMMAlgebra:
     def k_ideal_slice(self, n):
         """The degree-n slice of K as a subspace of the monomial slice."""
         self._require_odd()
-        if n < 1:
-            raise QueryError("the slice degree must be positive")
+        self._check_degree(n)
         basis = self.monomial_basis(n)
         vectors = [degree_slice_vector(p, n, basis) for _, p in self._k_products(n)]
         return Subspace.from_vectors(len(basis), vectors)
 
     # --- invariance ----------------------------------------------------
 
-    def _np_preimages(self, n):
-        """Restricted-model basis polynomials of NP_d in cohomological degree n + shift."""
+    def _check_degree(self, n):
+        if n < 1:
+            raise QueryError("the slice degree must be positive")
+        if n > self.degree_bound:
+            raise QueryError(f"degree {n} exceeds the configured bound {self.degree_bound}")
+
+    def _np_image(self, n, basis):
+        """NP_d in MMM degree n: its preimage polynomials over the restricted
+        model, and their hats as vectors over ``basis``, the degree-n slice."""
         cohdeg = n + self.shift
-        source = npd(self.model, self.d, cohdeg)
         rbasis = enumerate_monomials(self.restricted.alphabet, cohdeg)
-        return [
+        polys = [
             vector_to_polynomial(self.restricted.alphabet, row, rbasis)
-            for row in source.basis
+            for row in npd(self.model, self.d, cohdeg).basis
         ]
+        return polys, [degree_slice_vector(self.hat(p), n, basis) for p in polys]
 
     def bordism_invariant_space(self, n):
         """MMM classes of degree n depending only on the total space's
@@ -247,97 +256,62 @@ class MMMAlgebra:
         Even d and complex: the hat image of NP_d.  Odd d: that image
         plus the generator-linear part of the K slice.
         """
-        if n < 1:
-            raise QueryError("the slice degree must be positive")
-        if n > self.degree_bound:
-            raise QueryError(f"degree {n} exceeds the configured bound {self.degree_bound}")
+        self._check_degree(n)
         basis = self.monomial_basis(n)
-        vectors = [
-            degree_slice_vector(self.hat(p), n, basis) for p in self._np_preimages(n)
-        ]
-        space = Subspace.from_vectors(len(basis), vectors)
-        if self.kind == "so" and self.d % 2 == 1:
-            linear = [i for i, e in enumerate(basis) if sum(e) == 1]
-            unit_vectors = []
-            for i in linear:
-                v = [_ZERO] * len(basis)
-                v[i] = _ONE
-                unit_vectors.append(v)
-            linear_slice = Subspace.from_vectors(len(basis), unit_vectors)
-            space = subspace_sum(
-                space, subspace_intersection(self.k_ideal_slice(n), linear_slice)
-            )
+        space = Subspace.from_vectors(len(basis), self._np_image(n, basis)[1])
+        if self._odd:
+            units = [
+                [int(j == i) for j in range(len(basis))]
+                for i, e in enumerate(basis)
+                if sum(e) == 1
+            ]
+            linear = Subspace.from_vectors(len(basis), units)
+            space = subspace_sum(space, subspace_intersection(self.k_ideal_slice(n), linear))
         return space
 
     def is_bordism_invariant(self, x):
         """Decide invariance of a homogeneous MMM class, with witnesses.
 
-        The class is split into its generator-linear and decomposable
-        parts.  A decomposable remainder that the K ideal cannot absorb
-        fails with reason notPrimitive; a linear part outside the image
-        of NP_d (plus degree-matched K generators, odd d) fails with
-        notInNPdImage.
+        One path for every flavor and d, modulo the K ideal, which is zero
+        for even d and the complex flavor.  K's monomial multiples split
+        along the class's coordinates: bare generators are linear, proper
+        multiples decomposable.  A decomposable part outside the span of
+        the proper multiples fails with reason notPrimitive; without K it
+        must vanish.  A linear part outside the span of hat(NP_d) and the
+        degree-n K generators fails with notInNPdImage.
         """
         if x.alphabet != self.alphabet:
             raise AlphabetMismatch("expected an element of the MMM algebra")
         n = x.homogeneous_degree()
+        witness = Polynomial.zero(self.restricted.alphabet)
+        correction = Polynomial.zero(self.alphabet)
         if n is None:
-            return InvarianceVerdict(
-                True,
-                witness=Polynomial.zero(self.restricted.alphabet),
-                correction=Polynomial.zero(self.alphabet),
-            )
+            return InvarianceVerdict(True, witness=witness, correction=correction)
         if n == 0:
             raise QueryError("constants are not MMM classes; degree must be positive")
-        if n > self.degree_bound:
-            raise QueryError(f"degree {n} exceeds the configured bound {self.degree_bound}")
+        self._check_degree(n)
         basis = self.monomial_basis(n)
         target = degree_slice_vector(x, n, basis)
         is_linear = [sum(e) == 1 for e in basis]
-        np_polys = self._np_preimages(n)
-        np_vectors = [
-            degree_slice_vector(self.hat(p), n, basis) for p in np_polys
-        ]
-        zero_correction = Polynomial.zero(self.alphabet)
-
-        if self.kind == "u" or self.d % 2 == 0:
-            if any(c for c, lin in zip(target, is_linear) if not lin):
-                return InvarianceVerdict(False, reason="notPrimitive")
-            coeffs = solve_in_span(np_vectors, target)
-            if coeffs is None:
-                return InvarianceVerdict(False, reason="notInNPdImage")
-            witness = Polynomial.zero(self.restricted.alphabet)
-            for c, p in zip(coeffs, np_polys):
-                witness = witness + c * p
-            return InvarianceVerdict(True, witness=witness, correction=zero_correction)
-
-        # Odd d.  The linear and decomposable coordinates split the K slice:
-        # bare generators are linear, proper monomial multiples decomposable.
+        np_polys, np_vectors = self._np_image(n, basis)
         products = self._k_products(n)
-        kappa = [(mu, p) for mu, p in products if sum(mu) == 0]
-        proper = [(mu, p) for mu, p in products if sum(mu) > 0]
-        dec_target = tuple(
-            _ZERO if lin else c for c, lin in zip(target, is_linear)
-        )
+        kappa = [p for mu, p in products if sum(mu) == 0]
+        proper = [p for mu, p in products if sum(mu) > 0]
+
+        dec_target = [0 if lin else c for c, lin in zip(target, is_linear)]
         dec_coeffs = solve_in_span(
-            [degree_slice_vector(p, n, basis) for _, p in proper], dec_target
+            [degree_slice_vector(p, n, basis) for p in proper], dec_target
         )
         if dec_coeffs is None:
             return InvarianceVerdict(False, reason="notPrimitive")
-        lin_target = tuple(
-            c if lin else _ZERO for c, lin in zip(target, is_linear)
-        )
-        kappa_vectors = [degree_slice_vector(p, n, basis) for _, p in kappa]
+        lin_target = [c if lin else 0 for c, lin in zip(target, is_linear)]
+        kappa_vectors = [degree_slice_vector(p, n, basis) for p in kappa]
         combo = solve_in_span(np_vectors + kappa_vectors, lin_target)
         if combo is None:
             return InvarianceVerdict(False, reason="notInNPdImage")
-        witness = Polynomial.zero(self.restricted.alphabet)
-        for c, p in zip(combo[: len(np_polys)], np_polys):
+        for c, p in zip(combo, np_polys):
             witness = witness + c * p
-        correction = zero_correction
-        for c, (_, p) in zip(combo[len(np_polys) :], kappa):
-            correction = correction + c * p
-        for c, (_, p) in zip(dec_coeffs, proper):
+        for c, p in zip(combo[len(np_polys) :] + dec_coeffs, kappa + proper):
             correction = correction + c * p
         return InvarianceVerdict(True, witness=witness, correction=correction)
 

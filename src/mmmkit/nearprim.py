@@ -57,7 +57,9 @@ is exactly ker R_d, so a wrong K cannot hide a fault; most orders need no
 elimination.
 
 Every route of a degree reads one generator-monomial basis,
-`_generator_basis`, enumerated once per (kind, bound, degree).
+`_generator_basis`, enumerated once per (kind, bound, degree), and each
+order's closed-form monomials, `_closed_monomials`, enumerated once per
+(kind, bound, degree, order).
 """
 
 from __future__ import annotations
@@ -288,6 +290,14 @@ def near_primitive_monomials(model, m, d):
     NearPrimQuery(model.kind, m, d)
     if m > model.max_degree:
         raise QueryError(f"degree {m} exceeds the model bound {model.max_degree}")
+    return list(_closed_monomials(model.kind, model.max_degree, m, d))
+
+
+@lru_cache(maxsize=None)
+def _closed_monomials(kind, max_degree, m, d):
+    """The closed-form monomials of (m, d), enumerated once per (kind, bound,
+    m, d): the kernel route's pass, the span and NP_d all read them."""
+    model = hopf_model(kind, max_degree)
     prims = model.primitives
     allowed = {
         i
@@ -300,7 +310,7 @@ def near_primitive_monomials(model, m, d):
         top[m // model.step - 1] = 1
         monos.append(tuple(top))
     monos.sort(key=lambda e: tuple(-v for v in e))
-    return monos
+    return tuple(monos)
 
 
 @lru_cache(maxsize=None)
@@ -415,34 +425,14 @@ class SweepFailure:
 class EquivalenceReport:
     """Outcome of sweeping kernel, closed-form and restricted routes."""
 
-    def __init__(self, kind, max_degree):
-        self.kind = kind
-        self.max_degree = max_degree
+    def __init__(self):
         self.checked = 0
         self.skipped_restricted = 0
-        self.dimensions = {}
         self.failures = []
 
     @property
     def all_passed(self):
         return not self.failures
-
-    def to_doc(self):
-        return {
-            "model": self.kind,
-            "maxDegree": self.max_degree,
-            "checked": self.checked,
-            "skippedRestricted": self.skipped_restricted,
-            "failures": [
-                {
-                    "degree": f.degree,
-                    "order": f.order,
-                    "check": f.check,
-                    "detail": f.detail,
-                }
-                for f in self.failures
-            ],
-        }
 
 
 def _difference_witness(model, m, a, b):
@@ -471,7 +461,7 @@ def verify_equivalence(model, max_degree):
         raise QueryError(
             f"sweep bound {max_degree} exceeds the model bound {model.max_degree}"
         )
-    report = EquivalenceReport(model.kind, max_degree)
+    report = EquivalenceReport()
     step = model.step
     for m in range(step, max_degree + 1, step):
         gen_basis = _generator_basis(model.kind, model.max_degree, m)
@@ -482,7 +472,6 @@ def verify_equivalence(model, max_degree):
             kernel = near_primitive_kernel(model, m, d)
             span = near_primitive_span(model, m, d)
             report.checked += 1
-            report.dimensions[(m, d)] = kernel.dim
             if not subspace_equal(kernel, span):
                 report.failures.append(
                     SweepFailure(m, d, "monomial-basis", _difference_witness(model, m, kernel, span))

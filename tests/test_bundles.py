@@ -223,8 +223,6 @@ def test_motivating_identity_nonzero_case():
     assert report.total_side == Fraction(4, 3)
     assert report.base_side == Fraction(4, 3)
     assert report.equal
-    doc = report.to_doc()
-    assert doc["totalSide"] == [4, 3] and doc["pass"] is True
 
 
 def test_motivating_identity_validation():

@@ -1,5 +1,7 @@
 """CLI surface: golden lines, JSON/table agreement, exit codes."""
 
+import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -79,6 +81,34 @@ def test_mmm_space_goldens(capsys):
         capsys, "mmm", "space", "--flavor", "u", "-d", "1", "--degree", "12"
     )
     assert code == 0 and "dim 1: e6" in out
+
+
+def test_mmm_queries_of_the_benchmark_match_its_goldens(monkeypatch, capsys):
+    """Every `mmm` query the benchmark can draw, run in-process, gives the
+    exit code and result digest recorded in perfbench/goldens.json."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
+    spec.loader.exec_module(workloads)
+    goldens = json.loads((bench / "goldens.json").read_text())
+    queries = [q for q in workloads.all_queries() if q.argv[0] == "mmm"]
+    assert len(queries) == 178
+    wrong = []
+    for query in queries:
+        try:
+            code, out, _ = invoke(capsys, *query.argv)
+        except SystemExit as exc:  # argparse refused the arguments
+            code = exc.code
+        golden = goldens[query.key]
+        got = {"exit": code}
+        if golden["exit"] == 0:
+            # The digest of perfbench/run.py's result_digest.
+            text = json.dumps(json.loads(out)["result"], sort_keys=True, separators=(",", ":"))
+            got["sha256"] = hashlib.sha256(text.encode()).hexdigest()
+        if got != golden:
+            wrong.append(query.key)
+    assert wrong == []
 
 
 @settings(deadline=None)

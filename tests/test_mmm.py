@@ -180,6 +180,8 @@ def test_k_ideal_slice_d3():
 
     with pytest.raises(QueryError):
         alg.k_ideal_slice(0)
+    with pytest.raises(QueryError):
+        alg.k_ideal_slice(14)  # above the bound 13
 
 
 def test_k_slice_linear_part_is_kappa_span():
@@ -358,7 +360,12 @@ def test_odd_d_unabsorbed_decomposable():
 
 
 def test_witness_re_expansion_across_invariant_bases():
-    for kind, d, bound in (("so", 2, 20), ("u", 1, 12), ("so", 3, 9)):
+    """Every basis class of the invariant space tests invariant, and its
+    witness and correction rebuild it; odd d included, where the space is
+    the smaller of the two (see the xfail below)."""
+    for kind, d, bound in (
+        ("so", 2, 20), ("u", 1, 12), ("so", 3, 9), ("so", 5, 20), ("so", 7, 20)
+    ):
         alg = mmm_algebra(kind, d, bound)
         for n in range(1, bound + 1):
             basis = alg.monomial_basis(n)

@@ -236,10 +236,7 @@ def test_sweep_clean_and_counts():
     assert report.all_passed
     assert report.checked == 4 + 8 + 12 + 16
     assert report.skipped_restricted == 4  # d = 1 for each degree
-    assert report.dimensions[(8, 5)] == 2
-    doc = report.to_doc()
-    assert doc["model"] == "so" and doc["maxDegree"] == 16
-    assert doc["checked"] == report.checked and doc["failures"] == []
+    assert near_primitive_kernel(ms, 8, 5).dim == 2
 
     mu = hopf_model("u", 10)
     report = verify_equivalence(mu, 10)
@@ -291,8 +288,6 @@ def test_sweep_pinpoints_an_injected_fault(monkeypatch):
     assert not report.all_passed
     assert {f.degree for f in report.failures} == {8}
     assert any(f.check in ("monomial-basis", "primitives-only-at-m>=2d") for f in report.failures)
-    doc = report.to_doc()
-    assert all(row["degree"] == 8 for row in doc["failures"])
 
     monkeypatch.undo()
     assert verify_equivalence(ms, 12).all_passed
