@@ -33,6 +33,7 @@ from .hopfmodel import (
     GENERATOR_LETTER,
     MAX_DEGREE_CAP,
     STEP,
+    fibre_dimension,
     hopf_model,
     l_class_component,
     restricted_model,
@@ -157,7 +158,7 @@ def _check_cap(needed, flags):
 
 def _check_mmm_cap(args, flag, value, defaulted=False):
     """The cap check of an MMM query, whose model reaches the fibre shift plus ``value``."""
-    shift = args.d if args.flavor == "so" else 2 * args.d
+    shift = fibre_dimension(args.flavor, args.d)
     if defaulted:
         flags = f"-d {args.d} with the default {flag} {value}"
     else:

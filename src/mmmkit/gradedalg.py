@@ -336,30 +336,31 @@ def enumerate_monomials(alphabet, degree, allowed=None):
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    n = len(alphabet)
     degrees = alphabet.degrees
     parities = alphabet.parities
-    mask = [True] * n if allowed is None else [i in allowed for i in range(n)]
+    # Only generators that fit in the degree can take a positive exponent.
+    usable = [
+        i for i, deg in enumerate(degrees)
+        if deg <= degree and (allowed is None or i in allowed)
+    ]
     out = []
-    exp = [0] * n
+    exp = [0] * len(alphabet)
 
-    def rec(i, rem):
+    # Recurse once per positive exponent, not once per generator, so the
+    # depth stays below the degree however large the alphabet.
+    def rec(start, rem):
         if rem == 0:
             out.append(tuple(exp))
             return
-        if i == n:
-            return
-        if mask[i]:
+        for pos in range(start, len(usable)):
+            i = usable[pos]
             top = rem // degrees[i]
             if parities[i]:
                 top = min(top, 1)
-        else:
-            top = 0
-        for k in range(top, 0, -1):
-            exp[i] = k
-            rec(i + 1, rem - k * degrees[i])
-        exp[i] = 0
-        rec(i + 1, rem)
+            for k in range(top, 0, -1):
+                exp[i] = k
+                rec(pos + 1, rem - k * degrees[i])
+            exp[i] = 0
 
     rec(0, degree)
     return out

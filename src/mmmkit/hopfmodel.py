@@ -244,6 +244,15 @@ def restricted_model(kind, d):
     return RestrictedModel(kind, d)
 
 
+def fibre_dimension(kind, d):
+    """The real dimension of a rank-d fibre: d oriented, 2d complex.
+
+    NP_d restricts the near-primitives of this order, and MMM degrees are
+    cohomological degrees shifted down by it.
+    """
+    return d if kind == "so" else 2 * d
+
+
 def restrict(model, d, x):
     """Restriction of a generator-alphabet class along BU(d) or BSO(d) -> B(U/SO).
 

@@ -36,7 +36,14 @@ from .gradedalg import (
     parse_poly,
     vector_to_polynomial,
 )
-from .hopfmodel import MAX_DEGREE_CAP, STEP, hopf_model, l_class_components, restricted_model
+from .hopfmodel import (
+    MAX_DEGREE_CAP,
+    STEP,
+    fibre_dimension,
+    hopf_model,
+    l_class_components,
+    restricted_model,
+)
 from .nearprim import npd
 
 # Algebras whose generators carry the classical e_i names: a single
@@ -85,7 +92,7 @@ class MMMAlgebra:
         self.kind = kind
         self.d = d
         self.degree_bound = degree_bound
-        self.shift = d if kind == "so" else 2 * d
+        self.shift = fibre_dimension(kind, d)
         self.restricted = restricted_model(kind, d)
         # At least one generator, so that a slice below |g_1| is empty, not an error.
         self.model = hopf_model(kind, max(self.shift + degree_bound, STEP[kind]))

@@ -36,9 +36,7 @@ degree until the rank reaches ncols - dim S_k.  If any check fails, the
 degree's blocks are eliminated exactly instead, each once against the integer
 RREF rows kept from the blocks above it (`exactq.stacked_kernels`).  Either
 way the route returns the kernel of its own rows, so a wrong closed form
-still surfaces as a monomial-basis failure.  Only the pass of the degree
-asked for last is kept, with that degree's closed-form spans, and both are
-rebuilt whenever the coproduct table they came from changes.
+still surfaces as a monomial-basis failure.
 
 The rows of a degree are built once, as dense integer rows keyed by the
 pair (ea, eb) of tensor factors, and the kernel route's pass and every
@@ -56,10 +54,13 @@ ncols - dim K) and eliminates R_d in full otherwise.  Either way the result
 is exactly ker R_d, so a wrong K cannot hide a fault; most orders need no
 elimination.
 
-Every route of a degree reads one generator-monomial basis,
-`_generator_basis`, enumerated once per (kind, bound, degree), and each
-order's closed-form monomials, `_closed_monomials`, enumerated once per
-(kind, bound, degree, order).
+Everything nearprim knows about one degree m of one model lives in one
+object, `_Degree`, kept for the degree asked for last: the generator-monomial
+basis every route, span and witness reads, each order's closed-form
+monomials, each primitive monomial as a polynomial and as coordinates, the
+closed-form spans, and the keyed rows with the kernels certified from them.
+Each piece is built on first use.  The rows and kernels are rebuilt whenever
+the coproduct table they came from changes, so they never outlive it.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ from .gradedalg import (
     format_poly,
     vector_to_polynomial,
 )
-from .hopfmodel import hopf_model, restrict, restricted_model
+from .hopfmodel import fibre_dimension, hopf_model, restrict, restricted_model
 
 
 class NearPrimQuery:
@@ -105,61 +106,136 @@ class NearPrimQuery:
         self.order = order
 
 
-@lru_cache(maxsize=None)
-def _generator_basis(kind, max_degree, m):
-    """The degree-m generator monomials in canonical order: the one basis
-    every route, span and witness of that degree reads."""
-    return tuple(enumerate_monomials(hopf_model(kind, max_degree).generators, m))
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _delta_bar_slice(kind, max_degree, m):
     """Reduced-coproduct data of every degree-m generator monomial.
 
     Returns ``(basis, columns)`` where ``columns[j]`` lists
-    ``((exp_a, exp_b), integer coefficient)`` for basis monomial j.  Cached
-    per (kind, bound, m); the d-sweeps reuse it across all orders.
+    ``((exp_a, exp_b), integer coefficient)`` for basis monomial j.  Kept for
+    the latest degree, like the degree's state that reads it.
     """
-    model = hopf_model(kind, max_degree)
-    basis = _generator_basis(kind, max_degree, m)
+    state = _degree(kind, max_degree, m)
+    model = state.model
     columns = []
-    for exp in basis:
+    for exp in state.basis:
         dbar = model.reduced_coproduct(Polynomial.from_monomial(model.generators, exp))
         columns.append(tuple(dbar.terms.items()))
-    return basis, tuple(columns)
+    return state.basis, tuple(columns)
 
 
-class _GradedSlice:
-    """The reduced-coproduct matrix of one degree m, as dense integer rows.
+class _Degree:
+    """What every route reads of one degree m of one model, built lazily.
 
-    ``blocks[k]`` maps each right-hand factor eb of degree k = |eb| to the
+    ``basis`` lists the degree-m generator monomials in canonical order.
+    ``blocks()`` holds the reduced-coproduct matrix as dense integer rows:
+    ``blocks()[k]`` maps each right-hand factor eb of degree k = |eb| to the
     pairs ``(ea, row)``, where ``row[j]`` is the coefficient of ea (x) eb in
-    the reduced coproduct of basis monomial j; zero rows are left out.  The
-    rows are built once per degree and read by the kernel route's pass and
-    by every restricted order.  ``degrees`` lists the k from the highest
-    down, the order of that downward pass.
+    the reduced coproduct of basis monomial j; zero rows are left out, and
+    the k run from the highest down, the order of the kernel route's pass.
     """
 
-    def __init__(self, model, key, columns, ncols, blocks):
-        self.model = model
-        self.key = key
-        self.columns = columns
-        self.ncols = ncols
-        self.blocks = blocks
-        self.degrees = sorted(blocks, reverse=True)
+    def __init__(self, kind, max_degree, m):
+        self.model = hopf_model(kind, max_degree)
+        self.key = (kind, max_degree, m)
+        self.m = m
+        self.basis = tuple(enumerate_monomials(self.model.generators, m))
+        self._monomials = {}  # order -> closed-form monomials
+        self._primitives = {}  # exponent -> polynomial over the generators
+        self._coordinates = {}  # exponent -> integer coordinates over basis
+        # Orders with no generator degree between them admit the same
+        # monomials, so the certificate and every order's span read one entry.
+        self._spans = {}  # monomial set -> span
+        self._columns = None  # the coproduct table the blocks came from
+        self._blocks = None
         self._kernels = None
+
+    # --- the closed form ---------------------------------------------------
+
+    def monomials(self, d):
+        """The closed-form monomials of order d, in canonical order."""
+        monos = self._monomials.get(d)
+        if monos is None:
+            model, m = self.model, self.m
+            prims = model.primitives
+            allowed = {i for i, deg in enumerate(prims.degrees) if m - d < deg < d}
+            found = enumerate_monomials(prims, m, allowed=allowed)
+            if m % model.step == 0:
+                top = [0] * len(prims)
+                top[m // model.step - 1] = 1
+                found.append(tuple(top))
+            found.sort(key=lambda e: tuple(-v for v in e))
+            monos = self._monomials[d] = tuple(found)
+        return monos
+
+    def primitive(self, exp):
+        """A primitive monomial as a polynomial over the generators."""
+        poly = self._primitives.get(exp)
+        if poly is None:
+            model = self.model
+            poly = model.from_primitive_basis(Polynomial.from_monomial(model.primitives, exp))
+            self._primitives[exp] = poly
+        return poly
+
+    def coordinates(self, exp):
+        """A primitive monomial as dense integer coordinates over ``basis``;
+        the Newton power sums have integer coefficients."""
+        vec = self._coordinates.get(exp)
+        if vec is None:
+            vec = degree_slice_vector(self.primitive(exp), self.m, self.basis)
+            self._coordinates[exp] = vec
+        return vec
+
+    def span(self, d):
+        """The closed-form span of order d in generator-monomial coordinates."""
+        monos = self.monomials(d)
+        span = self._spans.get(monos)
+        if span is None:
+            vectors = [self.coordinates(e) for e in monos]
+            span = self._spans[monos] = Subspace.from_vectors(len(self.basis), vectors)
+        return span
+
+    # --- the coproduct rows --------------------------------------------------
+
+    def blocks(self):
+        """The degree's rows grouped by |eb|, rebuilt whenever
+        `_delta_bar_slice` hands back another table."""
+        columns = _delta_bar_slice(*self.key)[1]
+        if columns is self._columns:
+            return self._blocks
+        ncols = len(self.basis)
+        rows = {}  # eb -> {ea: row}
+        for j, col in enumerate(columns):
+            for (ea, eb), c in col:
+                by_ea = rows.get(eb)
+                if by_ea is None:
+                    by_ea = rows[eb] = {}
+                row = by_ea.get(ea)
+                if row is None:
+                    row = by_ea[ea] = [0] * ncols
+                row[j] += c
+        degree_of = self.model.generators.degree
+        blocks = {}
+        for eb, by_ea in rows.items():
+            pairs = tuple((ea, tuple(row)) for ea, row in by_ea.items() if any(row))
+            if pairs:
+                blocks.setdefault(degree_of(eb), {})[eb] = pairs
+        self._columns = columns
+        self._blocks = dict(sorted(blocks.items(), reverse=True))
+        self._kernels = None
+        return self._blocks
 
     def kernel(self, d):
         """The order-d kernel; the first call serves every order at once."""
+        blocks = self.blocks()
         if self._kernels is None:
-            self._kernels = self._prefix_kernels()
-        constrained = sum(1 for k in self.degrees if k >= d)
+            self._kernels = self._prefix_kernels(blocks)
+        constrained = sum(1 for k in blocks if k >= d)
         if not constrained:
-            return Subspace.full(self.ncols)
+            return Subspace.full(len(self.basis))
         return self._kernels[constrained - 1]
 
-    def _prefix_kernels(self):
-        """The kernel of the blocks k' >= k, for each k in ``degrees``.
+    def _prefix_kernels(self, blocks):
+        """The kernel of the blocks k' >= k, for each block degree k.
 
         Certified against the closed form when every block passes, and
         otherwise eliminated exactly with `exactq.stacked_kernels`.
@@ -167,19 +243,19 @@ class _GradedSlice:
         # A repeated row leaves the kernel as it is, and a row met in a block
         # above already annihilates every span certified below it.
         seen = set()
-        blocks = []
-        for k in self.degrees:
+        fresh_blocks = []
+        for block in blocks.values():
             fresh = []
-            for pairs in self.blocks[k].values():
+            for pairs in block.values():
                 for _, row in pairs:
                     if row not in seen:
                         seen.add(row)
                         fresh.append(row)
-            blocks.append(fresh)
-        spans = self._certified_spans(blocks)
-        return spans if spans is not None else stacked_kernels(blocks, self.ncols)
+            fresh_blocks.append(fresh)
+        spans = self._certified_spans(blocks, fresh_blocks)
+        return spans if spans is not None else stacked_kernels(fresh_blocks, len(self.basis))
 
-    def _certified_spans(self, blocks):
+    def _certified_spans(self, blocks, fresh_blocks):
         """The closed-form span S_k of order k for each block degree k, if
         the rows certify every one of them as the kernel of blocks k' >= k.
 
@@ -188,15 +264,14 @@ class _GradedSlice:
         must annihilate S_k and bring the rank of the rows so far to
         ncols - dim S_k.  Returns None at the first check that fails.
         """
-        model, m = self.model, self.key[2]
-        certificate = KernelCertificate(self.ncols)
+        certificate = KernelCertificate(len(self.basis))
         above = None  # the monomials of the span above
         spans = []
-        for k, rows in zip(self.degrees, blocks):
-            monos = near_primitive_monomials(model, m, k)
+        for k, rows in zip(blocks, fresh_blocks):
+            monos = self.monomials(k)
             if above is not None and not above.issuperset(monos):
                 return None
-            span = _closed_span(model, m, monos)
+            span = self.span(k)
             if not certificate.extend(rows, span):
                 return None
             above = set(monos)
@@ -212,10 +287,10 @@ class _GradedSlice:
         """
         kind, max_degree, _ = self.key
         rows = {}
-        for k in self.degrees:
+        for k, block in self.blocks().items():
             if k < d:
                 break
-            for eb, pairs in self.blocks[k].items():
+            for eb, pairs in block.items():
                 for er, cr in _restricted_monomial(kind, max_degree, rank, eb):
                     for ea, row in pairs:
                         image = row if cr == 1 else tuple(cr * c for c in row)
@@ -225,46 +300,18 @@ class _GradedSlice:
         return list(dict.fromkeys(rows.values()))
 
 
-# The slice of the degree asked for last.  It is rebuilt whenever
-# _delta_bar_slice hands back another table, so it never outlives the table
-# it was built from.
-_current_slice = None
-
-# The closed-form spans of the degree asked for last, keyed by monomial set:
-# orders with no generator degree between them admit the same monomials, so
-# the kernel certificate and every order's span read one entry.  Dropped
-# when the degree changes and whenever the degree's slice is rebuilt.
-_spans = (None, {})
+@lru_cache(maxsize=1)
+def _degree(kind, max_degree, m):
+    """The state of the degree asked for last."""
+    return _Degree(kind, max_degree, m)
 
 
-def _graded_slice(model, m):
-    """The degree-m rows grouped by |eb|; kept for the latest degree only."""
-    global _current_slice, _spans
-    key = (model.kind, model.max_degree, m)
-    basis, columns = _delta_bar_slice(*key)
-    current = _current_slice
-    if current is not None and current.key == key and current.columns is columns:
-        return current
-    ncols = len(basis)
-    rows = {}  # eb -> {ea: row}
-    for j, col in enumerate(columns):
-        for (ea, eb), c in col:
-            by_ea = rows.get(eb)
-            if by_ea is None:
-                by_ea = rows[eb] = {}
-            row = by_ea.get(ea)
-            if row is None:
-                row = by_ea[ea] = [0] * ncols
-            row[j] += c
-    degree_of = model.generators.degree
-    blocks = {}
-    for eb, by_ea in rows.items():
-        pairs = tuple((ea, tuple(row)) for ea, row in by_ea.items() if any(row))
-        if pairs:
-            blocks.setdefault(degree_of(eb), {})[eb] = pairs
-    _spans = (key, {})
-    _current_slice = _GradedSlice(model, key, columns, ncols, blocks)
-    return _current_slice
+def _checked_degree(model, m, d):
+    """The degree-m state, once (m, d) has been checked against the model."""
+    NearPrimQuery(model.kind, m, d)
+    if m > model.max_degree:
+        raise QueryError(f"degree {m} exceeds the model bound {model.max_degree}")
+    return _degree(model.kind, model.max_degree, m)
 
 
 def near_primitive_kernel(model, m, d):
@@ -274,10 +321,7 @@ def near_primitive_kernel(model, m, d):
     at once, certified against the closed form; the orders after it read
     the same pass.
     """
-    NearPrimQuery(model.kind, m, d)
-    if m > model.max_degree:
-        raise QueryError(f"degree {m} exceeds the model bound {model.max_degree}")
-    return _graded_slice(model, m).kernel(d)
+    return _checked_degree(model, m, d).kernel(d)
 
 
 def near_primitive_monomials(model, m, d):
@@ -287,61 +331,12 @@ def near_primitive_monomials(model, m, d):
     m is itself a generator degree.  Returned as exponent tuples over the
     primitive alphabet, in canonical order.
     """
-    NearPrimQuery(model.kind, m, d)
-    if m > model.max_degree:
-        raise QueryError(f"degree {m} exceeds the model bound {model.max_degree}")
-    return list(_closed_monomials(model.kind, model.max_degree, m, d))
-
-
-@lru_cache(maxsize=None)
-def _closed_monomials(kind, max_degree, m, d):
-    """The closed-form monomials of (m, d), enumerated once per (kind, bound,
-    m, d): the kernel route's pass, the span and NP_d all read them."""
-    model = hopf_model(kind, max_degree)
-    prims = model.primitives
-    allowed = {
-        i
-        for i, deg in enumerate(prims.degrees)
-        if m - d < deg < d
-    }
-    monos = enumerate_monomials(prims, m, allowed=allowed)
-    if m % model.step == 0:
-        top = [0] * len(prims)
-        top[m // model.step - 1] = 1
-        monos.append(tuple(top))
-    monos.sort(key=lambda e: tuple(-v for v in e))
-    return tuple(monos)
-
-
-@lru_cache(maxsize=None)
-def _primitive_monomial(kind, max_degree, exp):
-    """A primitive monomial as dense integer coordinates over the generator
-    monomials of its degree; the Newton power sums have integer coefficients."""
-    model = hopf_model(kind, max_degree)
-    poly = model.from_primitive_basis(Polynomial.from_monomial(model.primitives, exp))
-    m = model.primitives.degree(exp)
-    basis = _generator_basis(kind, max_degree, m)
-    return degree_slice_vector(poly, m, basis)
+    return list(_checked_degree(model, m, d).monomials(d))
 
 
 def near_primitive_span(model, m, d):
     """The closed-form basis as a subspace in generator-monomial coordinates."""
-    return _closed_span(model, m, near_primitive_monomials(model, m, d))
-
-
-def _closed_span(model, m, monos):
-    """The span of primitive monomials of degree m, read through ``_spans``."""
-    global _spans
-    key = (model.kind, model.max_degree, m)
-    if _spans[0] != key:
-        _spans = (key, {})
-    cache = _spans[1]
-    monos = tuple(monos)
-    span = cache.get(monos)
-    if span is None:
-        vectors = [_primitive_monomial(model.kind, model.max_degree, e) for e in monos]
-        span = cache[monos] = Subspace.from_vectors(len(_generator_basis(*key)), vectors)
-    return span
+    return _checked_degree(model, m, d).span(d)
 
 
 def restricted_pairing(kind, d):
@@ -370,17 +365,13 @@ def near_primitive_kernel_restricted(model, m, d):
     route's answer is offered as a candidate and returned only when the
     restricted rows certify it.
     """
-    NearPrimQuery(model.kind, m, d)
-    if m > model.max_degree:
-        raise QueryError(f"degree {m} exceeds the model bound {model.max_degree}")
+    state = _checked_degree(model, m, d)
     rank = restricted_pairing(model.kind, d)
     if rank is None:
         if model.kind == "u":
             raise QueryError("odd orders have no restricted pairing over the complex model")
         raise QueryError("restriction to BSO(1) kills every positive-degree class")
-    graded = _graded_slice(model, m)
-    rows = graded.restricted_rows(d, rank)
-    return kernel_basis(rows, graded.ncols, candidate=graded.kernel(d))
+    return kernel_basis(state.restricted_rows(d, rank), len(state.basis), candidate=state.kernel(d))
 
 
 def npd(model, d, n):
@@ -394,18 +385,16 @@ def npd(model, d, n):
         raise QueryError("the rank must be positive")
     if n < 1:
         raise QueryError("the degree must be positive")
-    order = d if model.kind == "so" else 2 * d
+    order = fibre_dimension(model.kind, d)
     rm = restricted_model(model.kind, d)
     rbasis = enumerate_monomials(rm.alphabet, n)
     if n < order or n % model.step != 0 or not rbasis:
         return Subspace.zero(len(rbasis))
-    monos = near_primitive_monomials(model, n, order)
-    vectors = []
-    for e in monos:
-        poly = restrict(
-            model, d, model.from_primitive_basis(Polynomial.from_monomial(model.primitives, e))
-        )
-        vectors.append(degree_slice_vector(poly, n, rbasis))
+    state = _checked_degree(model, n, order)
+    vectors = [
+        degree_slice_vector(restrict(model, d, state.primitive(e)), n, rbasis)
+        for e in state.monomials(order)
+    ]
     return Subspace.from_vectors(len(rbasis), vectors)
 
 
@@ -437,7 +426,7 @@ class EquivalenceReport:
 
 def _difference_witness(model, m, a, b):
     """A basis vector of one subspace missing from the other, rendered."""
-    basis = _generator_basis(model.kind, model.max_degree, m)
+    basis = _degree(model.kind, model.max_degree, m).basis
     for row in a.basis:
         if not b.contains(row):
             poly = vector_to_polynomial(model.generators, row, basis)
@@ -464,7 +453,7 @@ def verify_equivalence(model, max_degree):
     report = EquivalenceReport()
     step = model.step
     for m in range(step, max_degree + 1, step):
-        gen_basis = _generator_basis(model.kind, model.max_degree, m)
+        gen_basis = _degree(model.kind, model.max_degree, m).basis
         primitive_vec = degree_slice_vector(model.power_sum(m // step), m, gen_basis)
         primitive_slice = Subspace.from_vectors(len(gen_basis), [primitive_vec])
         full_slice = Subspace.full(len(gen_basis))

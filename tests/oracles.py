@@ -351,3 +351,33 @@ def partitions(n, max_part=None):
         for rest in partitions(n - first, first):
             out.append((first,) + rest)
     return out
+
+
+def monomials_one_generator_at_a_time(alphabet, degree, allowed=None):
+    """Exponent tuples of one degree, one recursion level per generator.
+
+    Each level tries the generator's exponents from the largest down to
+    zero, so the tuples come out in descending lexicographic order.
+    """
+    n = len(alphabet)
+    out = []
+    exp = [0] * n
+
+    def rec(i, rem):
+        if rem == 0:
+            out.append(tuple(exp))
+            return
+        if i == n:
+            return
+        top = 0
+        if allowed is None or i in allowed:
+            top = rem // alphabet.degrees[i]
+            if alphabet.parities[i]:
+                top = min(top, 1)
+        for k in range(top, -1, -1):
+            exp[i] = k
+            rec(i + 1, rem - k * alphabet.degrees[i])
+        exp[i] = 0
+
+    rec(0, degree)
+    return out

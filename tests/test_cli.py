@@ -327,6 +327,28 @@ def test_slices_below_the_first_generator_are_empty(capsys):
     assert code == 0 and "dim 0" in out
 
 
+@pytest.mark.parametrize(
+    "argv, result",
+    [
+        # MMM alphabets of 4 512 and 7 394 generators.
+        (
+            ("mmm", "test", "--flavor", "u", "-d", "6", "--expr", "E2_1", "--bound", "40"),
+            {"decision": "no", "reason": "notInNPdImage", "witness": None, "correction": None},
+        ),
+        (
+            ("mmm", "test", "--flavor", "u", "-d", "10", "--expr", "E2_1", "--bound", "30"),
+            {"decision": "no", "reason": "notInNPdImage", "witness": None, "correction": None},
+        ),
+        # A restricted model of 5 000 Chern classes.
+        (("npd", "--model", "u", "-d", "5000", "--degree", "8"), {"dimension": 0, "basis": []}),
+    ],
+)
+def test_large_alphabets_answer_without_a_recursion_error(argv, result, capsys):
+    code, out, err = invoke(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"] == result
+
+
 def test_terms_round_trip_matches_formatter():
     rng = random.Random(91)
     alphabet = GeneratorAlphabet([("c1", 2), ("c2", 4)])

@@ -21,7 +21,11 @@ from mmmkit.gradedalg import (
 )
 from mmmkit.hopfmodel import hopf_model, restrict
 
-from oracles import tensor_product_by_pairs, tensor_sum_by_pairs
+from oracles import (
+    monomials_one_generator_at_a_time,
+    tensor_product_by_pairs,
+    tensor_sum_by_pairs,
+)
 
 EVEN = GeneratorAlphabet([("c1", 2), ("c2", 4), ("c3", 6)])
 MIXED = GeneratorAlphabet([("a", 1), ("b", 2), ("u", 3), ("v", 4)])
@@ -139,6 +143,36 @@ def test_enumerate_monomials_allowed_filter():
     assert set(monos) == {(4, 0, 0), (2, 1, 0), (0, 2, 0)}
     assert enumerate_monomials(EVEN, 0) == [(0, 0, 0)]
     assert enumerate_monomials(EVEN, 1) == []
+
+
+def test_enumerate_monomials_order_matches_one_level_per_generator():
+    """Random alphabets, unsorted and mixed in parity, with and without an
+    allowed set: the tuples and their order are those of the reference that
+    recurses once per generator."""
+    rng = random.Random(2024)
+    for trial in range(400):
+        size = rng.randint(0, 9)
+        alphabet = GeneratorAlphabet(
+            [(f"g{i}", rng.randint(1, 7)) for i in range(size)]
+        )
+        allowed = None
+        if trial % 2:
+            allowed = {i for i in range(size) if rng.random() < 0.6}
+        degree = rng.randint(0, 16)
+        assert enumerate_monomials(alphabet, degree, allowed) == (
+            monomials_one_generator_at_a_time(alphabet, degree, allowed)
+        )
+
+
+def test_enumerate_monomials_on_an_alphabet_deeper_than_the_recursion_limit():
+    """Five thousand generators, all but eleven above the degree: the
+    tuples are those of the eleven that fit, padded with zeros."""
+    alphabet = GeneratorAlphabet([(f"g{i}", 2 + i) for i in range(5000)])
+    small = GeneratorAlphabet([(f"g{i}", 2 + i) for i in range(11)])
+    pad = (0,) * (5000 - 11)
+    assert enumerate_monomials(alphabet, 12) == [
+        e + pad for e in monomials_one_generator_at_a_time(small, 12)
+    ]
 
 
 def test_slice_vector_roundtrip():

@@ -259,6 +259,38 @@ def test_kernels_grow_with_the_order():
                 prev = kernel
 
 
+def test_answers_do_not_depend_on_the_order_degrees_are_asked_in():
+    """Only the latest degree's state is kept.  Kernel, span, restricted
+    kernel and NP_d asked for in a seeded random order, which leaves and
+    revisits degrees, give the answers of a fresh ascending pass."""
+
+    def ask(model, route, m, d):
+        if route == "kernel":
+            return near_primitive_kernel(model, m, d)
+        if route == "span":
+            return near_primitive_span(model, m, d)
+        if route == "restricted":
+            return near_primitive_kernel_restricted(model, m, d)
+        return npd(model, d, m)
+
+    models = [hopf_model("u", 12), hopf_model("so", 20)]
+    nearprim._degree.cache_clear()
+    nearprim._delta_bar_slice.cache_clear()
+    fresh = {}
+    for model in models:
+        for m in range(model.step, model.max_degree + 1, model.step):
+            for d in range(1, m + 1):
+                routes = ["kernel", "span", "npd"]
+                if restricted_pairing(model.kind, d) is not None:
+                    routes.append("restricted")
+                for route in routes:
+                    fresh[model, route, m, d] = ask(model, route, m, d)
+    keys = list(fresh)
+    rng = random.Random(13)
+    for key in rng.sample(keys, len(keys)) + rng.choices(keys, k=200):
+        assert ask(*key) == fresh[key], key
+
+
 def test_sweep_pinpoints_an_injected_fault(monkeypatch):
     """Corrupting one structure constant of the degree-8 coproduct slice must
     surface as failures at degree 8 and nowhere else."""
@@ -368,7 +400,7 @@ def test_restricted_rows_equal_the_entry_by_entry_assembly(kind, bound):
             if rank is None:
                 continue
             reference = restricted_rows_by_entries(model, columns, d, rank)
-            rows = nearprim._graded_slice(model, m).restricted_rows(d, rank)
+            rows = nearprim._degree(kind, bound, m).restricted_rows(d, rank)
             assert len(set(rows)) == len(rows)
             assert set(rows) == {tuple(row) for row in reference.values() if any(row)}
             assert near_primitive_kernel_restricted(model, m, d) == kernel_basis(
@@ -394,7 +426,7 @@ def test_restricted_rows_scale_and_add_up_under_a_merging_map(monkeypatch):
             reference = restricted_rows_by_entries(
                 model, columns, d, d, image=lambda eb: merging(kind, bound, d, eb)
             )
-            rows = nearprim._graded_slice(model, m).restricted_rows(d, d)
+            rows = nearprim._degree(kind, bound, m).restricted_rows(d, d)
             assert {row for row in rows if any(row)} == {
                 tuple(row) for row in reference.values() if any(row)
             }
@@ -430,12 +462,12 @@ def test_restricted_route_ignores_a_wrong_candidate(monkeypatch, how):
         for m in (4, 8, 12)
         for d in range(2, m + 1)
     }
-    original = nearprim._GradedSlice.kernel
+    original = nearprim._Degree.kernel
 
     def wrong_kernel(self, d):
         return _wrong_candidate(original(self, d), how)
 
-    monkeypatch.setattr(nearprim._GradedSlice, "kernel", wrong_kernel)
+    monkeypatch.setattr(nearprim._Degree, "kernel", wrong_kernel)
     for (m, d), expected in truth.items():
         assert near_primitive_kernel_restricted(ms, m, d) == expected
     report = verify_equivalence(ms, 12)
@@ -472,12 +504,11 @@ def _wrong_closed_form(model, m, how):
       the set above that the new block annihilates; only the nesting test
       can tell.
     """
-    graded = nearprim._graded_slice(model, m)
-    primitive = lambda e: nearprim._primitive_monomial(model.kind, model.max_degree, e)
+    state = nearprim._degree(model.kind, model.max_degree, m)
     above = None
-    for k in graded.degrees:
+    for k, block in state.blocks().items():
         true = near_primitive_monomials(model, m, k)
-        rows = [row for pairs in graded.blocks[k].values() for _, row in pairs]
+        rows = [row for pairs in block.values() for _, row in pairs]
         if how == "subspace" and len(true) >= 2:
             return k, true[1:]
         if how == "superspace" and above is not None:
@@ -486,7 +517,7 @@ def _wrong_closed_form(model, m, how):
                 return k, true + extra[:1]
         if how == "not nested" and above is not None:
             for e in enumerate_monomials(model.primitives, m):
-                v = primitive(e)
+                v = state.coordinates(e)
                 if e not in above and not any(
                     sum(a * b for a, b in zip(row, v)) for row in rows
                 ):
@@ -504,21 +535,19 @@ def test_a_wrong_closed_form_fails_with_the_exact_kernels_witness(monkeypatch, h
     model = hopf_model("so", 16)
     m = 16
     k, wrong = _wrong_closed_form(model, m, how)
-    wrong_span = Subspace.from_vectors(
-        len(nearprim._generator_basis("so", 16, m)),
-        [nearprim._primitive_monomial("so", 16, e) for e in wrong],
-    )
+    state = nearprim._degree("so", 16, m)
+    wrong_span = Subspace.from_vectors(len(state.basis), [state.coordinates(e) for e in wrong])
     exact = {d: _one_shot_kernel(model, m, d) for d in range(1, m + 1)}
     assert exact[k] != wrong_span
     witness = nearprim._difference_witness(model, m, exact[k], wrong_span)
 
-    original = nearprim.near_primitive_monomials
+    original = nearprim._Degree.monomials
 
-    def patched(model_, m_, d_):
-        return list(wrong) if (m_, d_) == (m, k) else original(model_, m_, d_)
+    def patched(self, d_):
+        return tuple(wrong) if (self.m, d_) == (m, k) else original(self, d_)
 
-    monkeypatch.setattr(nearprim, "near_primitive_monomials", patched)
-    monkeypatch.setattr(nearprim, "_current_slice", None)
+    monkeypatch.setattr(nearprim._Degree, "monomials", patched)
+    nearprim._degree.cache_clear()
     report = verify_equivalence(model, 16)
     assert [(f.degree, f.order, f.check, f.detail) for f in report.failures] == [
         (m, k, "monomial-basis", witness)
@@ -544,7 +573,7 @@ def test_a_rank_lost_mod_p_falls_back_and_keeps_every_subspace(monkeypatch, kind
     falls back to elimination, and every kernel and restricted subspace
     stays as it was."""
     model = hopf_model(kind, bound)
-    monkeypatch.setattr(nearprim, "_current_slice", None)
+    nearprim._degree.cache_clear()
     clean = _all_subspaces(model, bound)
 
     p = 7
@@ -559,13 +588,20 @@ def test_a_rank_lost_mod_p_falls_back_and_keeps_every_subspace(monkeypatch, kind
         return basis, tuple(tuple((pair, p * c) for pair, c in col) for col in columns)
 
     monkeypatch.setattr(nearprim, "_delta_bar_slice", scaled)
+    passes = []  # the degree of each kernel pass, the latest last
     fallen = []
+    prefix_kernels = nearprim._Degree._prefix_kernels
     stacked = nearprim.stacked_kernels
 
+    def tracking(self, blocks):
+        passes.append(self.m)
+        return prefix_kernels(self, blocks)
+
     def recording(blocks, ncols):
-        fallen.append(nearprim._current_slice.key[2])
+        fallen.append(passes[-1])
         return stacked(blocks, ncols)
 
+    monkeypatch.setattr(nearprim._Degree, "_prefix_kernels", tracking)
     monkeypatch.setattr(nearprim, "stacked_kernels", recording)
     assert verify_equivalence(model, bound).all_passed
     assert fallen == [m]
@@ -581,5 +617,5 @@ def test_the_certificate_serves_every_degree_without_elimination(monkeypatch, ki
         raise AssertionError("the kernel route fell back to elimination")
 
     monkeypatch.setattr(nearprim, "stacked_kernels", refuse)
-    monkeypatch.setattr(nearprim, "_current_slice", None)
+    nearprim._degree.cache_clear()
     assert verify_equivalence(hopf_model(kind, bound), bound).all_passed
