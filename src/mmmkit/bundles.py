@@ -105,9 +105,6 @@ class CohomologyRing:
             result = self.mul(result, a)
         return result
 
-    def component(self, poly, degree):
-        return self.reduce(poly).degree_slice(degree)
-
     def basis(self, degree):
         """Normal-form monomials of the given degree."""
         monos = enumerate_monomials(self.alphabet, degree)

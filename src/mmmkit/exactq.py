@@ -20,13 +20,12 @@ Kernels stay in the integers throughout.  Each kernel vector is built from
 the primitive RREF rows with integer entries, scaled by the lcm of the pivot
 entries it would divide by, and the vectors go straight into a second
 integer elimination that yields the canonical rows.
-`stacked_kernels` serves a growing stack of row blocks, as in a sweep where
-each step adds constraints: every block is reduced against the integer RREF
-rows kept from the blocks before it, so no prefix is eliminated twice.
 
-A known kernel can be certified instead of computed.  `KernelCertificate`
-takes a growing stack of row blocks, each with a candidate K that the caller
-vouches the earlier blocks annihilate, and accepts K only when (i) every new
+`stacked_kernels` serves a growing stack of row blocks, as in a sweep where
+each step adds constraints, and is the one place that decides between
+certifying and eliminating.  Given a candidate K per block, each vouched by
+the caller to be annihilated by the blocks before its own, it runs one
+`KernelCertificate` over the stack, which accepts K only when (i) every new
 row annihilates the integer rows of K, checked exactly, so K lies in the
 kernel of the stack and its rank is at most ncols - dim K, and (ii) some
 subset of the rows so far has rank at least ncols - dim K.  Then the kernel
@@ -36,12 +35,13 @@ p = 2^31 - 1 in one sparse echelon, `RankModP`, kept across the blocks.  A
 row whose last nonzero column is new joins it without reduction, so each
 block feeds those rows first and then the sparsest others, and stops once
 the rank is reached.  For an integer matrix the rank mod p is at most the
-rank over Q, so a rank reached mod p is reached over Q.  The near-primitive
-kernel route certifies a whole degree this way, one block per order;
-`kernel_basis` with a candidate certifies a single block, and when that
-fails the one core eliminates the rows exactly and returns the candidate
-only if it is the kernel.  A candidate that fails costs the full
-elimination, never a wrong answer.
+rank over Q, so a rank reached mod p is reached over Q.  When any block
+fails, or no candidates are given, every block is eliminated once, against
+the integer RREF rows kept from the blocks before it, so no prefix is
+eliminated twice, and a candidate is returned only where it equals the
+exact kernel.  A candidate that fails costs the full elimination, never a
+wrong answer.  The near-primitive kernel route certifies a whole degree
+this way, one block per order; `kernel_basis` is the one-block call.
 """
 
 from __future__ import annotations
@@ -66,11 +66,15 @@ _is_int = int.__instancecheck__
 
 
 def _int_rows(entries):
-    """Scale each row by the lcm of its denominators; row scaling preserves RREF."""
+    """Scale each row by the lcm of its denominators; row scaling preserves RREF.
+
+    Integer rows are kept as they are, not copied: nothing downstream
+    writes to them, and `_core.rref_int` copies what it reduces.
+    """
     out = []
     for row in entries:
         if all(map(_is_int, row)):  # type check at C speed, no generator
-            out.append(list(row))
+            out.append(row)
             continue
         row = [Fraction(e) for e in row]
         scale = lcm(*(e.denominator for e in row)) if row else 1
@@ -199,11 +203,7 @@ def kernel_basis(rows, ncols, candidate=None):
         raise DimensionMismatch(
             f"candidate lives in Q^{candidate.ambient_dim}, the rows in Q^{ncols}"
         )
-    rows = _int_rows(rows)
-    if KernelCertificate(ncols).extend(rows, candidate):
-        return candidate
-    kernel = stacked_kernels([rows], ncols)[0]
-    return candidate if kernel == candidate else kernel
+    return stacked_kernels([rows], ncols, [candidate])[0]
 
 
 def _supports(rows, ncols):
@@ -365,18 +365,27 @@ def _kernel_of_rref(reduced, pivots, ncols):
     return Subspace.from_vectors(ncols, _kernel_vectors(reduced, pivots, ncols))
 
 
-def stacked_kernels(blocks, ncols):
+def stacked_kernels(blocks, ncols, candidates=None):
     """Kernels of a growing row stack: entry i is the null space of the rows
     of ``blocks[0]`` through ``blocks[i]`` together.
 
-    Each block is eliminated once, against the integer RREF rows of the
-    blocks before it, instead of re-eliminating every prefix from scratch.
-    A block that adds no rank shares the kernel of the prefix before it.
+    ``candidates`` optionally holds one Subspace per block believed to be
+    its kernel; the caller vouches that the blocks before each candidate's
+    own annihilate it.  When one `KernelCertificate` over the stack passes
+    every block, the candidates are the kernels and are returned as they
+    are.  Otherwise each block is eliminated once, against the integer RREF
+    rows of the blocks before it, instead of re-eliminating every prefix
+    from scratch; a block that adds no rank shares the kernel of the prefix
+    before it, and a candidate equal to its kernel is returned in its place.
     """
+    blocks = [_int_rows(block) for block in blocks]
+    if candidates is not None:
+        certificate = KernelCertificate(ncols)
+        if all(map(certificate.extend, blocks, candidates)):
+            return list(candidates)
     reduced, pivots, kernel = [], [], None
     kernels = []
-    for block in blocks:
-        rows = _int_rows(block)
+    for rows in blocks:
         if rows:
             reduced, grown = _core.rref_int(reduced + rows, ncols)
             if len(grown) != len(pivots):
@@ -385,7 +394,9 @@ def stacked_kernels(blocks, ncols):
         if kernel is None:  # no row constrains anything yet
             kernel = Subspace.full(ncols)
         kernels.append(kernel)
-    return kernels
+    if candidates is None:
+        return kernels
+    return [c if c == k else k for c, k in zip(candidates, kernels)]
 
 
 def subspace_equal(a, b):

@@ -222,28 +222,21 @@ class Polynomial:
         self._check(other)
         odd = self.alphabet.odd_indices
         out = {}
-        if not odd:
-            for ea, ca in self.terms.items():
-                for eb, cb in other.terms.items():
-                    key = tuple(x + y for x, y in zip(ea, eb))
-                    s = out.get(key, 0) + ca * cb
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-        else:
-            for ea, ca in self.terms.items():
-                for eb, cb in other.terms.items():
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                c = ca * cb
+                if odd:
                     sign = _koszul(odd, ea, eb)
                     if sign is None:
                         continue
-                    key = tuple(x + y for x, y in zip(ea, eb))
-                    c = ca * cb if sign == 0 else -ca * cb
-                    s = out.get(key, 0) + c
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
+                    if sign:
+                        c = -c
+                key = tuple(x + y for x, y in zip(ea, eb))
+                s = out.get(key, 0) + c
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
         return Polynomial(self.alphabet, out)
 
     def __rmul__(self, other):
@@ -383,10 +376,11 @@ def poincare_series(alphabet, max_degree):
 
 
 def degree_slice_vector(poly, degree, basis=None):
-    """Coordinates of a homogeneous polynomial over a degree slice's basis."""
-    d = poly.homogeneous_degree()
-    if d is not None and d != degree:
-        raise InhomogeneousError(f"polynomial has degree {d}, expected {degree}")
+    """Coordinates of a polynomial over a degree slice's basis.
+
+    Raises `DimensionMismatch` for any monomial outside ``basis``, so a
+    polynomial with a term off the degree is refused.
+    """
     if basis is None:
         basis = enumerate_monomials(poly.alphabet, degree)
     index = {e: i for i, e in enumerate(basis)}
@@ -493,9 +487,6 @@ class TensorElement:
         if isinstance(other, (int, Fraction)):
             return self * other
         return NotImplemented
-
-    def __pow__(self, n):
-        return TensorElement._of(self.alphabet, self.poly**n)
 
     def __repr__(self):
         parts = []

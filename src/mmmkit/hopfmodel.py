@@ -155,34 +155,19 @@ class HopfModel:
         return result
 
     def coproduct(self, x):
-        """Whitney coproduct on generator polynomials; primitive rule on Q's."""
+        """The Whitney coproduct of a generator polynomial: each monomial's
+        image is the product of delta(g_i)^e over its factors."""
         alph = x.alphabet
-        if alph == self.generators:
-            out = TensorElement.zero(alph)
-            for exp, coeff in x.terms.items():
-                t = TensorElement.one(alph)
-                for i, e in enumerate(exp):
-                    if e:
-                        t = t * self._gen_coproduct_power(i + 1, e)
-                out = out + t * coeff
-            return out
-        if alph == self.primitives:
-            unit = alph.unit()
-            out = TensorElement.zero(alph)
-            for exp, coeff in x.terms.items():
-                t = TensorElement.one(alph)
-                for i, e in enumerate(exp):
-                    if not e:
-                        continue
-                    g = [0] * len(alph.names)
-                    g[i] = 1
-                    prim = TensorElement(
-                        alph, {(tuple(g), unit): 1, (unit, tuple(g)): 1}
-                    )
-                    t = t * prim**e
-                out = out + t * coeff
-            return out
-        raise AlphabetMismatch("polynomial is not over this model's alphabets")
+        if alph != self.generators:
+            raise AlphabetMismatch("expected a polynomial over the generator alphabet")
+        out = TensorElement.zero(alph)
+        for exp, coeff in x.terms.items():
+            t = TensorElement.one(alph)
+            for i, e in enumerate(exp):
+                if e:
+                    t = t * self._gen_coproduct_power(i + 1, e)
+            out = out + t * coeff
+        return out
 
     def reduced_coproduct(self, x):
         """delta(x) - x(x)1 - 1(x)x for homogeneous x; zero in degree 0."""
@@ -232,7 +217,7 @@ class RestrictedModel:
             entries = [(f"p{i}", 4 * i) for i in range(1, d // 2)]
             entries.append(("e", d))
             self.euler_index = len(entries) - 1
-        self.alphabet = GeneratorAlphabet(entries) if entries else GeneratorAlphabet([])
+        self.alphabet = GeneratorAlphabet(entries)
 
     def __repr__(self):
         group = "U" if self.kind == "u" else "SO"

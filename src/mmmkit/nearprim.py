@@ -24,19 +24,19 @@ block B_k per degree k = |eb| of the right-hand factor, over every k >= d:
 
     kernel(d) = kernel(d+1) meet ker B_d,    kernel(m) = the whole slice.
 
-The kernel route passes over each degree m once, from the highest block
-down, and certifies each prefix kernel as the closed-form span S_k of order
-k instead of eliminating it (`exactq.KernelCertificate`).  As k falls, the
-window m - k < |Q_i| < k shrinks, so the closed-form monomial sets are
-nested; the pass checks with a subset test that each set lies in the one
-above instead of assuming it, so the blocks above, which annihilate the
-larger span, annihilate S_k too.  Only the new block B_k is then checked
-exactly against S_k, and its rows join one mod-p echelon kept across the
-degree until the rank reaches ncols - dim S_k.  If any check fails, the
-degree's blocks are eliminated exactly instead, each once against the integer
-RREF rows kept from the blocks above it (`exactq.stacked_kernels`).  Either
-way the route returns the kernel of its own rows, so a wrong closed form
-still surfaces as a monomial-basis failure.
+The kernel route offers each prefix kernel's closed-form answer, the span
+S_k of order k, to `exactq.stacked_kernels`, which certifies all of them in
+one downward pass over the degree's blocks instead of eliminating them.  As
+k falls, the window m - k < |Q_i| < k shrinks, so the closed-form monomial
+sets are nested; the route checks with a subset test that each set lies in
+the one above instead of assuming it, so the blocks above, which annihilate
+the larger span, annihilate S_k too.  The pass then checks only the new
+block B_k exactly against S_k, and its rows join one mod-p echelon kept
+across the degree until the rank reaches ncols - dim S_k.  If any check
+fails, the degree's blocks are eliminated exactly instead, each once
+against the integer RREF rows kept from the blocks above it.  Either way
+the route returns the kernel of its own rows, so a wrong closed form still
+surfaces as a monomial-basis failure.
 
 The rows of a degree are built once, as dense integer rows keyed by the
 pair (ea, eb) of tensor factors, and the kernel route's pass and every
@@ -48,11 +48,11 @@ a generator, kills it or sends p_{d/2} to e^2, so it sends distinct
 surviving monomials to distinct monomials with coefficient 1.  Its matrix
 R_d is therefore the rows of every B_k (k >= d) whose right-hand factor
 survives, relabelled, and ker R_d contains the kernel route's answer K.  The
-route hands K to `exactq.kernel_basis` as a candidate, which returns it only
-when the rows certify it (they annihilate K, and a subset of them has rank
-ncols - dim K) and eliminates R_d in full otherwise.  Either way the result
-is exactly ker R_d, so a wrong K cannot hide a fault; most orders need no
-elimination.
+route hands K as a candidate to `exactq.kernel_basis`, the one-block call
+of the same routine, which returns K only when the rows certify it (they
+annihilate K, and a subset of them has rank ncols - dim K) and eliminates
+R_d in full otherwise.  Either way the result is exactly ker R_d, so a
+wrong K cannot hide a fault; most orders need no elimination.
 
 Everything nearprim knows about one degree m of one model lives in one
 object, `_Degree`, kept for the degree asked for last: the generator-monomial
@@ -70,7 +70,6 @@ from operator import add
 
 from .errors import QueryError
 from .exactq import (
-    KernelCertificate,
     Subspace,
     kernel_basis,
     stacked_kernels,
@@ -237,8 +236,11 @@ class _Degree:
     def _prefix_kernels(self, blocks):
         """The kernel of the blocks k' >= k, for each block degree k.
 
-        Certified against the closed form when every block passes, and
-        otherwise eliminated exactly with `exactq.stacked_kernels`.
+        The closed-form spans S_k are offered to `exactq.stacked_kernels` as
+        candidates, which certifies them in one downward pass or eliminates
+        the blocks exactly.  They are offered only when each S_k's monomials
+        lie among those of the span above, so that the blocks above, which
+        annihilate the larger span, annihilate S_k too.
         """
         # A repeated row leaves the kernel as it is, and a row met in a block
         # above already annihilates every span certified below it.
@@ -252,31 +254,12 @@ class _Degree:
                         seen.add(row)
                         fresh.append(row)
             fresh_blocks.append(fresh)
-        spans = self._certified_spans(blocks, fresh_blocks)
-        return spans if spans is not None else stacked_kernels(fresh_blocks, len(self.basis))
-
-    def _certified_spans(self, blocks, fresh_blocks):
-        """The closed-form span S_k of order k for each block degree k, if
-        the rows certify every one of them as the kernel of blocks k' >= k.
-
-        One downward pass: S_k's monomials must lie among those of the span
-        above, so the blocks above annihilate S_k too; the new block B_k
-        must annihilate S_k and bring the rank of the rows so far to
-        ncols - dim S_k.  Returns None at the first check that fails.
-        """
-        certificate = KernelCertificate(len(self.basis))
-        above = None  # the monomials of the span above
-        spans = []
-        for k, rows in zip(blocks, fresh_blocks):
-            monos = self.monomials(k)
-            if above is not None and not above.issuperset(monos):
-                return None
-            span = self.span(k)
-            if not certificate.extend(rows, span):
-                return None
-            above = set(monos)
-            spans.append(span)
-        return spans
+        monomials = [self.monomials(k) for k in blocks]
+        nested = all(
+            set(above).issuperset(below) for above, below in zip(monomials, monomials[1:])
+        )
+        spans = [self.span(k) for k in blocks] if nested else None
+        return stacked_kernels(fresh_blocks, len(self.basis), spans)
 
     def restricted_rows(self, d, rank):
         """The distinct rows of the order-d matrix restricted to rank ``rank``.

@@ -83,17 +83,17 @@ def test_mmm_space_goldens(capsys):
     assert code == 0 and "dim 1: e6" in out
 
 
-def test_mmm_queries_of_the_benchmark_match_its_goldens(monkeypatch, capsys):
-    """Every `mmm` query the benchmark can draw, run in-process, gives the
-    exit code and result digest recorded in perfbench/goldens.json."""
+def test_every_query_of_the_benchmark_matches_its_goldens(monkeypatch, capsys):
+    """Every query the benchmark can draw, run in-process, gives the exit
+    code and result digest recorded in perfbench/goldens.json."""
     bench = Path(__file__).resolve().parents[1] / "perfbench"
     spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
     spec.loader.exec_module(workloads)
     goldens = json.loads((bench / "goldens.json").read_text())
-    queries = [q for q in workloads.all_queries() if q.argv[0] == "mmm"]
-    assert len(queries) == 178
+    queries = workloads.all_queries()
+    assert len(queries) == 800
     wrong = []
     for query in queries:
         try:

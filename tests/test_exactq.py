@@ -170,9 +170,29 @@ def row_blocks(draw):
     return ncols, blocks
 
 
+def _wrong_candidates(ncols, truth, before):
+    """Subspaces of ``before`` other than ``truth``, the kernel of a block
+    stacked under rows whose kernel is ``before``: zero, ``before`` itself
+    and ``truth`` with a vector dropped, added from ``before``, or both."""
+    outside = [v for v in before.basis if not truth.contains(v)]
+    candidates = [before, Subspace.zero(ncols)]
+    if truth.dim:
+        candidates.append(Subspace.from_vectors(ncols, truth.basis[1:]))
+    if outside:
+        candidates.append(Subspace.from_vectors(ncols, list(truth.basis) + outside[:1]))
+        if truth.dim:
+            candidates.append(
+                Subspace.from_vectors(ncols, list(truth.basis[1:]) + outside[:1])
+            )
+    return [c for c in candidates if c != truth]
+
+
 @settings(deadline=None)
 @given(row_blocks())
 def test_stacked_kernels_equal_the_kernel_of_every_prefix(case):
+    """Without candidates, with the true kernels as candidates, and with one
+    wrong candidate drawn inside the kernel before it, the result is the
+    kernel of every prefix; true candidates come back as they are."""
     ncols, blocks = case
     kernels = stacked_kernels(blocks, ncols)
     assert len(kernels) == len(blocks)
@@ -183,6 +203,14 @@ def test_stacked_kernels_equal_the_kernel_of_every_prefix(case):
         assert kernel.dim == ncols - rank
         for v in kernel.basis:
             assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in stacked)
+    true = [Subspace(k.ambient_dim, k.rows, k.pivots) for k in kernels]
+    returned = stacked_kernels(blocks, ncols, true)
+    assert all(a is b for a, b in zip(returned, true)) and len(returned) == len(true)
+    for i, truth in enumerate(kernels):
+        before = kernels[i - 1] if i else Subspace.full(ncols)
+        for wrong in _wrong_candidates(ncols, truth, before):
+            candidates = kernels[:i] + [wrong] + kernels[i + 1 :]
+            assert stacked_kernels(blocks, ncols, candidates) == kernels
 
 
 @settings(deadline=None)
@@ -198,21 +226,11 @@ def test_kernel_certificate_accepts_exactly_the_kernel_of_every_prefix(case):
     for i, block in enumerate(blocks):
         truth = kernels[i]
         before = kernels[i - 1] if i else Subspace.full(ncols)
-        outside = [v for v in before.basis if not truth.contains(v)]
-        candidates = [truth, before, Subspace.zero(ncols)]
-        if truth.dim:
-            candidates.append(Subspace.from_vectors(ncols, truth.basis[1:]))
-        if outside:
-            candidates.append(Subspace.from_vectors(ncols, list(truth.basis) + outside[:1]))
-            if truth.dim:
-                candidates.append(
-                    Subspace.from_vectors(ncols, list(truth.basis[1:]) + outside[:1])
-                )
-        for candidate in candidates:
+        for candidate in [truth] + _wrong_candidates(ncols, truth, before):
             certificate = exactq.KernelCertificate(ncols)
             for earlier, kernel in zip(blocks[:i], kernels):
                 assert certificate.extend(earlier, kernel)
-            assert certificate.extend(block, candidate) == (candidate == truth)
+            assert certificate.extend(block, candidate) == (candidate is truth)
 
 
 @st.composite

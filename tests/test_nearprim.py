@@ -207,18 +207,21 @@ def test_dimension_counting_formula():
 
 def test_reduced_coproduct_binomial_law():
     """On a power-sum monomial the reduced coproduct is the binomial sum over
-    proper complementary exponent splits."""
+    proper complementary exponent splits, read through the generators."""
     rng = random.Random(51)
     for kind in ("u", "so"):
         model = hopf_model(kind, 16)
         nprim = len(model.primitives)
+
+        def power_sums(exp):
+            return model.from_primitive_basis(Polynomial.from_monomial(model.primitives, exp))
+
         for _ in range(8):
             f = [0] * nprim
             for _ in range(3):
                 f[rng.randrange(min(3, nprim))] += rng.randint(0, 1)
             f = tuple(f)
-            x = Polynomial.from_monomial(model.primitives, f)
-            expected = {}
+            expected = TensorElement.zero(model.generators)
             for split in product(*(range(e + 1) for e in f)):
                 if not any(split) or split == f:
                     continue
@@ -226,8 +229,9 @@ def test_reduced_coproduct_binomial_law():
                 coeff = 1
                 for a, b in zip(f, split):
                     coeff *= comb(a, b)
-                expected[(split, rest)] = Fraction(coeff)
-            assert model.reduced_coproduct(x) == TensorElement(model.primitives, expected)
+                pair = TensorElement.tensor(power_sums(split), power_sums(rest))
+                expected = expected + pair * coeff
+            assert model.reduced_coproduct(power_sums(f)) == expected
 
 
 def test_sweep_clean_and_counts():
@@ -566,6 +570,36 @@ def _all_subspaces(model, bound):
     return out
 
 
+def _record_kernel_pass_eliminations(monkeypatch):
+    """Record the degree of each kernel pass that eliminates exactly.
+
+    Returns a list that gains ``[m, eliminated]`` per kernel pass, the latest
+    last; ``eliminated`` turns True when `exactq.stacked_kernels` builds a
+    kernel from an exact elimination inside that pass.
+    """
+    passes = []
+    inside = []
+    prefix_kernels = nearprim._Degree._prefix_kernels
+    kernel_of_rref = exactq._kernel_of_rref
+
+    def tracking(self, blocks):
+        passes.append([self.m, False])
+        inside.append(True)
+        try:
+            return prefix_kernels(self, blocks)
+        finally:
+            inside.pop()
+
+    def recording(reduced, pivots, ncols):
+        if inside:
+            passes[-1][1] = True
+        return kernel_of_rref(reduced, pivots, ncols)
+
+    monkeypatch.setattr(nearprim._Degree, "_prefix_kernels", tracking)
+    monkeypatch.setattr(exactq, "_kernel_of_rref", recording)
+    return passes
+
+
 @pytest.mark.parametrize("kind, bound, m", [("u", 12, 10), ("so", 20, 16)])
 def test_a_rank_lost_mod_p_falls_back_and_keeps_every_subspace(monkeypatch, kind, bound, m):
     """Scaling every coproduct coefficient of degree m by the prime keeps
@@ -588,34 +622,20 @@ def test_a_rank_lost_mod_p_falls_back_and_keeps_every_subspace(monkeypatch, kind
         return basis, tuple(tuple((pair, p * c) for pair, c in col) for col in columns)
 
     monkeypatch.setattr(nearprim, "_delta_bar_slice", scaled)
-    passes = []  # the degree of each kernel pass, the latest last
-    fallen = []
-    prefix_kernels = nearprim._Degree._prefix_kernels
-    stacked = nearprim.stacked_kernels
-
-    def tracking(self, blocks):
-        passes.append(self.m)
-        return prefix_kernels(self, blocks)
-
-    def recording(blocks, ncols):
-        fallen.append(passes[-1])
-        return stacked(blocks, ncols)
-
-    monkeypatch.setattr(nearprim._Degree, "_prefix_kernels", tracking)
-    monkeypatch.setattr(nearprim, "stacked_kernels", recording)
+    passes = _record_kernel_pass_eliminations(monkeypatch)
     assert verify_equivalence(model, bound).all_passed
-    assert fallen == [m]
+    assert [m_ for m_, eliminated in passes if eliminated] == [m]
     assert _all_subspaces(model, bound) == clean
 
 
-@pytest.mark.parametrize("kind, bound", [("u", 14), ("u", 16), ("so", 24), ("so", 28)])
+@pytest.mark.parametrize(
+    "kind, bound", [("u", 14), ("u", 16), ("u", 28), ("so", 24), ("so", 28), ("so", 48)]
+)
 def test_the_certificate_serves_every_degree_without_elimination(monkeypatch, kind, bound):
     """On the true closed form no degree of the kernel route falls back to
     elimination."""
-
-    def refuse(blocks, ncols):
-        raise AssertionError("the kernel route fell back to elimination")
-
-    monkeypatch.setattr(nearprim, "stacked_kernels", refuse)
+    passes = _record_kernel_pass_eliminations(monkeypatch)
     nearprim._degree.cache_clear()
     assert verify_equivalence(hopf_model(kind, bound), bound).all_passed
+    assert [m for m, eliminated in passes if eliminated] == []
+    assert len(passes) == bound // hopf_model(kind, bound).step
