@@ -6,6 +6,15 @@ rings are finite-dimensional quotients stored as rewrite systems (h^{n+1}
 drops to zero, xi^r rewrites through the Grothendieck relation), so every
 computation reduces to exact sparse polynomial arithmetic.
 
+A larger ring lists a smaller ring's generators as one consecutive run of
+its own: a product ring puts the second factor's after the first's, and
+P(V) appends xi after the base's.  So every map between them (a factor
+inclusion, the pullback pi*, carrying rewrite rules and tangent data
+over) only pads exponent tuples with zeros, which ``_embed`` does.  Every
+ring has exactly one normal-form monomial of top degree, its
+``top_monomial``; the fundamental class pairs it with 1, so evaluating a
+class reads that monomial's coefficient.
+
 Conventions, pinned once and validated by the normalization checks:
 
 * Grothendieck relation xi^r + pi*c_1 xi^{r-1} + ... + pi*c_r = 0.
@@ -32,7 +41,6 @@ from .gradedalg import (
 from .hopfmodel import hopf_model
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class CohomologyRing:
@@ -42,13 +50,16 @@ class CohomologyRing:
     monomial with that exponent at or above the cap rewrites by
     substituting ``replacement`` (None meaning zero) for the cap-th
     power.  Normal-form monomials keep every exponent below its cap.
+    ``top_monomial`` is the one normal-form monomial of top degree, which
+    the fundamental class pairs with 1; ``tangent_chern`` is the total
+    Chern class of the tangent bundle.
     """
 
-    def __init__(self, alphabet, rules, top_degree, fundamental, tangent_chern=None, label=""):
+    def __init__(self, alphabet, rules, top_monomial, tangent_chern, label=""):
         self.alphabet = alphabet
         self.rules = dict(rules)
-        self.top_degree = top_degree
-        self.fundamental = dict(fundamental)
+        self.top_monomial = tuple(top_monomial)
+        self.top_degree = alphabet.degree(self.top_monomial)
         self.label = label
         for gi, (cap, repl) in self.rules.items():
             if repl is not None and repl.homogeneous_degree() not in (
@@ -58,7 +69,7 @@ class CohomologyRing:
                 raise InhomogeneousError(
                     f"rewrite for {alphabet.names[gi]} does not preserve degree"
                 )
-        self.tangent_chern = self.reduce(tangent_chern) if tangent_chern is not None else None
+        self.tangent_chern = self.reduce(tangent_chern)
 
     def __repr__(self):
         return f"CohomologyRing({self.label or ','.join(self.alphabet.names)})"
@@ -68,9 +79,6 @@ class CohomologyRing:
 
     def one(self):
         return Polynomial.one(self.alphabet)
-
-    def generator(self, name):
-        return Polynomial.generator(self.alphabet, name)
 
     def reduce(self, poly):
         """Rewrite to normal form; terminates since xi-exponents strictly drop."""
@@ -100,10 +108,7 @@ class CohomologyRing:
         return self.reduce(a * b)
 
     def pow(self, a, k):
-        result = self.one()
-        for _ in range(k):
-            result = self.mul(result, a)
-        return result
+        return _product(self, (a,), (k,))
 
     def basis(self, degree):
         """Normal-form monomials of the given degree."""
@@ -115,22 +120,12 @@ class CohomologyRing:
         return out
 
     def evaluate(self, poly):
-        """Pair the top-degree component with the fundamental class."""
-        total = _ZERO
-        for exp, coeff in self.reduce(poly).terms.items():
-            if self.alphabet.degree(exp) == self.top_degree:
-                total += coeff * self.fundamental.get(exp, _ZERO)
-        return Fraction(total)
-
-    def total_chern(self):
-        """Total Chern class of the tangent bundle."""
-        if self.tangent_chern is None:
-            raise QueryError(f"{self!r} carries no tangent data")
-        return self.tangent_chern
+        """Pair with the fundamental class: the top monomial's coefficient."""
+        return Fraction(self.reduce(poly).terms.get(self.top_monomial, _ZERO))
 
     def chern_class(self, k):
         """k-th Chern class of the tangent bundle."""
-        return self.total_chern().degree_slice(2 * k)
+        return self.tangent_chern.degree_slice(2 * k)
 
 
 def pontrjagin_classes(ring, chern, kmax):
@@ -153,28 +148,38 @@ def pontrjagin_classes(ring, chern, kmax):
     return out
 
 
+def _embed(poly, alphabet, offset):
+    """``poly`` in a ring whose generators from ``offset`` on are its own.
+
+    They come in the same order there, so the map only pads each exponent
+    tuple with zeros.
+    """
+    before = (0,) * offset
+    after = (0,) * (len(alphabet) - offset - len(poly.alphabet))
+    return Polynomial(
+        alphabet, {before + exp + after: c for exp, c in poly.terms.items()}
+    )
+
+
 def point_ring():
     alphabet = GeneratorAlphabet([])
     one = Polynomial.one(alphabet)
-    return CohomologyRing(alphabet, {}, 0, {(): _ONE}, tangent_chern=one, label="pt")
+    return CohomologyRing(alphabet, {}, (), tangent_chern=one, label="pt")
 
 
-def projective_space(n, name="h"):
+def projective_space(n):
     """The ring of CP^n: one degree-2 generator, h^{n+1} = 0."""
     if n < 1:
         raise QueryError("projective spaces here have complex dimension >= 1")
-    alphabet = GeneratorAlphabet([(name, 2)])
-    h = Polynomial.generator(alphabet, name)
-    tangent = (Polynomial.one(alphabet) + h) ** (n + 1)
-    ring = CohomologyRing(
+    alphabet = GeneratorAlphabet([("h", 2)])
+    h = Polynomial.generator(alphabet, "h")
+    return CohomologyRing(
         alphabet,
         {0: (n + 1, None)},
-        2 * n,
-        {(n,): _ONE},
+        (n,),
+        tangent_chern=(Polynomial.one(alphabet) + h) ** (n + 1),
         label=f"cp{n}",
     )
-    ring.tangent_chern = ring.reduce(tangent)
-    return ring
 
 
 def product_ring(a, b):
@@ -182,42 +187,29 @@ def product_ring(a, b):
     entries = [(f"{n}1", d) for n, d in zip(a.alphabet.names, a.alphabet.degrees)]
     entries += [(f"{n}2", d) for n, d in zip(b.alphabet.names, b.alphabet.degrees)]
     alphabet = GeneratorAlphabet(entries)
-    na = len(a.alphabet)
-
-    def embed(poly, offset, source_len):
-        images = [None] * source_len
-        for i in range(source_len):
-            images[i] = Polynomial.generator(alphabet, alphabet.names[offset + i])
-        return poly.substitute(alphabet, images)
-
-    rules = {}
-    for gi, (cap, repl) in a.rules.items():
-        rules[gi] = (cap, None if repl is None else embed(repl, 0, len(a.alphabet)))
-    for gi, (cap, repl) in b.rules.items():
-        rules[na + gi] = (cap, None if repl is None else embed(repl, na, len(b.alphabet)))
-    fundamental = {}
-    for ea, va in a.fundamental.items():
-        for eb, vb in b.fundamental.items():
-            fundamental[tuple(ea) + tuple(eb)] = va * vb
-    tangent = None
-    if a.tangent_chern is not None and b.tangent_chern is not None:
-        tangent = embed(a.tangent_chern, 0, len(a.alphabet)) * embed(
-            b.tangent_chern, na, len(b.alphabet)
-        )
+    factors = ((a, 0), (b, len(a.alphabet)))
+    rules = {
+        offset + gi: (cap, None if repl is None else _embed(repl, alphabet, offset))
+        for ring, offset in factors
+        for gi, (cap, repl) in ring.rules.items()
+    }
+    tangent = _embed(a.tangent_chern, alphabet, 0) * _embed(
+        b.tangent_chern, alphabet, len(a.alphabet)
+    )
     label = f"{a.label}x{b.label}" if a.label and b.label else ""
     return CohomologyRing(
-        alphabet, rules, a.top_degree + b.top_degree, fundamental, tangent, label
+        alphabet, rules, a.top_monomial + b.top_monomial, tangent, label
     )
 
 
 class BundleModel:
     """A projectivized bundle pi: E = P(V) -> B with exact fibre integration."""
 
-    def __init__(self, base, total, rank, xi_index, vertical_chern, label=""):
+    def __init__(self, base, total, rank, vertical_chern, label=""):
         self.base = base
         self.total = total
         self.rank = rank
-        self.xi_index = xi_index
+        self.xi_index = len(base.alphabet)  # xi follows the base generators
         self.vertical_chern = vertical_chern
         self.label = label
 
@@ -226,11 +218,7 @@ class BundleModel:
 
     def pullback(self, x):
         """pi*: base classes viewed in the total ring."""
-        images = [
-            Polynomial.generator(self.total.alphabet, self.total.alphabet.names[i])
-            for i in range(len(self.base.alphabet))
-        ]
-        return self.total.reduce(x.substitute(self.total.alphabet, images))
+        return self.total.reduce(_embed(x, self.total.alphabet, 0))
 
     def fibre_integrate(self, x):
         """pi_!: the xi^{rank-1} coefficient, as a base class."""
@@ -249,22 +237,18 @@ class BundleModel:
         return self.vertical_chern.degree_slice(2 * (self.rank - 1))
 
     def fibre_euler_number(self):
-        """chi of the fibre: c_top(Tv) restricted to a fibre, integrated."""
-        images = [None] * len(self.total.alphabet)
-        images[self.xi_index] = Polynomial.generator(
-            self.total.alphabet, self.total.alphabet.names[self.xi_index]
+        """chi of the fibre: c_top(Tv) restricted to a fibre, integrated.
+
+        Restricting to a fibre keeps the terms with no base exponent; their
+        fibre integral is a multiple of the base's unit.
+        """
+        xi = self.xi_index
+        on_fibre = Polynomial(
+            self.total.alphabet,
+            {e: c for e, c in self.vertical_euler().terms.items() if not any(e[:xi])},
         )
-        restricted = self.vertical_euler().substitute(self.total.alphabet, images)
-        return _constant_value(self.fibre_integrate(restricted))
-
-
-def _constant_value(poly):
-    value = _ZERO
-    for exp, coeff in poly.terms.items():
-        if any(exp):
-            raise QueryError("expected a constant class")
-        value = coeff
-    return Fraction(value)
+        unit = self.base.alphabet.unit()
+        return Fraction(self.fibre_integrate(on_fibre).terms.get(unit, _ZERO))
 
 
 def projectivize(base, chern_of_v, label=""):
@@ -283,39 +267,27 @@ def projectivize(base, chern_of_v, label=""):
             raise InhomogeneousError(f"c_{i} of the twisting bundle must have degree {2 * i}")
     entries = list(zip(base.alphabet.names, base.alphabet.degrees)) + [("xi", 2)]
     alphabet = GeneratorAlphabet(entries)
-    nb = len(base.alphabet)
-    base_images = [
-        Polynomial.generator(alphabet, alphabet.names[i]) for i in range(nb)
-    ]
-
-    def lift(poly):
-        return poly.substitute(alphabet, base_images)
-
+    one = Polynomial.one(alphabet)
     xi = Polynomial.generator(alphabet, "xi")
+    lifted = [_embed(c, alphabet, 0) for c in chern_of_v]
     relation = Polynomial.zero(alphabet)
-    for i, c in enumerate(chern_of_v, start=1):
-        relation = relation - lift(c) * xi ** (r - i)
-    rules = {}
-    for gi, (cap, repl) in base.rules.items():
-        rules[gi] = (cap, None if repl is None else lift(repl))
-    rules[nb] = (r, relation if not relation.is_zero() else None)
-    fundamental = {
-        tuple(e) + (r - 1,): v for e, v in base.fundamental.items()
+    vertical = (one + xi) ** r
+    for i, c in enumerate(lifted, start=1):
+        relation = relation - c * xi ** (r - i)
+        vertical = vertical + c * (one + xi) ** (r - i)
+    rules = {
+        gi: (cap, None if repl is None else _embed(repl, alphabet, 0))
+        for gi, (cap, repl) in base.rules.items()
     }
+    rules[len(base.alphabet)] = (r, relation if not relation.is_zero() else None)
     total = CohomologyRing(
         alphabet,
         rules,
-        base.top_degree + 2 * (r - 1),
-        fundamental,
+        base.top_monomial + (r - 1,),
+        _embed(base.tangent_chern, alphabet, 0) * vertical,
         label=f"P({label})" if label else "",
     )
-    vertical = (Polynomial.one(alphabet) + xi) ** r
-    for i, c in enumerate(chern_of_v, start=1):
-        vertical = vertical + lift(c) * (Polynomial.one(alphabet) + xi) ** (r - i)
-    vertical = total.reduce(vertical)
-    if base.tangent_chern is not None:
-        total.tangent_chern = total.reduce(lift(base.tangent_chern) * vertical)
-    return BundleModel(base, total, r, nb, vertical, label=label or "P(V)")
+    return BundleModel(base, total, r, total.reduce(vertical), label=label or "P(V)")
 
 
 def line_bundle_sum(base, twists):
@@ -354,10 +326,9 @@ def product_bundle(base):
     """
     fibre = projective_space(1)
     total = product_ring(base, fibre)
-    xi_index = len(base.alphabet)
-    xi = Polynomial.generator(total.alphabet, total.alphabet.names[xi_index])
+    xi = Polynomial.generator(total.alphabet, total.alphabet.names[-1])
     vertical = total.reduce((Polynomial.one(total.alphabet) + xi) ** 2)
-    return BundleModel(base, total, 2, xi_index, vertical, label=f"{base.label}xcp1")
+    return BundleModel(base, total, 2, vertical, label=f"{base.label}xcp1")
 
 
 def biproj(a, b):
@@ -422,7 +393,7 @@ def total_space_char_numbers(bundle):
     if top % 4 == 0:
         quarter = top // 4
         p_alph = GeneratorAlphabet([(f"p{i}", 4 * i) for i in range(1, quarter + 1)])
-        pontrjagin = pontrjagin_classes(total, total.total_chern(), quarter)
+        pontrjagin = pontrjagin_classes(total, total.tangent_chern, quarter)
         for exp in enumerate_monomials(p_alph, top):
             numbers[_format(p_alph, exp)] = total.evaluate(_product(total, pontrjagin, exp))
     return numbers
@@ -469,7 +440,7 @@ def verify_motivating_identity(bundle, j, flavor="so"):
             raise QueryError(f"degree 4j = {4 * j} exceeds the total space dimension")
         model = hopf_model("so", 4 * j)
         sj = model.power_sum(j)
-        classes_total = pontrjagin_classes(total, total.total_chern(), j)
+        classes_total = pontrjagin_classes(total, total.tangent_chern, j)
         vertical = pontrjagin_classes(total, bundle.vertical_chern, j)
     elif flavor == "u":
         if 2 * j > total.top_degree:

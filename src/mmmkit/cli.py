@@ -319,6 +319,7 @@ def _cmd_lclass(args):
 
 def _bundle_doc(bundle, command_query, with_numbers):
     base_top = bundle.base.top_degree
+    chi = bundle.fibre_euler_number()
     checks = [
         {
             "name": "fibre-integration-normalization",
@@ -347,20 +348,26 @@ def _bundle_doc(bundle, command_query, with_numbers):
         {
             "name": "fibre-euler-number",
             # chi(CP^{r-1}) = r
-            "pass": bundle.fibre_euler_number() == bundle.rank,
-            "detail": f"c_{bundle.rank - 1}(Tv) evaluates to {bundle.rank} on the fibre",
+            "pass": chi == bundle.rank,
+            "detail": f"c_{bundle.rank - 1}(Tv) evaluates to {chi} on the fibre",
         },
     ]
     # X_j has degree 4j (so) or 2j (u).
     for flavor, step in (("so", 4), ("u", 2)):
         for j in range(1, bundle.total.top_degree // step + 1):
             rep = bundles.verify_motivating_identity(bundle, j, flavor)
-            side = rep.total_side
+            detail = (
+                f"both sides {rep.total_side}"
+                if rep.total_side == rep.base_side
+                else f"total side {rep.total_side}, base side {rep.base_side}"
+            )
+            if not rep.class_level_equal:
+                detail += "; the fibre integrals of X(TE) and X(TvE) differ"
             checks.append(
                 {
                     "name": f"motivating-identity-{flavor}-j{j}",
                     "pass": rep.equal,
-                    "detail": f"both sides {_rational_text(side.numerator, side.denominator)}",
+                    "detail": detail,
                 }
             )
     result = {"bundle": bundle.label, "topDegree": bundle.total.top_degree}
@@ -525,7 +532,8 @@ def build_parser():
         "--twist",
         required=True,
         metavar="LIST",
-        help="comma list of line-bundle degrees; on cp1xcp1, consecutive (a,b) pairs",
+        help="comma list of line-bundle degrees; on cp1xcp1, consecutive (a,b) pairs;"
+        " write a list that starts with a minus sign as --twist=-1,2",
     )
     custom.add_argument("--numbers", action="store_true", help="include characteristic numbers")
     _add_common(custom)
@@ -537,13 +545,12 @@ def build_parser():
 def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    for name in ("degree", "max_degree", "bound"):
-        value = getattr(args, name, None)
-        if value is not None and value > MAX_DEGREE_CAP:
-            flag = "--" + name.replace("_", "-")
-            print(f"error: {flag} {value} exceeds the cap {MAX_DEGREE_CAP}", file=sys.stderr)
-            return 2
     try:
+        for name in ("degree", "max_degree", "bound"):
+            value = getattr(args, name, None)
+            if value is not None and value > MAX_DEGREE_CAP:
+                flag = "--" + name.replace("_", "-")
+                raise QueryError(f"{flag} {value} exceeds the cap {MAX_DEGREE_CAP}")
         return args.handler(args)
     except ParseError as exc:
         token = f" (token {exc.token!r})" if getattr(exc, "token", None) else ""

@@ -11,7 +11,7 @@ import pytest
 
 from oracles import RankTwoOracle
 from mmmkit.errors import DimensionMismatch, InhomogeneousError, QueryError
-from mmmkit.gradedalg import Polynomial, parse_poly
+from mmmkit.gradedalg import Polynomial, enumerate_monomials, parse_poly
 from mmmkit.mmm import mmm_algebra
 from mmmkit.bundles import (
     biproj,
@@ -81,7 +81,7 @@ def test_poincare_duality_dimension_symmetry():
             assert len(ring.basis(m)) == len(ring.basis(top - m))
         assert len(ring.basis(top)) == 1
         top_poly = Polynomial.from_monomial(ring.alphabet, ring.basis(top)[0])
-        assert ring.evaluate(top_poly) != 0
+        assert ring.evaluate(top_poly) == 1
 
 
 def all_sample_bundles():
@@ -89,6 +89,93 @@ def all_sample_bundles():
     bundles.append(product_bundle(projective_space(1)))
     bundles.extend(biproj(a, b) for a, b in ((0, 0), (1, 1), (2, 1), (-2, 2)))
     return bundles
+
+
+def substitute_into(poly, target, offset):
+    """``poly`` over ``target`` by generic substitution: source generator i
+    goes to target generator offset + i."""
+    images = [
+        Polynomial.generator(target, target.names[offset + i])
+        for i in range(len(poly.alphabet))
+    ]
+    return poly.substitute(target, images)
+
+
+def random_class(rng, ring):
+    """A random class of every degree up to one past the top, reduced or not."""
+    terms = {}
+    for m in range(0, ring.top_degree + 3, 2):
+        for exp in enumerate_monomials(ring.alphabet, m):
+            terms[exp] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+    return Polynomial(ring.alphabet, terms)
+
+
+def test_pullback_equals_substitution_then_reduction():
+    rng = random.Random(15)
+    for bundle in all_sample_bundles():
+        for _ in range(5):
+            x = random_class(rng, bundle.base)
+            expected = bundle.total.reduce(substitute_into(x, bundle.total.alphabet, 0))
+            assert bundle.pullback(x) == expected, bundle.label
+
+
+def test_product_ring_rules_and_tangent_equal_substitution_then_reduction():
+    factors = [
+        point_ring(),
+        projective_space(1),
+        projective_space(2),
+        hirzebruch(1).total,
+        biproj(2, 1).total,
+    ]
+    for a in factors:
+        for b in factors:
+            ring = product_ring(a, b)
+            alphabet, offset = ring.alphabet, len(a.alphabet)
+            rules = {}
+            for factor, shift in ((a, 0), (b, offset)):
+                for gi, (cap, repl) in factor.rules.items():
+                    image = None if repl is None else substitute_into(repl, alphabet, shift)
+                    rules[shift + gi] = (cap, image)
+            assert ring.rules == rules, (a, b)
+            tangent = substitute_into(a.tangent_chern, alphabet, 0) * substitute_into(
+                b.tangent_chern, alphabet, offset
+            )
+            assert ring.tangent_chern == ring.reduce(tangent), (a, b)
+            assert ring.evaluate(Polynomial.from_monomial(alphabet, ring.top_monomial)) == 1
+
+
+@pytest.mark.parametrize(
+    "base, twists",
+    [
+        (projective_space(1), [(0,), (k,)]) for k in range(-2, 3)
+    ]
+    + [
+        (projective_space(2), [(0,), (1,), (2,)]),
+        (product_ring(projective_space(1), projective_space(1)), [(0, 0), (2, 1)]),
+        (product_ring(projective_space(1), projective_space(1)), [(0, 0), (-2, 2)]),
+    ],
+)
+def test_projectivize_rules_and_tangent_equal_substitution_then_reduction(base, twists):
+    chern_of_v = line_bundle_sum(base, twists)
+    bundle = projectivize(base, chern_of_v)
+    total, r = bundle.total, len(twists)
+    alphabet = total.alphabet
+    one, xi = Polynomial.one(alphabet), Polynomial.generator(alphabet, "xi")
+    lifted = [substitute_into(c, alphabet, 0) for c in chern_of_v]
+    relation = Polynomial.zero(alphabet)
+    vertical = (one + xi) ** r
+    for i, c in enumerate(lifted, start=1):
+        relation = relation - c * xi ** (r - i)
+        vertical = vertical + c * (one + xi) ** (r - i)
+    rules = {
+        gi: (cap, None if repl is None else substitute_into(repl, alphabet, 0))
+        for gi, (cap, repl) in base.rules.items()
+    }
+    rules[len(base.alphabet)] = (r, None if relation.is_zero() else relation)
+    assert total.rules == rules
+    assert bundle.vertical_chern == total.reduce(vertical)
+    tangent = substitute_into(base.tangent_chern, alphabet, 0) * bundle.vertical_chern
+    assert total.tangent_chern == total.reduce(tangent)
 
 
 def test_fibre_integration_normalization_and_projection():

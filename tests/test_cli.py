@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmmkit import cli, nearprim
+from mmmkit import bundles, cli, nearprim
 from mmmkit.cli import poly_to_terms, render_table, run, terms_to_text
 from mmmkit.gradedalg import GeneratorAlphabet, Polynomial, format_poly
 
@@ -281,6 +281,48 @@ def test_bundle_custom_rank_three_passes_its_checks(capsys):
     code, out, _ = invoke(capsys, "bundle", "custom", "--base", "cp1", "--twist", "0,1,2")
     assert code == 0 and "[FAIL]" not in out
     assert "[PASS] fibre-euler-number - c_2(Tv) evaluates to 3 on the fibre" in out
+
+
+def test_a_failing_fibre_euler_check_reports_the_computed_number(monkeypatch, capsys):
+    monkeypatch.setattr(bundles.BundleModel, "fibre_euler_number", lambda self: Fraction(5))
+    code, out, _ = invoke(capsys, "bundle", "hirzebruch", "-k", "1")
+    assert code == 1
+    assert "[FAIL] fibre-euler-number - c_1(Tv) evaluates to 5 on the fibre" in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "shift, class_level, detail",
+    [
+        (Fraction(1, 2), True, "total side 0, base side 1/2"),
+        (0, False, "both sides 0; the fibre integrals of X(TE) and X(TvE) differ"),
+    ],
+)
+def test_a_failing_motivating_identity_reports_both_sides(
+    shift, class_level, detail, monkeypatch, capsys
+):
+    original = bundles.verify_motivating_identity
+
+    def skewed(bundle, j, flavor="so"):
+        rep = original(bundle, j, flavor)
+        base_side = rep.base_side + shift if (flavor, j) == ("so", 1) else rep.base_side
+        equal = class_level or (flavor, j) != ("so", 1)
+        return bundles.IdentityReport(rep.total_side, base_side, equal)
+
+    monkeypatch.setattr(bundles, "verify_motivating_identity", skewed)
+    code, out, _ = invoke(capsys, "bundle", "hirzebruch", "-k", "1")
+    assert code == 1
+    lines = out.splitlines()
+    assert f"[FAIL] motivating-identity-so-j1 - {detail}" in lines
+    assert "[PASS] motivating-identity-u-j1 - both sides 0" in lines
+
+
+def test_negative_twists_are_written_with_an_equals_sign(capsys):
+    code, out, _ = invoke(capsys, "bundle", "custom", "--base", "cp1", "--twist=-1,2")
+    assert code == 0 and "[FAIL]" not in out
+    with pytest.raises(SystemExit) as exc:
+        run(["bundle", "custom", "--help"])
+    assert exc.value.code == 0
+    assert "--twist=-1,2" in " ".join(capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize(
