@@ -48,6 +48,10 @@ from .nearprim import (
 
 DEFAULT_BOUND = {"so": 40, "u": 24}
 
+# `bundle custom` over r line bundles checks every motivating identity up to
+# degree 2r, at a cost that grows about sevenfold with each eight more.
+MAX_LINE_BUNDLES = 16
+
 
 # --- document plumbing --------------------------------------------------------
 
@@ -224,9 +228,11 @@ def _cmd_nearprim_verify(args):
 def _cmd_npd(args):
     model = hopf_model(args.model, max(args.degree, STEP[args.model]))
     space = npd(model, args.d, args.degree)
-    rm = restricted_model(args.model, args.d)
-    basis = enumerate_monomials(rm.alphabet, args.degree)
-    polys = [vector_to_polynomial(rm.alphabet, row, basis) for row in space.basis]
+    polys = []
+    if space.dim:  # BU(d) or BSO(d) is built only to name a basis
+        rm = restricted_model(args.model, args.d)
+        basis = enumerate_monomials(rm.alphabet, args.degree)
+        polys = [vector_to_polynomial(rm.alphabet, row, basis) for row in space.basis]
     doc = _span_doc(
         {
             "command": "npd",
@@ -422,17 +428,19 @@ def _cmd_bundle_custom(args):
             token=args.twist,
         ) from None
     width = sum(1 for d in base.alphabet.degrees if d == 2)
-    if len(twists) % width != 0 or len(twists) // width < 2:
+    count = len(twists) // width
+    if len(twists) % width != 0 or count < 2:
         raise ParseError(
             f"base {args.base} needs {width} integers per line bundle"
             f" and at least two line bundles",
             token=args.twist,
         )
-    if args.numbers and len(twists) != 2 * width:
+    if count > MAX_LINE_BUNDLES:
         raise QueryError(
-            f"--numbers needs exactly two line bundles in --twist;"
-            f" got {len(twists) // width}"
+            f"--twist lists {count} line bundles; at most {MAX_LINE_BUNDLES} are accepted"
         )
+    if args.numbers and count != 2:
+        raise QueryError(f"--numbers needs exactly two line bundles in --twist; got {count}")
     grouped = [
         tuple(twists[i : i + width]) for i in range(0, len(twists), width)
     ]

@@ -290,17 +290,6 @@ def _scaled(r, p):
     return {k: c * inverse % p for k, c in r.items()}
 
 
-def _rank_mod_p(supports, target=None, p=None):
-    """Rank over F_p of integer rows given as ``(nonzero columns, row)``,
-    counted only until it reaches ``target``."""
-    echelon = RankModP(p)
-    for cols, row in supports:
-        if target is not None and echelon.rank >= target:
-            break
-        echelon.add(cols, row)
-    return echelon.rank
-
-
 class KernelCertificate:
     """Certifies, block by block, that a growing stack of integer rows has a
     known kernel, without eliminating it.

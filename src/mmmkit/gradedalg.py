@@ -263,20 +263,10 @@ class Polynomial:
             )
         return degs.pop()
 
-    def max_degree(self):
-        return max((self.alphabet.degree(e) for e in self.terms), default=0)
-
     def degree_slice(self, m):
         alph = self.alphabet
         return Polynomial(
             alph, {e: c for e, c in self.terms.items() if alph.degree(e) == m}
-        )
-
-    def truncate(self, max_degree):
-        alph = self.alphabet
-        return Polynomial(
-            alph,
-            {e: c for e, c in self.terms.items() if alph.degree(e) <= max_degree},
         )
 
     def substitute(self, target_alphabet, images):

@@ -10,15 +10,15 @@ is the Whitney formula on generators, extended multiplicatively:
 Primitive generators Q_j are the integer Newton power sums s_j, so the
 coefficient of g_1^j inside Q_j is exactly 1; `character_component` divides
 by j! to produce the Chern/Pontrjagin character pieces.  Models are built
-to a degree bound and treated as immutable afterwards; the inverse Newton
-table and the small write-once memo tables are filled on first use and are
-not guarded by locks.
+to a degree bound and treated as immutable afterwards; the small
+write-once memo tables are filled on first use and are not guarded by
+locks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb, factorial
 
 from .errors import AlphabetMismatch, InhomogeneousError, QueryError
@@ -40,7 +40,7 @@ def _check_kind(kind):
 
 
 class HopfModel:
-    """H*(BU; Q) or H*(BSO; Q) truncated above ``max_degree``."""
+    """H*(BU; Q) or H*(BSO; Q) up to degree ``max_degree``."""
 
     def __init__(self, kind, max_degree):
         _check_kind(kind)
@@ -70,10 +70,7 @@ class HopfModel:
     def generator_poly(self, i):
         return Polynomial.generator(self.generators, f"{GENERATOR_LETTER[self.kind]}{i}")
 
-    def primitive_poly(self, j):
-        return Polynomial.generator(self.primitives, f"Q{j}")
-
-    # -- Newton tables -------------------------------------------------------
+    # -- Newton table --------------------------------------------------------
 
     def _build_power_sums(self):
         # s_j = g_1 s_{j-1} - g_2 s_{j-2} + ... + (-1)^(j-1) j g_j
@@ -88,19 +85,6 @@ class HopfModel:
             table.append(acc)
         return table
 
-    @cached_property
-    def _gens_in_primitives(self):
-        # g_j = (1/j) sum_{i=1..j} (-1)^(i-1) g_{j-i} Q_i, solved upward.
-        # Only to_primitive_basis reads it, so it is built on first use.
-        table = [Polynomial.one(self.primitives)]
-        for j in range(1, self.ngens + 1):
-            acc = Polynomial.zero(self.primitives)
-            for i in range(1, j + 1):
-                term = table[j - i] * self.primitive_poly(i)
-                acc = acc + (term if i % 2 == 1 else -term)
-            table.append(acc * Fraction(1, j))
-        return table
-
     def power_sum(self, j):
         """The primitive s_j expanded over the generator alphabet."""
         if not 1 <= j <= self.ngens:
@@ -111,14 +95,9 @@ class HopfModel:
         """Degree-(step*j) component of the Chern/Pontrjagin character: s_j / j!."""
         return self.power_sum(j) * Fraction(1, factorial(j))
 
-    def to_primitive_basis(self, x):
-        """Rewrite a generator-alphabet polynomial over Q1, Q2, ..."""
-        if x.alphabet != self.generators:
-            raise AlphabetMismatch("expected a polynomial over the generator alphabet")
-        return x.substitute(self.primitives, self._gens_in_primitives[1:])
-
     def from_primitive_basis(self, x):
-        """Inverse of :meth:`to_primitive_basis`."""
+        """Expand a polynomial over Q1, Q2, ... over the generators, each Q_j
+        becoming the power sum s_j."""
         if x.alphabet != self.primitives:
             raise AlphabetMismatch("expected a polynomial over the primitive alphabet")
         return x.substitute(self.generators, self._power_sums[1:])

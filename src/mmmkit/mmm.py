@@ -23,7 +23,6 @@ construction of NP_d's hat image.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 
 from .errors import AlphabetMismatch, QueryError
 from .exactq import Subspace, solve_in_span, subspace_intersection, subspace_sum
@@ -54,9 +53,11 @@ _ALIASED = {("so", 2), ("u", 1)}
 class InvarianceVerdict:
     """Outcome of the bordism-invariance decision for one MMM class.
 
-    When the decision is positive, ``hat(witness) + correction`` rebuilds
-    the queried class exactly; the correction lies in the K ideal and is
-    zero for even d and the complex flavor.
+    ``decision`` is the answer and ``reason`` names why a negative one
+    failed: notPrimitive or notInNPdImage.  When the decision is positive,
+    ``hat(witness) + correction`` rebuilds the queried class exactly; the
+    witness lies in NP_d, and the correction lies in the K ideal and is
+    zero for even d and the complex flavor.  The CLI renders the verdict.
     """
 
     def __init__(self, decision, reason=None, witness=None, correction=None):
@@ -67,9 +68,6 @@ class InvarianceVerdict:
 
     def __bool__(self):
         return self.decision
-
-    def summary(self):
-        return "yes" if self.decision else f"no, {self.reason}"
 
 
 class MMMAlgebra:
@@ -97,7 +95,6 @@ class MMMAlgebra:
         # At least one generator, so that a slice below |g_1| is empty, not an error.
         self.model = hopf_model(kind, max(self.shift + degree_bound, STEP[kind]))
         entries = []
-        self._gen_monomials = []
         self._mono_to_index = {}
         counts = {}
         for cohdeg in range(self.shift + 1, self.shift + degree_bound + 1):
@@ -105,8 +102,7 @@ class MMMAlgebra:
                 sdeg = cohdeg - self.shift
                 counts[sdeg] = counts.get(sdeg, 0) + 1
                 entries.append((f"E{sdeg}_{counts[sdeg]}", sdeg))
-                self._mono_to_index[mono] = len(self._gen_monomials)
-                self._gen_monomials.append(mono)
+                self._mono_to_index[mono] = len(self._mono_to_index)
         self.alphabet = GeneratorAlphabet(entries)
         if (kind, d) in _ALIASED:
             self.display_names = tuple(f"e{sdeg // 2}" for _, sdeg in entries)
@@ -151,10 +147,6 @@ class MMMAlgebra:
     def monomial_basis(self, n):
         return enumerate_monomials(self.alphabet, n)
 
-    def generator_monomial(self, index):
-        """The restricted-model monomial a generator came from."""
-        return self._gen_monomials[index]
-
     # --- the hat map ---------------------------------------------------
 
     def hat(self, x):
@@ -179,17 +171,6 @@ class MMMAlgebra:
             gi = self._mono_to_index[exp]
             terms[unit[:gi] + (1,) + unit[gi + 1 :]] = coeff
         return Polynomial(self.alphabet, terms)
-
-    def unhat(self, x):
-        """Inverse of hat on generator-linear elements."""
-        if x.alphabet != self.alphabet:
-            raise AlphabetMismatch("unhat expects an element of the MMM algebra")
-        terms = {}
-        for exp, coeff in x.terms.items():
-            if sum(exp) != 1:
-                raise QueryError("only generator-linear elements invert under hat")
-            terms[self._gen_monomials[exp.index(1)]] = coeff
-        return Polynomial(self.restricted.alphabet, terms)
 
     # --- the K ideal (odd oriented d) ----------------------------------
 
@@ -321,8 +302,3 @@ class MMMAlgebra:
         for c, p in zip(combo[len(np_polys) :] + dec_coeffs, kappa + proper):
             correction = correction + c * p
         return InvarianceVerdict(True, witness=witness, correction=correction)
-
-
-@lru_cache(maxsize=None)
-def mmm_algebra(kind, d, degree_bound):
-    return MMMAlgebra(kind, d, degree_bound)

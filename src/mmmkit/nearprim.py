@@ -80,29 +80,10 @@ from .gradedalg import (
     degree_slice_vector,
     enumerate_monomials,
     format_poly,
+    poincare_series,
     vector_to_polynomial,
 )
 from .hopfmodel import fibre_dimension, hopf_model, restrict, restricted_model
-
-
-class NearPrimQuery:
-    """A (model kind, degree, order) triple, validated on construction."""
-
-    __slots__ = ("kind", "degree", "order")
-
-    def __init__(self, kind, degree, order):
-        if kind not in ("u", "so"):
-            raise QueryError(f"unknown model kind {kind!r}")
-        if order < 1:
-            raise QueryError("the order must be at least 1")
-        if degree < order:
-            raise QueryError(
-                f"near-primitives need degree >= order; got degree {degree}"
-                f" < order {order}"
-            )
-        self.kind = kind
-        self.degree = degree
-        self.order = order
 
 
 @lru_cache(maxsize=1)
@@ -291,7 +272,10 @@ def _degree(kind, max_degree, m):
 
 def _checked_degree(model, m, d):
     """The degree-m state, once (m, d) has been checked against the model."""
-    NearPrimQuery(model.kind, m, d)
+    if d < 1:
+        raise QueryError("the order must be at least 1")
+    if m < d:
+        raise QueryError(f"near-primitives need degree >= order; got degree {m} < order {d}")
     if m > model.max_degree:
         raise QueryError(f"degree {m} exceeds the model bound {model.max_degree}")
     return _degree(model.kind, model.max_degree, m)
@@ -362,16 +346,24 @@ def npd(model, d, n):
 
     Oriented models restrict order-d near-primitives to BSO(d); the complex
     pairing restricts order-2d near-primitives to BU(d).  The result lives in
-    the degree-n monomial slice of the restricted model.
+    the degree-n monomial slice of the restricted model, and n must lie
+    within the model's bound.  Below the order it is zero, and the
+    restricted generators of degree at most n are the model's own, so the
+    slice is sized from the model and BU(d) or BSO(d), whose alphabet grows
+    with d, is not built.
     """
     if d < 1:
         raise QueryError("the rank must be positive")
     if n < 1:
         raise QueryError("the degree must be positive")
+    if n > model.max_degree:
+        raise QueryError(f"degree {n} exceeds the model bound {model.max_degree}")
     order = fibre_dimension(model.kind, d)
+    if n < order:
+        return Subspace.zero(poincare_series(model.generators, n)[n])
     rm = restricted_model(model.kind, d)
     rbasis = enumerate_monomials(rm.alphabet, n)
-    if n < order or n % model.step != 0 or not rbasis:
+    if n % model.step != 0 or not rbasis:
         return Subspace.zero(len(rbasis))
     state = _checked_degree(model, n, order)
     vectors = [

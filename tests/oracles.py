@@ -77,6 +77,17 @@ class RootExpansion:
         """Rewrite a symmetric polynomial over e_1, e_2, ..., naming e_i by
         the i-th generator of the target alphabet.  The target generator
         degrees must be i times the root degree."""
+        return self._rewrite(f, target_alphabet, degree, self.elementary)
+
+    def in_power_sums(self, f, target_alphabet, degree):
+        """Rewrite a symmetric polynomial over the power sums p_1, p_2, ...,
+        as `in_elementary` does over e_1, e_2, ...; the power-sum products
+        of weight w are independent once there are at least w roots."""
+        return self._rewrite(f, target_alphabet, degree, self.power_sum)
+
+    def _rewrite(self, f, target_alphabet, degree, basic):
+        """Solve for f in the span of the products of ``basic(i)``, the i-th
+        target generator standing for ``basic(i)``."""
         slice_basis = enumerate_monomials(self.alphabet, degree)
         candidates = enumerate_monomials(target_alphabet, degree)
         vectors = []
@@ -84,7 +95,7 @@ class RootExpansion:
             poly = Polynomial.one(self.alphabet)
             for i, e in enumerate(exp):
                 for _ in range(e):
-                    poly = poly * self.elementary(i + 1)
+                    poly = poly * basic(i + 1)
             vectors.append(degree_slice_vector(poly, degree, slice_basis))
         coeffs = solve_in_span(vectors, degree_slice_vector(f, degree, slice_basis))
         if coeffs is None:
@@ -99,6 +110,14 @@ def power_sum_in_elementary(kind, j, target_alphabet):
     step = 2 if kind == "u" else 4
     roots = RootExpansion(j + 1, root_degree=step)
     return roots.in_elementary(roots.power_sum(j), target_alphabet, step * j)
+
+
+def elementary_in_power_sums(kind, j, target_alphabet):
+    """The inverse Newton table: the generator g_j (c_j or p_j) over the
+    power sums Q_1, Q_2, ... of the target alphabet, via raw roots."""
+    step = 2 if kind == "u" else 4
+    roots = RootExpansion(j, root_degree=step)
+    return roots.in_power_sums(roots.elementary(j), target_alphabet, step * j)
 
 
 def restrict_by_substitution(model, d, x):
@@ -203,7 +222,11 @@ def l_class_oracle(kmax, target_alphabet):
         y = roots.root(i)
         for k in range(1, kmax + 1):
             factor = factor + q[k] * y**k
-        total = (total * factor).truncate(4 * kmax)
+        total = total * factor
+        total = Polynomial(
+            roots.alphabet,
+            {e: c for e, c in total.terms.items() if roots.alphabet.degree(e) <= 4 * kmax},
+        )
     return [
         roots.in_elementary(total.degree_slice(4 * k), target_alphabet, 4 * k)
         for k in range(1, kmax + 1)

@@ -12,7 +12,7 @@ import pytest
 from oracles import RankTwoOracle
 from mmmkit.errors import DimensionMismatch, InhomogeneousError, QueryError
 from mmmkit.gradedalg import Polynomial, enumerate_monomials, parse_poly
-from mmmkit.mmm import mmm_algebra
+from mmmkit.mmm import MMMAlgebra
 from mmmkit.bundles import (
     biproj,
     hirzebruch,
@@ -274,13 +274,13 @@ def test_mmm_number_validation():
 
 
 def test_mmm_class_number_uses_aliased_algebra():
-    alg = mmm_algebra("so", 2, 8)
+    alg = MMMAlgebra("so", 2, 8)
     for a, b in ((1, 1), (2, 1)):
         bundle = biproj(a, b)
         assert mmm_class_number(bundle, alg, alg.parse("e2")) == 4 * a * b
         assert mmm_class_number(bundle, alg, alg.parse("e1^2")) == 0
         assert mmm_class_number(bundle, alg, alg.parse("3*e2 - e1^2")) == 12 * a * b
-    plain = mmm_algebra("so", 4, 8)
+    plain = MMMAlgebra("so", 4, 8)
     with pytest.raises(QueryError):
         mmm_class_number(bundle, plain, plain.parse("E4_1"))
 

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmmkit import bundles, cli, nearprim
+from mmmkit import bundles, cli, hopfmodel, nearprim
 from mmmkit.cli import poly_to_terms, render_table, run, terms_to_text
-from mmmkit.gradedalg import GeneratorAlphabet, Polynomial, format_poly
+from mmmkit.gradedalg import GeneratorAlphabet, Polynomial, enumerate_monomials, format_poly
 
 
 def invoke(capsys, *argv):
@@ -52,6 +52,16 @@ def test_mmm_test_golden_yes(capsys):
     assert "[PASS] witness-re-expansion" in out
 
 
+@pytest.mark.parametrize(
+    "expr, verdict",
+    [("e3", "yes"), ("e2", "no, notInNPdImage"), ("e1*e1", "no, notPrimitive")],
+)
+def test_mmm_test_table_prints_each_verdict_line(expr, verdict, capsys):
+    code, out, err = invoke(capsys, "mmm", "test", "--flavor", "so", "-d", "2", "--expr", expr)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == verdict
+
+
 def test_lclass_golden(capsys):
     code, out, err = invoke(capsys, "lclass", "-k", "1")
     assert code == 0
@@ -66,6 +76,27 @@ def test_npd_golden(capsys):
     )
     assert code == 0
     assert "dim 1: c1^4 - 4*c1^2*c2 + 2*c2^2" in out
+
+
+@pytest.mark.parametrize("model", ["u", "so"])
+def test_npd_below_the_fibre_dimension_builds_no_restricted_model(model, monkeypatch, capsys):
+    """NP_d is zero below the fibre dimension, so a rank far above every
+    degree answers at once instead of building BU(d) or BSO(d)."""
+
+    class Refusing(hopfmodel.RestrictedModel):
+        def __init__(self, kind, d):
+            if d > hopfmodel.MAX_DEGREE_CAP:
+                raise AssertionError(f"built the restricted model of rank {d}")
+            super().__init__(kind, d)
+
+    monkeypatch.setattr(hopfmodel, "RestrictedModel", Refusing)
+    code, out, err = invoke(capsys, "npd", "--model", model, "-d", "4000000", "--degree", "8")
+    assert (code, err) == (0, "")
+    assert out == f"query: command=npd model={model} d=4000000 degree=8\ndim 0\n"
+    space = nearprim.npd(hopfmodel.hopf_model(model, 8), 4000000, 8)
+    small = hopfmodel.restricted_model(model, 9)  # fibre dimension above 8 too
+    assert space.ambient_dim == len(enumerate_monomials(small.alphabet, 8))
+    assert space.dim == 0
 
 
 def test_mmm_space_goldens(capsys):
@@ -281,6 +312,22 @@ def test_bundle_custom_rank_three_passes_its_checks(capsys):
     code, out, _ = invoke(capsys, "bundle", "custom", "--base", "cp1", "--twist", "0,1,2")
     assert code == 0 and "[FAIL]" not in out
     assert "[PASS] fibre-euler-number - c_2(Tv) evaluates to 3 on the fibre" in out
+
+
+def test_bundle_custom_accepts_at_most_sixteen_line_bundles(monkeypatch, capsys):
+    code, out, _ = invoke(capsys, "bundle", "custom", "--base", "cp1", "--twist", ",".join("0" * 16))
+    assert code == 0 and "[FAIL]" not in out
+    assert "O(0)+" * 15 + "O(0) over cp1" in out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a bundle over the line-bundle limit")
+
+    monkeypatch.setattr(bundles, "line_bundle_sum", refuse)
+    for base, width in (("cp1", 1), ("cp2", 1), ("cp1xcp1", 2)):
+        twist = ",".join("0" * 17 * width)
+        code, out, err = invoke(capsys, "bundle", "custom", "--base", base, "--twist", twist)
+        assert code == 2 and out == ""
+        assert err == "error: --twist lists 17 line bundles; at most 16 are accepted\n"
 
 
 def test_a_failing_fibre_euler_check_reports_the_computed_number(monkeypatch, capsys):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -14,8 +15,11 @@ from mmmkit.gradedalg import (
     enumerate_monomials,
     parse_poly,
 )
-from mmmkit.mmm import MMMAlgebra, mmm_algebra
+from mmmkit.mmm import MMMAlgebra
 from mmmkit.hopfmodel import hopf_model, l_class_component, restrict
+
+# One algebra per (flavor, d, bound) for the whole module.
+mmm_algebra = cache(MMMAlgebra)
 
 
 def restricted_poly(alg, text):
@@ -57,7 +61,6 @@ def test_algebra_shapes_and_parity():
         MMMAlgebra("so", 0, 8)
     with pytest.raises(QueryError):
         MMMAlgebra("so", 2, 0)
-    assert mmm_algebra("so", 2, 8) is mmm_algebra("so", 2, 8)
 
 
 def test_parse_aliases_and_display():
@@ -92,7 +95,9 @@ def test_hat_examples():
         alg.hat(restricted_poly(alg, "e^20"))
 
 
-def test_hat_unhat_roundtrip():
+def test_hat_sends_each_monomial_to_its_generator():
+    """E<n>_<k> is the hat of the k-th canonical restricted monomial of
+    cohomological degree n + shift, and hat is linear."""
     rng = random.Random(61)
     for kind, d, bound in (("so", 2, 10), ("so", 3, 13), ("u", 2, 8)):
         alg = mmm_algebra(kind, d, bound)
@@ -100,13 +105,14 @@ def test_hat_unhat_roundtrip():
             monos = enumerate_monomials(alg.restricted.alphabet, cohdeg)
             if not monos:
                 continue
-            poly = Polynomial(
-                alg.restricted.alphabet,
-                {e: Fraction(rng.randint(1, 9), rng.randint(1, 4)) for e in monos},
-            )
-            assert alg.unhat(alg.hat(poly)) == poly
-    with pytest.raises(QueryError):
-        alg.unhat(alg.parse("E2_1^2"))
+            coeffs = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in monos]
+            expected = Polynomial.zero(alg.alphabet)
+            for k, (mono, c) in enumerate(zip(monos, coeffs), start=1):
+                generator = alg.parse(f"E{cohdeg - alg.shift}_{k}")
+                assert alg.hat(Polynomial.from_monomial(alg.restricted.alphabet, mono)) == generator
+                expected = expected + c * generator
+            poly = Polynomial(alg.restricted.alphabet, dict(zip(monos, coeffs)))
+            assert alg.hat(poly) == expected
 
 
 def test_hat_injective_on_slices():
@@ -147,7 +153,7 @@ def test_k_ideal_generators_d7():
     """BSO(7) keeps p1, p2, p3: L_2, L_3 restrict injectively and L_4 loses
     only its p4 term."""
     alg = mmm_algebra("so", 7, 9)
-    assert alg.generator_monomial(alg.alphabet.index("E9_3")) == (1, 0, 1)  # p1*p3
+    assert alg.hat(restricted_poly(alg, "p1*p3")) == alg.parse("E9_3")
     assert alg.k_ideal_generators() == [
         alg.parse("-1/45*E1_1 + 7/45*E1_2"),
         alg.parse("2/945*E5_1 - 13/945*E5_2 + 62/945*E5_3"),
@@ -242,12 +248,10 @@ def test_verdict_examples_oriented_two():
     assert yes.decision and bool(yes)
     assert yes.witness == restricted_poly(alg, "e^4")
     assert yes.correction.is_zero()
-    assert yes.summary() == "yes"
 
     no = alg.is_bordism_invariant(alg.parse("e2"))
     assert not no.decision
     assert no.reason == "notInNPdImage"
-    assert no.summary() == "no, notInNPdImage"
 
     square = alg.is_bordism_invariant(alg.parse("e1*e1"))
     assert not square.decision

@@ -22,7 +22,6 @@ from mmmkit.gradedalg import (
 )
 from mmmkit.hopfmodel import hopf_model, restrict, restricted_model
 from mmmkit.nearprim import (
-    NearPrimQuery,
     near_primitive_kernel,
     near_primitive_kernel_restricted,
     near_primitive_monomials,
@@ -48,16 +47,16 @@ def slice_vector(model, text, m):
 
 
 def test_query_validation():
-    NearPrimQuery("so", 8, 5)
-    with pytest.raises(QueryError):
-        NearPrimQuery("sp", 8, 5)
-    with pytest.raises(QueryError):
-        NearPrimQuery("so", 8, 0)
-    with pytest.raises(QueryError):
-        NearPrimQuery("so", 4, 5)
     model = hopf_model("so", 8)
-    with pytest.raises(QueryError):
+    assert near_primitive_kernel(model, 8, 5).ambient_dim == 2
+    with pytest.raises(QueryError, match="the order must be at least 1"):
+        near_primitive_kernel(model, 8, 0)
+    with pytest.raises(QueryError, match="got degree 4 < order 5"):
+        near_primitive_kernel(model, 4, 5)
+    with pytest.raises(QueryError, match="degree 12 exceeds the model bound 8"):
         near_primitive_kernel(model, 12, 4)
+    with pytest.raises(QueryError, match="unknown model kind 'sp'"):
+        hopf_model("sp", 8)
 
 
 def test_closed_form_examples():
@@ -159,6 +158,9 @@ def test_npd_examples():
         npd(mu, 0, 6)
     with pytest.raises(QueryError):
         npd(mu, 1, -2)
+    # The slice below the order is sized from the model, so it must reach n.
+    with pytest.raises(QueryError, match="degree 14 exceeds the model bound 12"):
+        npd(mu, 9, 14)
 
 
 def test_npd_is_the_restricted_image_of_the_kernel():
