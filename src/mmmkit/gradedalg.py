@@ -614,22 +614,29 @@ class _Parser:
                 position=tok[2],
             )
         name = self.aliases.get(tok[1], tok[1])
+        alphabet = self.alphabet
         try:
-            poly = Polynomial.generator(self.alphabet, name)
+            i = alphabet.index(name)
         except AlphabetMismatch:
             raise ParseError(
                 f"unknown generator {tok[1]!r} at position {tok[2]}",
                 token=tok[1],
                 position=tok[2],
             ) from None
+        e = 1
         nxt = self.peek()
         if nxt is not None and nxt[0] == "op" and nxt[1] == "^":
             self.pos += 1
             e = self.expect_int("a positive exponent")
             if e == 0:
                 raise ParseError("exponents must be positive")
-            poly = poly**e
-        return poly
+        # g^e is one monomial, built at once however large e is; an odd
+        # generator squares to zero.
+        if e > 1 and alphabet.parities[i]:
+            return Polynomial.zero(alphabet)
+        exp = [0] * len(alphabet)
+        exp[i] = e
+        return Polynomial.from_monomial(alphabet, exp)
 
 
 def parse_poly(text, alphabet, aliases=None):

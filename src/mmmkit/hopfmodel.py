@@ -7,6 +7,16 @@ is the Whitney formula on generators, extended multiplicatively:
 
     delta(g_n) = sum_{i=0..n} g_i (x) g_{n-i},   g_0 = 1.
 
+`HopfModel.reduced_coproduct` multiplies these out on packed integer keys.
+An exponent tuple becomes one int with a fixed number of bits per generator,
+and a pair ea (x) eb becomes pack(ea) + (pack(eb) << shift), so the product
+of two terms is one integer addition; every generator is even, so no sign
+arises.  Packing is exact as long as no slot carries into the next.  A term
+of delta(c^e) has, in each leg, exponents at most the number of factors of
+c^e, since each factor puts at most one generator on each side; the slot
+width is sized for that count, and widens for input with more factors than
+the model's bound allows.
+
 Primitive generators Q_j are the integer Newton power sums s_j, so the
 coefficient of g_1^j inside Q_j is exactly 1; `character_component` divides
 by j! to produce the Chern/Pontrjagin character pieces.  Models are built
@@ -61,6 +71,8 @@ class HopfModel:
         )
         self._power_sums = self._build_power_sums()
         self._gen_coproduct_powers = {}
+        self._packed_powers = {}  # (i, e, width) -> packed delta(g_i)^e
+        self._decoded = {}  # width -> _Decoder
 
     def __repr__(self):
         return f"HopfModel({self.kind!r}, max_degree={self.max_degree})"
@@ -133,33 +145,88 @@ class HopfModel:
         self._gen_coproduct_powers[key] = result
         return result
 
-    def coproduct(self, x):
-        """The Whitney coproduct of a generator polynomial: each monomial's
-        image is the product of delta(g_i)^e over its factors."""
-        alph = x.alphabet
-        if alph != self.generators:
-            raise AlphabetMismatch("expected a polynomial over the generator alphabet")
-        out = TensorElement.zero(alph)
-        for exp, coeff in x.terms.items():
-            t = TensorElement.one(alph)
-            for i, e in enumerate(exp):
-                if e:
-                    t = t * self._gen_coproduct_power(i + 1, e)
-            out = out + t * coeff
-        return out
+    def _packed_power(self, i, e, width):
+        """delta(g_i)^e as a packed dict at slot width ``width``, memoised."""
+        key = (i, e, width)
+        packed = self._packed_powers.get(key)
+        if packed is None:
+            shift = width * self.ngens
+            packed = {
+                _pack(ea, width) + (_pack(eb, width) << shift): c
+                for (ea, eb), c in self._gen_coproduct_power(i, e).terms.items()
+            }
+            self._packed_powers[key] = packed
+        return packed
 
     def reduced_coproduct(self, x):
-        """delta(x) - x(x)1 - 1(x)x for homogeneous x; zero in degree 0."""
+        """delta(x) - x(x)1 - 1(x)x for homogeneous x, as ``{(ea, eb): c}``;
+        empty in degree 0.
+
+        Each monomial's delta is the product of the memoised delta(g_i)^e_i,
+        taken on packed keys (see the module docstring).  The slots are wide
+        enough for the most factors of any monomial of x, and at least for
+        g_1^ngens, the longest monomial within the bound.  No exponent of a
+        term exceeds its monomial's number of factors, and partial products
+        only grow towards the final exponents, so no slot carries.  The keys
+        are decoded once at the end, through a decoder cached per width.
+        """
+        if x.alphabet != self.generators:
+            raise AlphabetMismatch("expected a polynomial over the generator alphabet")
         degree = x.homogeneous_degree()
         if degree is None or degree == 0:
-            return TensorElement.zero(x.alphabet)
-        delta = self.coproduct(x)
-        unit = x.alphabet.unit()
-        ends = {}
+            return {}
+        width = max(self.ngens, *(sum(exp) for exp in x.terms)).bit_length()
+        shift = width * self.ngens
+        total = {}
         for exp, coeff in x.terms.items():
-            ends[(exp, unit)] = coeff
-            ends[(unit, exp)] = coeff
-        return delta - TensorElement(x.alphabet, ends)
+            delta = None
+            for i, e in enumerate(exp, 1):
+                if e:
+                    power = self._packed_power(i, e, width)
+                    delta = power if delta is None else _packed_product(delta, power)
+            for key, c in delta.items():
+                total[key] = total.get(key, 0) + coeff * c
+            left = _pack(exp, width)
+            total[left] -= coeff
+            total[left << shift] -= coeff
+        decoded = self._decoded.get(width)
+        if decoded is None:
+            decoded = self._decoded[width] = _Decoder(width, self.ngens)
+        mask = (1 << shift) - 1
+        return {(decoded[key & mask], decoded[key >> shift]): c for key, c in total.items() if c}
+
+
+def _pack(exp, width):
+    """An exponent tuple as one int, ``width`` bits per slot."""
+    key = 0
+    for e in reversed(exp):
+        key = (key << width) | e
+    return key
+
+
+class _Decoder(dict):
+    """Packed half-keys to exponent tuples, each unpacked on first lookup."""
+
+    def __init__(self, width, n):
+        super().__init__()
+        self.width = width
+        self.n = n
+
+    def __missing__(self, key):
+        slot = (1 << self.width) - 1
+        exp = self[key] = tuple((key >> (self.width * i)) & slot for i in range(self.n))
+        return exp
+
+
+def _packed_product(left, right):
+    """The product of two packed dicts; all generators are even, so no signs."""
+    out = {}
+    get = out.get
+    for ka, ca in left.items():
+        for kb, cb in right.items():
+            key = ka + kb
+            out[key] = get(key, 0) + ca * cb
+    return out
 
 
 @lru_cache(maxsize=None)

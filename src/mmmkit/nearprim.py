@@ -91,15 +91,17 @@ def _delta_bar_slice(kind, max_degree, m):
     """Reduced-coproduct data of every degree-m generator monomial.
 
     Returns ``(basis, columns)`` where ``columns[j]`` lists
-    ``((exp_a, exp_b), integer coefficient)`` for basis monomial j.  Kept for
-    the latest degree, like the degree's state that reads it.
+    ``((exp_a, exp_b), integer coefficient)`` for basis monomial j, read
+    straight from the dict `HopfModel.reduced_coproduct` builds on packed
+    integer keys.  Kept for the latest degree, like the degree's state that
+    reads it.
     """
     state = _degree(kind, max_degree, m)
     model = state.model
     columns = []
     for exp in state.basis:
         dbar = model.reduced_coproduct(Polynomial.from_monomial(model.generators, exp))
-        columns.append(tuple(dbar.terms.items()))
+        columns.append(tuple(dbar.items()))
     return state.basis, tuple(columns)
 
 

@@ -208,6 +208,43 @@ def tensor_sum_by_pairs(*scaled):
     return {key: c for key, c in out.items() if c}
 
 
+def tensor_by_pairs(left, right):
+    """left (x) right of two polynomials as a ``{(ea, eb): c}`` dict."""
+    return {
+        (ea, eb): ca * cb
+        for ea, ca in left.terms.items()
+        for eb, cb in right.terms.items()
+    }
+
+
+def reduced_coproduct_by_pairs(model, x):
+    """The reduced coproduct of homogeneous x, multiplied out factor by factor.
+
+    Each generator goes to delta(g_i) = sum_a g_a (x) g_{i-a} with g_0 = 1,
+    each monomial to the product of its factors' images under
+    `tensor_product_by_pairs`, and the end terms x (x) 1 and 1 (x) x are
+    subtracted; zero in degree 0.
+    """
+    alphabet = model.generators
+    unit = alphabet.unit()
+
+    def single(i):
+        return unit[: i - 1] + (1,) + unit[i:] if i else unit
+
+    if x.homogeneous_degree() in (None, 0):
+        return {}
+    one = Polynomial.one(alphabet)
+    scaled = [(-1, tensor_by_pairs(x, one)), (-1, tensor_by_pairs(one, x))]
+    for exp, coeff in x.terms.items():
+        delta = {(unit, unit): 1}
+        for i, e in enumerate(exp, 1):
+            factor = {(single(a), single(i - a)): 1 for a in range(i + 1)}
+            for _ in range(e):
+                delta = tensor_product_by_pairs(alphabet, delta, factor)
+        scaled.append((coeff, delta))
+    return tensor_sum_by_pairs(*scaled)
+
+
 def l_class_oracle(kmax, target_alphabet):
     """L_1..L_kmax by expanding the product of x_i/tanh(x_i) over 6 roots.
 

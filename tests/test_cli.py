@@ -515,6 +515,39 @@ def test_bound_errors_name_the_users_flags(argv, message, capsys):
     assert err == f"error: {message}\n"
 
 
+def test_a_huge_exponent_is_refused_by_its_degree_at_once(capsys):
+    """The parser builds g^e as one monomial, so the bound check sees the
+    degree of e1^100000000 without multiplying e1 by itself 10^8 times."""
+    code, out, err = invoke(
+        capsys, "mmm", "test", "--flavor", "so", "-d", "2", "--expr", "e1^100000000"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: degree 200000000 exceeds the configured bound 40\n"
+
+
+def test_an_odd_generator_cubed_is_zero(capsys):
+    """E1_1 has odd degree at so, d=3, so its cube is the zero class."""
+    argv = ("mmm", "test", "--flavor", "so", "-d", "3", "--expr", "E1_1^3")
+    code, out, err = invoke(capsys, *argv, "--format", "table")
+    assert code == 0 and err == ""
+    assert out == (
+        "query: command=mmm test flavor=so d=3 expr=E1_1^3\n"
+        "yes\n"
+        "witness: 0\n"
+        "[PASS] witness-re-expansion - hat(witness) + correction reproduces the class\n"
+    )
+    code, out, err = invoke(capsys, *argv, "--format", "json")
+    assert code == 0 and err == ""
+    assert out == (
+        '{\n  "query": {\n    "command": "mmm test",\n    "flavor": "so",\n    "d": 3,\n'
+        '    "expr": "E1_1^3"\n  },\n  "result": {\n    "decision": "yes",\n'
+        '    "reason": null,\n    "witness": [],\n    "correction": []\n  },\n'
+        '  "checks": [\n    {\n      "name": "witness-re-expansion",\n'
+        '      "pass": true,\n'
+        '      "detail": "hat(witness) + correction reproduces the class"\n    }\n  ]\n}\n'
+    )
+
+
 def test_the_cli_does_not_import_dataclasses_or_inspect():
     """Every CLI process pays for its imports; keep the heavy ones out."""
     src = Path(__file__).resolve().parents[1] / "src"

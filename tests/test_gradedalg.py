@@ -194,6 +194,20 @@ def test_parse_examples():
     assert parse_poly("c1*c2^3", EVEN) == gen(EVEN, "c1") * gen(EVEN, "c2") ** 3
 
 
+def test_parse_builds_a_power_as_one_monomial():
+    """g^e is read as one monomial, so a huge exponent costs nothing; an odd
+    generator's square and higher powers are zero, as repeated products give."""
+    assert parse_poly("c2^1000000000", EVEN).terms == {(0, 1000000000, 0): 1}
+    assert parse_poly("3*c1^4*c3^2*c1", EVEN) == 3 * gen(EVEN, "c1") ** 5 * gen(EVEN, "c3") ** 2
+    a, u = gen(MIXED, "a"), gen(MIXED, "u")
+    assert parse_poly("a^1*u", MIXED) == a * u
+    assert parse_poly("u^1*a", MIXED) == u * a == -(a * u)
+    for text in ("a^2", "u^3", "b*a^2 + a*a", "u^1000000000*v"):
+        assert parse_poly(text, MIXED).is_zero()
+    with pytest.raises(ParseError):
+        parse_poly("c1^0", EVEN)
+
+
 def test_parse_aliases_and_format_names():
     aliases = {"e1": "c1", "e2": "c2"}
     assert parse_poly("e1^2 - 2*e2", EVEN, aliases) == parse_poly("c1^2 - 2*c2", EVEN)

@@ -14,11 +14,14 @@ from oracles import (
     elementary_in_power_sums,
     l_class_oracle,
     power_sum_in_elementary,
+    reduced_coproduct_by_pairs,
     restrict_by_substitution,
+    tensor_by_pairs,
+    tensor_sum_by_pairs,
     x_over_tanh_series,
 )
 from mmmkit.errors import AlphabetMismatch, QueryError
-from mmmkit.gradedalg import Polynomial, TensorElement, parse_poly
+from mmmkit.gradedalg import Polynomial, enumerate_monomials, parse_poly
 from mmmkit.hopfmodel import (
     MAX_DEGREE_CAP,
     bernoulli,
@@ -110,38 +113,72 @@ def test_primitive_basis_roundtrip():
         model.from_primitive_basis(x)  # over the generator alphabet
 
 
+def _coproduct(model, x):
+    """delta(x) for homogeneous x: the reduced coproduct with its end terms
+    x (x) 1 and 1 (x) x added back, or 1 (x) 1 for the unit."""
+    one = Polynomial.one(model.generators)
+    if x.homogeneous_degree() == 0:
+        return tensor_by_pairs(x, one)
+    return tensor_sum_by_pairs(
+        (1, model.reduced_coproduct(x)),
+        (1, tensor_by_pairs(x, one)),
+        (1, tensor_by_pairs(one, x)),
+    )
+
+
 def test_coproduct_whitney_rule():
     m = hopf_model("u", 8)
-    delta = m.coproduct(gen(m, 3))
-    expected = TensorElement.zero(m.generators)
+    expected = {}
     for i in range(4):
         left = gen(m, i) if i else Polynomial.one(m.generators)
         right = gen(m, 3 - i) if 3 - i else Polynomial.one(m.generators)
-        expected = expected + TensorElement.tensor(left, right)
-    assert delta == expected
+        expected = tensor_sum_by_pairs((1, expected), (1, tensor_by_pairs(left, right)))
+    assert _coproduct(m, gen(m, 3)) == expected
 
 
 def test_reduced_coproduct_examples():
     m = hopf_model("u", 8)
     c1, c2 = gen(m, 1), gen(m, 2)
-    assert m.reduced_coproduct(c1).is_zero()
-    assert m.reduced_coproduct(c2) == TensorElement.tensor(c1, c1)
-    assert m.reduced_coproduct(c1 * c1) == 2 * TensorElement.tensor(c1, c1)
-    assert m.reduced_coproduct(Polynomial.one(m.generators)).is_zero()
+    assert m.reduced_coproduct(c1) == {}
+    assert m.reduced_coproduct(c2) == tensor_by_pairs(c1, c1)
+    assert m.reduced_coproduct(c1 * c1) == tensor_by_pairs(c1, 2 * c1)
+    assert m.reduced_coproduct(Polynomial.one(m.generators)) == {}
 
     ms = hopf_model("so", 8)
     p1 = gen(ms, 1)
-    assert ms.reduced_coproduct(p1 * p1) == 2 * TensorElement.tensor(p1, p1)
+    assert ms.reduced_coproduct(p1 * p1) == tensor_by_pairs(p1, 2 * p1)
+
+
+def test_reduced_coproduct_matches_the_whitney_oracle():
+    """The packed table equals the pair-by-pair product of the generators'
+    Whitney sums: on every monomial within two bounds, on L-class components
+    with Fraction coefficients, and on monomials with more factors than the
+    bound allows, whose exponents need wider slots than the model's."""
+    for kind, bound in (("u", 16), ("so", 32)):
+        model = hopf_model(kind, bound)
+        for m in range(0, bound + 1, model.step):
+            for exp in enumerate_monomials(model.generators, m):
+                x = Polynomial.from_monomial(model.generators, exp)
+                assert model.reduced_coproduct(x) == reduced_coproduct_by_pairs(model, x)
+    model = hopf_model("so", 32)
+    for k in range(1, model.ngens + 1):
+        l_k = l_class_component(model, k)
+        assert model.reduced_coproduct(l_k) == reduced_coproduct_by_pairs(model, l_k)
+    model = hopf_model("u", 24)  # 12 generators: 4-bit slots within the bound
+    c1, c2 = gen(model, 1), gen(model, 2)
+    for x in (c1**15, c1**16, c1**30, c1**14 * c2**8, c1**29 * 3 - c1**27 * c2 * 5):
+        assert model.reduced_coproduct(x) == reduced_coproduct_by_pairs(model, x)
+    assert model.reduced_coproduct(c1**30)[(1,) + (0,) * 11, (29,) + (0,) * 11] == 30
 
 
 def test_primitives_have_zero_reduced_coproduct():
     for kind, bound in (("u", 16), ("so", 32)):
         model = hopf_model(kind, bound)
         for j in range(1, model.ngens + 1):
-            assert model.reduced_coproduct(model.power_sum(j)).is_zero()
+            assert model.reduced_coproduct(model.power_sum(j)) == {}
         # The coproduct is taken on generator polynomials only.
         with pytest.raises(AlphabetMismatch):
-            model.coproduct(Polynomial.generator(model.primitives, "Q1"))
+            model.reduced_coproduct(Polynomial.generator(model.primitives, "Q1"))
 
 
 def _triple(model, tensor, expand_left):
@@ -149,18 +186,16 @@ def _triple(model, tensor, expand_left):
 
     Legal without Koszul bookkeeping because every generator is even."""
     out = {}
-    for (ea, eb), c in tensor.terms.items():
+    for (ea, eb), c in tensor.items():
         inner_exp = ea if expand_left else eb
-        inner = model.coproduct(Polynomial.from_monomial(model.generators, inner_exp))
-        for (e1, e2), c2 in inner.terms.items():
+        inner = _coproduct(model, Polynomial.from_monomial(model.generators, inner_exp))
+        for (e1, e2), c2 in inner.items():
             key = (e1, e2, eb) if expand_left else (ea, e1, e2)
             out[key] = out.get(key, Fraction(0)) + c * c2
     return {k: v for k, v in out.items() if v}
 
 
 def test_coproduct_coassociative_and_counital():
-    from mmmkit.gradedalg import enumerate_monomials
-
     rng = random.Random(42)
     for kind, bound in (("u", 10), ("so", 20)):
         model = hopf_model(kind, bound)
@@ -171,11 +206,11 @@ def test_coproduct_coassociative_and_counital():
             samples.append(Polynomial.from_monomial(model.generators, exp, rng.randint(1, 3)))
         unit = model.generators.unit()
         for x in samples:
-            delta = model.coproduct(x)
+            delta = _coproduct(model, x)
             assert _triple(model, delta, True) == _triple(model, delta, False)
             # counit: apply eps to the left leg, keep the right
             collapsed = {}
-            for (ea, eb), c in delta.terms.items():
+            for (ea, eb), c in delta.items():
                 if ea == unit:
                     collapsed[eb] = collapsed.get(eb, Fraction(0)) + c
             assert Polynomial(model.generators, collapsed) == x
@@ -338,24 +373,24 @@ def test_l_class_is_grouplike():
     one = Polynomial.one(model.generators)
     comps = [one] + [l_class_component(model, k) for k in range(1, 7)]
     for n in range(1, 7):
-        expected = TensorElement.zero(model.generators)
-        for i in range(n + 1):
-            expected = expected + TensorElement.tensor(comps[i], comps[n - i])
-        assert model.coproduct(comps[n]) == expected
+        expected = tensor_sum_by_pairs(
+            *((1, tensor_by_pairs(comps[i], comps[n - i])) for i in range(n + 1))
+        )
+        assert _coproduct(model, comps[n]) == expected
 
 
-def _all_int(element):
-    return all(type(c) is int for c in element.terms.values())
+def _all_int(coefficients):
+    return all(type(c) is int for c in coefficients)
 
 
 def test_newton_and_coproduct_tables_have_int_coefficients():
     for kind, bound in (("u", 16), ("so", 24)):
         model = hopf_model(kind, bound)
         for j in range(1, model.ngens + 1):
-            assert _all_int(model.power_sum(j))
-            assert _all_int(model.reduced_coproduct(model.power_sum(j)))
-            assert _all_int(model.reduced_coproduct(model.generator_poly(j) ** 2))
+            assert _all_int(model.power_sum(j).terms.values())
+            assert _all_int(model.reduced_coproduct(model.power_sum(j)).values())
+            assert _all_int(model.reduced_coproduct(model.generator_poly(j) ** 2).values())
             q_j = Polynomial.generator(model.primitives, f"Q{j}")
-            assert _all_int(model.from_primitive_basis(q_j**2))
-    assert not _all_int(l_class_component(hopf_model("so", 8), 2))
+            assert _all_int(model.from_primitive_basis(q_j**2).terms.values())
+    assert not _all_int(l_class_component(hopf_model("so", 8), 2).terms.values())
 
