@@ -5,16 +5,26 @@ ints or Fractions, all of one stated width.  Every exact elimination runs in
 one core, ``_core.rref_int``, integer Gauss-Jordan elimination on Python
 ints; this module clears denominators on the way in.
 
-A subspace is stored by its primitive integer RREF rows, as the core returns
-them: row i is the i-th row of the rational reduced row echelon form scaled
-to integer entries with content 1 and a positive pivot entry, and rows are
-ordered by pivot column.  That scaling is unique, so the rows are a
-canonical form: two subspaces are equal iff their stored rows are equal
-entrywise.  Dimension, equality, hashing and the kernel certificate read the
-integer rows; the rational basis (pivot entries 1) is boxed into Fractions
-once, on the first read of ``Subspace.basis``.  Pivot selection is
-deterministic (leftmost nonzero column, topmost unprocessed row), so every
-route to the same subspace produces the same object.
+A subspace is known by its primitive integer RREF rows, as the core
+returns them: row i is the i-th row of the rational reduced row echelon form
+scaled to integer entries with content 1 and a positive pivot entry, and
+rows are ordered by pivot column.  That scaling is unique, so the rows are a
+canonical form: two subspaces are equal iff their rows are equal entrywise.
+Pivot selection is deterministic (leftmost nonzero column, topmost
+unprocessed row), so every route to the same subspace produces the same
+rows.  The rows are not always stored, though.  `Subspace.from_vectors`
+first runs an O(nnz) peeling test: it removes, again and again, a vector
+that is the only nonzero one in some column.  A vector removed that way
+takes no part in any dependency among those left, so when every vector
+peels they are independent, and the subspace keeps them as they are, with
+their count as its dimension.  Its rows and pivots are eliminated by the
+same core on their first read, and its rational basis (pivot entries 1) is
+boxed into Fractions on the first read of ``Subspace.basis``.  Vectors that
+do not peel (a zero vector, a repeat, any other dependency, or simply no
+column to peel at) are eliminated at once.  The kernel certificate reads
+whichever integer basis a subspace holds, and `subspace_equal` answers
+without rows when both sides are one object, when their dimensions differ,
+and when the dimension is 0 or the ambient one.
 
 Kernels stay in the integers throughout.  Each kernel vector is built from
 the primitive RREF rows with integer entries, scaled by the lcm of the pivot
@@ -83,26 +93,54 @@ def _int_rows(entries):
 
 
 class Subspace:
-    """A linear subspace of Q^n, stored by its primitive integer RREF rows."""
+    """A linear subspace of Q^n, known by its primitive integer RREF rows."""
 
-    __slots__ = ("ambient_dim", "rows", "pivots", "_basis")
+    __slots__ = ("ambient_dim", "dim", "_vectors", "_rows", "_pivots", "_basis")
 
     def __init__(self, ambient_dim, rows, pivots):
         # Trusted constructor: rows must already be primitive integer RREF
         # rows (content 1, positive pivots), ordered by pivot.
         self.ambient_dim = ambient_dim
-        self.rows = tuple(tuple(row) for row in rows)
-        self.pivots = tuple(pivots)
+        self._rows = self._vectors = tuple(tuple(row) for row in rows)
+        self._pivots = tuple(pivots)
+        self.dim = len(self._rows)
         self._basis = None
 
     @classmethod
     def from_vectors(cls, ambient_dim, vectors):
-        vectors = [list(v) for v in vectors]
+        """The span of ``vectors``; kept as they are when they peel (see the
+        module docstring), eliminated at once otherwise."""
+        vectors = [tuple(v) for v in vectors]
         for v in vectors:
             if len(v) != ambient_dim:
                 raise DimensionMismatch(f"vector length {len(v)} != ambient {ambient_dim}")
-        rows, pivots = _core.rref_int(_int_rows(vectors), ambient_dim)
-        return cls(ambient_dim, rows, pivots)
+        vectors = _int_rows(vectors)
+        if not _peels(vectors, ambient_dim):
+            return cls(ambient_dim, *_core.rref_int(vectors, ambient_dim))
+        space = cls.__new__(cls)
+        space.ambient_dim = ambient_dim
+        space._vectors = tuple(map(tuple, vectors))
+        space.dim = len(vectors)
+        space._rows = space._pivots = space._basis = None
+        return space
+
+    def _eliminate(self):
+        rows, pivots = _core.rref_int(self._vectors, self.ambient_dim)
+        self._rows = tuple(map(tuple, rows))
+        self._pivots = tuple(pivots)
+
+    @property
+    def rows(self):
+        """The canonical primitive integer RREF rows, ordered by pivot."""
+        if self._rows is None:
+            self._eliminate()
+        return self._rows
+
+    @property
+    def pivots(self):
+        if self._pivots is None:
+            self._eliminate()
+        return self._pivots
 
     @classmethod
     def zero(cls, ambient_dim):
@@ -125,12 +163,8 @@ class Subspace:
             )
         return self._basis
 
-    @property
-    def dim(self):
-        return len(self.rows)
-
     def coordinates(self, vector):
-        """Coefficients of ``vector`` over the stored basis, or None if outside."""
+        """Coefficients of ``vector`` over the canonical basis, or None if outside."""
         if len(vector) != self.ambient_dim:
             raise DimensionMismatch(
                 f"vector length {len(vector)} != ambient {self.ambient_dim}"
@@ -154,7 +188,7 @@ class Subspace:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.rows == other.rows
+            and subspace_equal(self, other)
         )
 
     def __hash__(self):
@@ -162,6 +196,40 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
+
+
+def _peels(vectors, ncols):
+    """Whether the vectors peel away one by one, each removed while it is
+    the only remaining vector nonzero in some column; if so they are
+    independent.
+
+    A column's count of remaining vectors only falls, so it joins the queue
+    at most once, when it reaches one, and its holders are scanned at most
+    once: the test is linear in the number of nonzero entries.
+    """
+    columns = range(ncols)
+    supports = [list(compress(columns, v)) for v in vectors]
+    holders = [[] for _ in columns]
+    for i, cols in enumerate(supports):
+        for j in cols:
+            holders[j].append(i)
+    count = [len(h) for h in holders]
+    ready = [j for j in columns if count[j] == 1]
+    alive = [True] * len(vectors)
+    left = len(vectors)
+    while ready:
+        for i in holders[ready.pop()]:
+            if alive[i]:
+                break
+        else:  # its last vector peeled at another column
+            continue
+        alive[i] = False
+        left -= 1
+        for j in supports[i]:
+            count[j] -= 1
+            if count[j] == 1:
+                ready.append(j)
+    return not left
 
 
 def _kernel_vectors(rows, pivots, ncols):
@@ -214,11 +282,12 @@ def _supports(rows, ncols):
 
 
 def _annihilates(supports, subspace):
-    """Whether every row is orthogonal to every integer row of ``subspace``.
+    """Whether every row is orthogonal to the integer basis ``subspace``
+    holds, its vectors as kept or its canonical rows.
 
     Each row reads only its own nonzero columns.
     """
-    vectors = subspace.rows
+    vectors = subspace._vectors
     return not any(
         sum(row[j] * v[j] for j in cols) for cols, row in supports for v in vectors
     )
@@ -389,11 +458,22 @@ def stacked_kernels(blocks, ncols, candidates=None):
 
 
 def subspace_equal(a, b):
-    """Exact subspace equality; errors out on mismatched ambient dimensions."""
+    """Exact subspace equality; errors out on mismatched ambient dimensions.
+
+    The rows are compared only when the dimensions cannot decide: one
+    object, different dimensions, and dimension 0 or the ambient one need
+    none.
+    """
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch(
             f"ambient dimensions differ: {a.ambient_dim} != {b.ambient_dim}"
         )
+    if a is b:
+        return True
+    if a.dim != b.dim:
+        return False
+    if a.dim in (0, a.ambient_dim):
+        return True
     return a.rows == b.rows
 
 

@@ -19,10 +19,16 @@ the model's bound allows.
 
 Primitive generators Q_j are the integer Newton power sums s_j, so the
 coefficient of g_1^j inside Q_j is exactly 1; `character_component` divides
-by j! to produce the Chern/Pontrjagin character pieces.  Models are built
-to a degree bound and treated as immutable afterwards; the small
-write-once memo tables are filled on first use and are not guarded by
-locks.
+by j! to produce the Chern/Pontrjagin character pieces.  The primitive
+monomials Q^lam, the closed form of the near-primitives, are kept in one
+memoised integer table on the same packed keys: `primitive_monomial` builds
+Q^lam as Q^(lam - e_i) * Q_i, i the first index of lam, one packed product
+each, and takes the single factors Q_i from `from_primitive_basis`.  Its
+slot width is ``ngens.bit_length()``: a monomial within the model's bound
+has at most ngens factors, so no slot can carry.  The table lives as long
+as the model.  Models are built to a degree bound and treated as immutable
+afterwards; the write-once memo tables are filled on first use and are not
+guarded by locks.
 """
 
 from __future__ import annotations
@@ -73,6 +79,9 @@ class HopfModel:
         self._gen_coproduct_powers = {}
         self._packed_powers = {}  # (i, e, width) -> packed delta(g_i)^e
         self._decoded = {}  # width -> _Decoder
+        #: the slot width of the primitive table, wide enough for g_1^ngens
+        self.width = self.ngens.bit_length()
+        self._primitive_monomials = {self.primitives.unit(): {0: 1}}
 
     def __repr__(self):
         return f"HopfModel({self.kind!r}, max_degree={self.max_degree})"
@@ -113,6 +122,45 @@ class HopfModel:
         if x.alphabet != self.primitives:
             raise AlphabetMismatch("expected a polynomial over the primitive alphabet")
         return x.substitute(self.generators, self._power_sums[1:])
+
+    def primitive_monomial(self, exp):
+        """Q^exp over the generators as a packed dict ``{key: int}`` at slot
+        width ``self.width``, memoised; see the module docstring.
+
+        The power sums have integer coefficients, so every entry is an int.
+        ``exp`` must lie within the model's bound, where no slot carries.
+        """
+        packed = self._primitive_monomials.get(exp)
+        if packed is None:
+            if self.primitives.degree(exp) > self.max_degree:
+                monomial = self.primitives.monomial_dict(exp)
+                raise QueryError(f"{monomial} is above the model bound {self.max_degree}")
+            i = next(i for i, e in enumerate(exp) if e)
+            rest = exp[:i] + (exp[i] - 1,) + exp[i + 1:]
+            if any(rest):
+                single = exp[:i] + (1,) + (0,) * (len(exp) - i - 1)
+                packed = _packed_product(
+                    self.primitive_monomial(rest), self.primitive_monomial(single)
+                )
+            else:
+                poly = self.from_primitive_basis(Polynomial.from_monomial(self.primitives, exp))
+                packed = {self.pack(e): c for e, c in poly.terms.items()}
+            self._primitive_monomials[exp] = packed
+        return packed
+
+    def pack(self, exp):
+        """A generator exponent tuple as a key of the primitive table."""
+        return _pack(exp, self.width)
+
+    def unpack(self, key):
+        """The generator exponent tuple of a key of the primitive table."""
+        return self._decoder(self.width)[key]
+
+    def _decoder(self, width):
+        decoded = self._decoded.get(width)
+        if decoded is None:
+            decoded = self._decoded[width] = _Decoder(width, self.ngens)
+        return decoded
 
     # -- coproduct -----------------------------------------------------------
 
@@ -189,9 +237,7 @@ class HopfModel:
             left = _pack(exp, width)
             total[left] -= coeff
             total[left << shift] -= coeff
-        decoded = self._decoded.get(width)
-        if decoded is None:
-            decoded = self._decoded[width] = _Decoder(width, self.ngens)
+        decoded = self._decoder(width)
         mask = (1 << shift) - 1
         return {(decoded[key & mask], decoded[key >> shift]): c for key, c in total.items() if c}
 

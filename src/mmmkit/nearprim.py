@@ -54,13 +54,27 @@ annihilate K, and a subset of them has rank ncols - dim K) and eliminates
 R_d in full otherwise.  Either way the result is exactly ker R_d, so a
 wrong K cannot hide a fault; most orders need no elimination.
 
+The closed-form vectors are a basis as they stand.  By Newton's identities
+Q_n = +-n g_n plus products of two or more generators, so Q^lam has exactly
+one support monomial of least length, g^lam, with coefficient +-prod lam_i,
+and these are distinct within a slice.  `exactq.Subspace.from_vectors`
+proves that independence by its O(nnz) peeling test rather than assuming it,
+and keeps the vectors uneliminated: the certificate checks annihilation on
+them and reads its rank target off their count, and a certified kernel is
+the span object itself.  Canonical rows are eliminated only where they are
+read: by `npd` and the MMM answers built on it, by failure witnesses, and
+by the comparison with the primitive slice once m >= 2d; `nearprim basis`
+reads only the dimension.
+
 Everything nearprim knows about one degree m of one model lives in one
 object, `_Degree`, kept for the degree asked for last: the generator-monomial
 basis every route, span and witness reads, each order's closed-form
-monomials, each primitive monomial as a polynomial and as coordinates, the
-closed-form spans, and the keyed rows with the kernels certified from them.
-Each piece is built on first use.  The rows and kernels are rebuilt whenever
-the coproduct table they came from changes, so they never outlive it.
+monomials, each primitive monomial as coordinates, the closed-form spans, and
+the keyed rows with the kernels certified from them.  Each piece is built on
+first use.  The primitive monomials themselves live in the model's memoised
+integer table (`HopfModel.primitive_monomial`), which every degree shares.
+The rows and kernels are rebuilt whenever the coproduct table they came from
+changes, so they never outlive it.
 """
 
 from __future__ import annotations
@@ -68,7 +82,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import add
 
-from .errors import QueryError
+from .errors import DimensionMismatch, QueryError
 from .exactq import (
     Subspace,
     kernel_basis,
@@ -109,6 +123,9 @@ class _Degree:
     """What every route reads of one degree m of one model, built lazily.
 
     ``basis`` lists the degree-m generator monomials in canonical order.
+    ``coordinates(exp)`` reads Q^exp from the model's packed integer table
+    through one index of the packed basis monomials, built once per degree;
+    ``primitive(exp)``, which only `npd` reads, decodes the same entry.
     ``blocks()`` holds the reduced-coproduct matrix as dense integer rows:
     ``blocks()[k]`` maps each right-hand factor eb of degree k = |eb| to the
     pairs ``(ea, row)``, where ``row[j]`` is the coefficient of ea (x) eb in
@@ -122,7 +139,7 @@ class _Degree:
         self.m = m
         self.basis = tuple(enumerate_monomials(self.model.generators, m))
         self._monomials = {}  # order -> closed-form monomials
-        self._primitives = {}  # exponent -> polynomial over the generators
+        self._index = None  # packed basis monomial -> its position
         self._coordinates = {}  # exponent -> integer coordinates over basis
         # Orders with no generator degree between them admit the same
         # monomials, so the certificate and every order's span read one entry.
@@ -150,21 +167,30 @@ class _Degree:
         return monos
 
     def primitive(self, exp):
-        """A primitive monomial as a polynomial over the generators."""
-        poly = self._primitives.get(exp)
-        if poly is None:
-            model = self.model
-            poly = model.from_primitive_basis(Polynomial.from_monomial(model.primitives, exp))
-            self._primitives[exp] = poly
-        return poly
+        """A primitive monomial as a polynomial over the generators, decoded
+        from the model's table."""
+        model = self.model
+        terms = model.primitive_monomial(exp)
+        return Polynomial(model.generators, {model.unpack(k): c for k, c in terms.items()})
 
     def coordinates(self, exp):
-        """A primitive monomial as dense integer coordinates over ``basis``;
-        the Newton power sums have integer coefficients."""
+        """A primitive monomial as dense integer coordinates over ``basis``,
+        read from the model's integer table through the packed basis index;
+        a term outside the basis is refused."""
         vec = self._coordinates.get(exp)
         if vec is None:
-            vec = degree_slice_vector(self.primitive(exp), self.m, self.basis)
-            self._coordinates[exp] = vec
+            model = self.model
+            if self._index is None:
+                self._index = {model.pack(e): j for j, e in enumerate(self.basis)}
+            index = self._index
+            coords = [0] * len(self.basis)
+            for key, c in model.primitive_monomial(exp).items():
+                j = index.get(key)
+                if j is None:
+                    monomial = model.generators.monomial_dict(model.unpack(key))
+                    raise DimensionMismatch(f"monomial {monomial} is not in the slice basis")
+                coords[j] = c
+            vec = self._coordinates[exp] = tuple(coords)
         return vec
 
     def span(self, d):

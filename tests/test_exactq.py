@@ -2,7 +2,8 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings
@@ -508,3 +509,95 @@ def test_subspace_rows_are_canonical_and_box_to_the_basis(case, data):
         if s == t:
             assert hash(s) == hash(t)
     assert s == same
+
+
+@st.composite
+def spanning_sets(draw):
+    """A width, vectors of that width (ints or Fractions), and whether they
+    peel, when the draw knows it: a triangular set (vector i is nonzero at
+    its own column and zero at the columns of the vectors before it),
+    shuffled, peels, and stops peeling once a zero vector, a repeat or a
+    combination of two joins it; any other vectors may or may not."""
+    ncols = draw(st.integers(1, 6))
+    entry = st.integers(-4, 4)
+    peels = None
+    if draw(st.booleans()):
+        own = draw(st.permutations(range(ncols)))[: draw(st.integers(0, ncols))]
+        vectors = []
+        for i, col in enumerate(own):
+            v = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+            for earlier in own[:i]:
+                v[earlier] = 0
+            v[col] = draw(entry.filter(bool))
+            vectors.append(v)
+        vectors = draw(st.permutations(vectors))
+        spoil = draw(st.sampled_from(["none", "zero", "repeat", "combination"]))
+        if spoil == "zero" or not vectors:
+            vectors.append([0] * ncols)
+        elif spoil == "repeat":
+            vectors.append(list(draw(st.sampled_from(vectors))))
+        elif spoil == "combination":
+            a, b = draw(st.sampled_from(vectors)), draw(st.sampled_from(vectors))
+            vectors.append([2 * x - 3 * y for x, y in zip(a, b)])
+        peels = spoil == "none" and len(vectors) == len(own)
+    else:
+        row = st.lists(entry, min_size=ncols, max_size=ncols)
+        vectors = draw(st.lists(row, max_size=6))
+    if draw(st.booleans()):
+        scales = draw(st.lists(st.integers(1, 4), min_size=len(vectors), max_size=len(vectors)))
+        vectors = [[Fraction(e, c) for e in v] for c, v in zip(scales, vectors)]
+    return ncols, vectors, peels
+
+
+def _canonical_twin(ncols, vectors):
+    """The span of ``vectors`` eliminated at once, through the trusted
+    constructor."""
+    cleared = [[int(e * lcm(*(Fraction(x).denominator for x in v))) for e in v] for v in vectors]
+    return Subspace(ncols, *exactq._core.rref_int(cleared, ncols))
+
+
+@settings(deadline=None)
+@given(spanning_sets(), st.data())
+def test_a_kept_subspace_reads_exactly_as_its_eliminated_twin(case, data):
+    """Vectors that peel are kept and eliminated only when read; any others
+    are eliminated at once.  Either way each read of a fresh subspace
+    (rows, pivots, basis, dim, hash, equality, membership and coordinates)
+    matches the twin eliminated at once, and a kept candidate gives the
+    kernel routines the same kernel as its twin."""
+    ncols, vectors, peels = case
+    if peels is not None:
+        assert exactq._peels(vectors, ncols) == peels
+    kept = exactq._peels(vectors, ncols)
+    twin = _canonical_twin(ncols, vectors)
+
+    def fresh():
+        return Subspace.from_vectors(ncols, vectors)
+
+    assert (fresh()._rows is None) == kept
+    assert fresh().dim == twin.dim
+    assert fresh().rows == twin.rows
+    assert fresh().pivots == twin.pivots
+    assert fresh().basis == twin.basis
+    assert hash(fresh()) == hash(twin)
+    assert fresh() == twin and twin == fresh() and subspace_equal(fresh(), twin)
+    entry = st.integers(-3, 3)
+    weights = data.draw(st.lists(entry, min_size=len(vectors), max_size=len(vectors)))
+    inside = [sum(w * v[j] for w, v in zip(weights, vectors)) for j in range(ncols)]
+    anywhere = data.draw(st.lists(entry, min_size=ncols, max_size=ncols))
+    for probe in (inside, anywhere):
+        assert fresh().contains(probe) == twin.contains(probe)
+        assert fresh().coordinates(probe) == twin.coordinates(probe)
+
+    # Candidates: the drawn vectors, and the true kernel's rows with each
+    # row plus the next, which still peel but are not its canonical rows.
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    rows = data.draw(st.lists(row, max_size=5))
+    kernel = kernel_basis(rows, ncols)
+    shifted = [list(map(add, a, b)) for a, b in zip(kernel.rows, kernel.rows[1:])]
+    shifted += kernel.rows[-1:]
+    for spanning in (vectors, shifted):
+        candidate = Subspace.from_vectors(ncols, spanning)
+        twin = _canonical_twin(ncols, spanning)
+        assert kernel_basis(rows, ncols, candidate=candidate).rows == kernel.rows
+        assert stacked_kernels([rows], ncols, [candidate])[0].rows == kernel.rows
+        assert kernel_basis(rows, ncols, candidate=twin).rows == kernel.rows

@@ -4,12 +4,12 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb
+from math import comb, prod
 
 import pytest
 
 from mmmkit import exactq, nearprim
-from mmmkit.errors import QueryError
+from mmmkit.errors import DimensionMismatch, QueryError
 from mmmkit.gradedalg import (
     GeneratorAlphabet,
     Polynomial,
@@ -640,3 +640,48 @@ def test_the_certificate_serves_every_degree_without_elimination(monkeypatch, ki
     assert verify_equivalence(hopf_model(kind, bound), bound).all_passed
     assert [m for m, eliminated in passes if eliminated] == []
     assert len(passes) == bound // hopf_model(kind, bound).step
+
+
+@pytest.mark.parametrize("kind, bound", [("u", 24), ("so", 40)])
+def test_the_closed_form_is_read_from_the_integer_table_without_elimination(
+    monkeypatch, kind, bound
+):
+    """Every closed-form Q^lam read from the model's integer table equals
+    its expansion through `from_primitive_basis`, term by term, as a
+    polynomial and as coordinates.  Each is Newton triangular: its one
+    support monomial of least length is c^lam, with coefficient
+    prod((-1)^(i-1) i)^lam_i, so these are distinct within a slice and the
+    vectors peel.  Building every closed-form span therefore calls the
+    elimination core not once."""
+    model = hopf_model(kind, bound)
+    eliminations = []
+    original = exactq._core.rref_int
+
+    def recording(rows, ncols):
+        eliminations.append((len(rows), ncols))
+        return original(rows, ncols)
+
+    monkeypatch.setattr(exactq._core, "rref_int", recording)
+    nearprim._degree.cache_clear()
+    for m in range(model.step, bound + 1, model.step):
+        state = nearprim._degree(kind, bound, m)
+        closed_form = set()
+        for d in range(1, m + 1):
+            monomials = state.monomials(d)
+            assert state.span(d).dim == len(monomials)
+            closed_form.update(monomials)
+        for e in closed_form:
+            expanded = model.from_primitive_basis(Polynomial.from_monomial(model.primitives, e))
+            assert state.primitive(e).terms == expanded.terms
+            assert state.coordinates(e) == degree_slice_vector(expanded, m, state.basis)
+            least = min(map(sum, expanded.terms))
+            assert [g for g in expanded.terms if sum(g) == least] == [e]
+            assert expanded.terms[e] == prod(((-1) ** (i - 1) * i) ** k for i, k in enumerate(e, 1))
+    assert eliminations == []
+    # A term off the slice is refused, as `degree_slice_vector` refuses it.
+    q1 = (1,) + (0,) * (model.ngens - 1)
+    with pytest.raises(DimensionMismatch, match="is not in the slice basis"):
+        state.coordinates(q1)
+    # Past the bound a slot could carry, so the table refuses.
+    with pytest.raises(QueryError, match=f"above the model bound {bound}"):
+        model.primitive_monomial((bound // model.step + 1,) + (0,) * (model.ngens - 1))
