@@ -52,6 +52,21 @@ eliminated twice, and a candidate is returned only where it equals the
 exact kernel.  A candidate that fails costs the full elimination, never a
 wrong answer.  The near-primitive kernel route certifies a whole degree
 this way, one block per order; `kernel_basis` is the one-block call.
+
+Both read their rows in one sparse form, `SparseRow`: an integer row with
+its ascending nonzero columns.  `sparse_rows` is the one conversion into it.
+It checks each dense row's width, clears its denominators and finds its
+support, and leaves zero rows out.  A `SparseRow` passes unconverted, so a
+caller that keeps its rows converted, as the near-primitive degrees do,
+converts each row once however many kernels read it.  The annihilation
+check (i) is memoised on the candidate: a Subspace keeps the rows already
+found to annihilate it, keyed by the identity of row objects the memo keeps
+alive, and checks only the others.  This is not vouching for containment.
+Every row is still checked exactly against the very subspace it certifies,
+once, and a Subspace never changes, so a row checked once stays checked.
+Another Subspace, even an equal one, starts with an empty memo and checks
+every row itself, so a wrong candidate is never accepted on the strength of
+rows checked against a different object.
 """
 
 from __future__ import annotations
@@ -59,6 +74,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from math import lcm
+from typing import NamedTuple
 
 from . import _core
 from .errors import DimensionMismatch
@@ -75,27 +91,56 @@ PRIME = 2**31 - 1
 _is_int = int.__instancecheck__
 
 
-def _int_rows(entries):
-    """Scale each row by the lcm of its denominators; row scaling preserves RREF.
+def _int_row(row):
+    """Scale a row by the lcm of its denominators; row scaling preserves RREF.
 
-    Integer rows are kept as they are, not copied: nothing downstream
-    writes to them, and `_core.rref_int` copies what it reduces.
+    An integer row is kept as it is, not copied: nothing downstream writes
+    to it, and `_core.rref_int` copies what it reduces.
     """
+    if all(map(_is_int, row)):  # type check at C speed, no generator
+        return row
+    row = [Fraction(e) for e in row]
+    scale = lcm(*(e.denominator for e in row)) if row else 1
+    return [int(e * scale) for e in row]
+
+
+class SparseRow(NamedTuple):
+    """An integer row with its nonzero columns, as `sparse_rows` makes it."""
+
+    cols: tuple  # ascending, never empty
+    row: tuple
+
+
+def sparse_rows(rows, ncols):
+    """The nonzero rows of a matrix as `SparseRow`s: the one conversion that
+    every kernel routine reads.
+
+    Each dense row (ints or Fractions) is checked to have ``ncols`` entries,
+    cleared of denominators and given its support; zero rows are left out.
+    A `SparseRow` passes as it is, once its width is checked, so a caller
+    that keeps converted rows pays for the conversion once.
+    """
+    columns = range(ncols)
     out = []
-    for row in entries:
-        if all(map(_is_int, row)):  # type check at C speed, no generator
+    for row in rows:
+        if type(row) is SparseRow:
+            if len(row.row) != ncols:
+                raise DimensionMismatch(f"row length {len(row.row)} != {ncols} columns")
             out.append(row)
             continue
-        row = [Fraction(e) for e in row]
-        scale = lcm(*(e.denominator for e in row)) if row else 1
-        out.append([int(e * scale) for e in row])
+        if len(row) != ncols:
+            raise DimensionMismatch(f"row length {len(row)} != {ncols} columns")
+        row = tuple(_int_row(row))
+        cols = tuple(compress(columns, row))
+        if cols:
+            out.append(SparseRow(cols, row))
     return out
 
 
 class Subspace:
     """A linear subspace of Q^n, known by its primitive integer RREF rows."""
 
-    __slots__ = ("ambient_dim", "dim", "_vectors", "_rows", "_pivots", "_basis")
+    __slots__ = ("ambient_dim", "dim", "_vectors", "_rows", "_pivots", "_basis", "_annihilated")
 
     def __init__(self, ambient_dim, rows, pivots):
         # Trusted constructor: rows must already be primitive integer RREF
@@ -105,6 +150,7 @@ class Subspace:
         self._pivots = tuple(pivots)
         self.dim = len(self._rows)
         self._basis = None
+        self._annihilated = {}
 
     @classmethod
     def from_vectors(cls, ambient_dim, vectors):
@@ -114,7 +160,7 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient_dim:
                 raise DimensionMismatch(f"vector length {len(v)} != ambient {ambient_dim}")
-        vectors = _int_rows(vectors)
+        vectors = list(map(_int_row, vectors))
         if not _peels(vectors, ambient_dim):
             return cls(ambient_dim, *_core.rref_int(vectors, ambient_dim))
         space = cls.__new__(cls)
@@ -122,6 +168,7 @@ class Subspace:
         space._vectors = tuple(map(tuple, vectors))
         space.dim = len(vectors)
         space._rows = space._pivots = space._basis = None
+        space._annihilated = {}
         return space
 
     def _eliminate(self):
@@ -255,42 +302,31 @@ def _kernel_vectors(rows, pivots, ncols):
 
 
 def kernel_basis(rows, ncols, candidate=None):
-    """Null space of ``rows`` (lists of ints/Fractions, each of length
-    ``ncols``), as a canonical Subspace of Q^ncols.
+    """Null space of ``rows``, each a dense row of ints/Fractions of length
+    ``ncols`` or a `SparseRow`, as a canonical Subspace of Q^ncols.
 
     ``candidate`` is an optional Subspace of Q^ncols believed to be the
     kernel: it is returned when the rows certify it, and the kernel is
     computed otherwise, so the result is always the kernel of the rows.
     """
-    for row in rows:
-        if len(row) != ncols:
-            raise DimensionMismatch(f"row length {len(row)} != {ncols} columns")
-    if candidate is None:
-        return stacked_kernels([rows], ncols)[0]
-    if candidate.ambient_dim != ncols:
-        raise DimensionMismatch(
-            f"candidate lives in Q^{candidate.ambient_dim}, the rows in Q^{ncols}"
-        )
-    return stacked_kernels([rows], ncols, [candidate])[0]
+    return stacked_kernels([rows], ncols, None if candidate is None else [candidate])[0]
 
 
-def _supports(rows, ncols):
-    """``(nonzero columns, row)`` for every nonzero row, columns ascending."""
-    columns = range(ncols)
-    pairs = ((list(compress(columns, row)), row) for row in rows)
-    return [pair for pair in pairs if pair[0]]
+def _annihilates(rows, subspace):
+    """Whether every `SparseRow` is orthogonal to the integer basis
+    ``subspace`` holds, its vectors as kept or its canonical rows.
 
-
-def _annihilates(supports, subspace):
-    """Whether every row is orthogonal to the integer basis ``subspace``
-    holds, its vectors as kept or its canonical rows.
-
-    Each row reads only its own nonzero columns.
+    Each row reads only its own nonzero columns, and is checked against a
+    subspace once: the rows found to annihilate it are kept in its memo,
+    keyed by the identity of row objects that the memo itself keeps alive.
     """
+    checked = subspace._annihilated
+    fresh = [r for r in rows if id(r) not in checked]
     vectors = subspace._vectors
-    return not any(
-        sum(row[j] * v[j] for j in cols) for cols, row in supports for v in vectors
-    )
+    if any(sum(row[j] * v[j] for j in cols) for cols, row in fresh for v in vectors):
+        return False
+    checked.update((id(r), r) for r in fresh)
+    return True
 
 
 class RankModP:
@@ -385,12 +421,12 @@ class KernelCertificate:
         self.queued = []
 
     def extend(self, rows, candidate):
-        supports = _supports(rows, self.ncols)
-        if not _annihilates(supports, candidate):
+        rows = sparse_rows(rows, self.ncols)
+        if not _annihilates(rows, candidate):
             return False
         echelon = self.echelon
         target = self.ncols - candidate.dim
-        queue = self._feed_order(self.queued + supports)
+        queue = self._feed_order(self.queued + rows)
         fed = 0
         while echelon.rank < target and fed < len(queue):
             echelon.add(*queue[fed])
@@ -398,11 +434,11 @@ class KernelCertificate:
         self.queued = queue[fed:]
         return echelon.rank >= target
 
-    def _feed_order(self, supports):
+    def _feed_order(self, rows):
         kept = self.echelon.kept
         seeds = {}  # last column not yet taken -> the sparsest row ending there
         rest = []
-        for item in supports:
+        for item in rows:
             last = item[0][-1]
             if last in kept:
                 rest.append(item)
@@ -436,8 +472,17 @@ def stacked_kernels(blocks, ncols, candidates=None):
     from scratch; a block that adds no rank shares the kernel of the prefix
     before it, and a candidate equal to its kernel is returned in its place.
     """
-    blocks = [_int_rows(block) for block in blocks]
+    blocks = [sparse_rows(block, ncols) for block in blocks]
     if candidates is not None:
+        if len(candidates) != len(blocks):
+            raise DimensionMismatch(
+                f"candidate count {len(candidates)} != block count {len(blocks)}"
+            )
+        for candidate in candidates:
+            if candidate.ambient_dim != ncols:
+                raise DimensionMismatch(
+                    f"candidate lives in Q^{candidate.ambient_dim}, the rows in Q^{ncols}"
+                )
         certificate = KernelCertificate(ncols)
         if all(map(certificate.extend, blocks, candidates)):
             return list(candidates)
@@ -445,7 +490,7 @@ def stacked_kernels(blocks, ncols, candidates=None):
     kernels = []
     for rows in blocks:
         if rows:
-            reduced, grown = _core.rref_int(reduced + rows, ncols)
+            reduced, grown = _core.rref_int(reduced + [row for _, row in rows], ncols)
             if len(grown) != len(pivots):
                 pivots = grown
                 kernel = _kernel_of_rref(reduced, pivots, ncols)
@@ -526,7 +571,7 @@ def solve_in_span(vectors, target):
     if k == 0:
         return () if not any(target) else None
     augmented = [[vectors[j][i] for j in range(k)] + [target[i]] for i in range(n)]
-    rows, pivots = _core.rref_int(_int_rows(augmented), k + 1)
+    rows, pivots = _core.rref_int(list(map(_int_row, augmented)), k + 1)
     if k in pivots:
         return None
     coeffs = [_ZERO] * k

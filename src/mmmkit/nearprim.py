@@ -39,20 +39,25 @@ the route returns the kernel of its own rows, so a wrong closed form still
 surfaces as a monomial-basis failure.
 
 The rows of a degree are built once, as dense integer rows keyed by the
-pair (ea, eb) of tensor factors, and the kernel route's pass and every
-restricted order read them.  The restricted route of order d sends each key
-(ea, eb) with |eb| >= d to (ea, er) for every term of the restricted eb, and
-rows that land on one key add up, scaled by the image coefficient: the
-linear map id (x) restrict applied to the stacked blocks.  Restriction keeps
-a generator, kills it or sends p_{d/2} to e^2, so it sends distinct
-surviving monomials to distinct monomials with coefficient 1.  Its matrix
-R_d is therefore the rows of every B_k (k >= d) whose right-hand factor
-survives, relabelled, and ker R_d contains the kernel route's answer K.  The
-route hands K as a candidate to `exactq.kernel_basis`, the one-block call
-of the same routine, which returns K only when the rows certify it (they
-annihilate K, and a subset of them has rank ncols - dim K) and eliminates
-R_d in full otherwise.  Either way the result is exactly ker R_d, so a
-wrong K cannot hide a fault; most orders need no elimination.
+pair (ea, eb) of tensor factors.  Each distinct row is interned once, as one
+object together with its support, an `exactq.SparseRow`, and the kernel
+route's pass and every restricted order hand those same objects to `exactq`:
+no order converts a row again, and the certificate's annihilation memo
+checks each row against each candidate once.
+
+The restricted route of order d sends each key (ea, eb) with |eb| >= d to
+(ea, er) for every term of the restricted eb, and rows that land on one key
+add up, scaled by the image coefficient: the linear map id (x) restrict
+applied to the stacked blocks.  Restriction keeps a generator, kills it or
+sends p_{d/2} to e^2, so it sends distinct surviving monomials to distinct
+monomials with coefficient 1.  Its matrix R_d is therefore the rows of every
+B_k (k >= d) whose right-hand factor survives, relabelled, and ker R_d
+contains the kernel route's answer K.  The route hands K as a candidate to
+`exactq.kernel_basis`, the one-block call of the same routine, which returns
+K only when the rows certify it (they annihilate K, and a subset of them has
+rank ncols - dim K) and eliminates R_d in full otherwise.  Either way the
+result is exactly ker R_d, so a wrong K cannot hide a fault; most orders
+need no elimination.
 
 The closed-form vectors are a basis as they stand.  By Newton's identities
 Q_n = +-n g_n plus products of two or more generators, so Q^lam has exactly
@@ -86,6 +91,7 @@ from .errors import DimensionMismatch, QueryError
 from .exactq import (
     Subspace,
     kernel_basis,
+    sparse_rows,
     stacked_kernels,
     subspace_equal,
 )
@@ -131,6 +137,9 @@ class _Degree:
     pairs ``(ea, row)``, where ``row[j]`` is the coefficient of ea (x) eb in
     the reduced coproduct of basis monomial j; zero rows are left out, and
     the k run from the highest down, the order of the kernel route's pass.
+    Equal rows are one tuple, interned with its support as one
+    `exactq.SparseRow` when the blocks are built; both routes look a row's
+    SparseRow up by the tuple's identity and hand that to `exactq`.
     """
 
     def __init__(self, kind, max_degree, m):
@@ -146,6 +155,9 @@ class _Degree:
         self._spans = {}  # monomial set -> span
         self._columns = None  # the coproduct table the blocks came from
         self._blocks = None
+        # id of each distinct row of the blocks -> its `exactq.SparseRow`;
+        # the blocks hold those rows, so no other object can take their ids
+        self._sparse = None
         self._kernels = None
 
     # --- the closed form ---------------------------------------------------
@@ -222,13 +234,20 @@ class _Degree:
                     row = by_ea[ea] = [0] * ncols
                 row[j] += c
         degree_of = self.model.generators.degree
+        interned = {}  # each distinct row, as one tuple
         blocks = {}
         for eb, by_ea in rows.items():
-            pairs = tuple((ea, tuple(row)) for ea, row in by_ea.items() if any(row))
+            pairs = []
+            for ea, row in by_ea.items():
+                if any(row):
+                    row = tuple(row)
+                    pairs.append((ea, interned.setdefault(row, row)))
             if pairs:
-                blocks.setdefault(degree_of(eb), {})[eb] = pairs
+                blocks.setdefault(degree_of(eb), {})[eb] = tuple(pairs)
         self._columns = columns
         self._blocks = dict(sorted(blocks.items(), reverse=True))
+        # No row is zero, so the conversion gives one SparseRow per row.
+        self._sparse = dict(zip(map(id, interned), sparse_rows(interned, ncols)))
         self._kernels = None
         return self._blocks
 
@@ -252,16 +271,18 @@ class _Degree:
         annihilate the larger span, annihilate S_k too.
         """
         # A repeated row leaves the kernel as it is, and a row met in a block
-        # above already annihilates every span certified below it.
+        # above already annihilates every span certified below it.  Equal
+        # rows are one object, so identity tells them apart.
+        sparse = self._sparse
         seen = set()
         fresh_blocks = []
         for block in blocks.values():
             fresh = []
             for pairs in block.values():
                 for _, row in pairs:
-                    if row not in seen:
-                        seen.add(row)
-                        fresh.append(row)
+                    if id(row) not in seen:
+                        seen.add(id(row))
+                        fresh.append(sparse[id(row)])
             fresh_blocks.append(fresh)
         monomials = [self.monomials(k) for k in blocks]
         nested = all(
@@ -275,7 +296,10 @@ class _Degree:
 
         Each key (ea, eb) with |eb| >= d goes to (ea, er) for every term
         cr * er of the restricted eb, and rows that share a key add up; each
-        eb is restricted once.
+        eb is restricted once.  A row that restriction only relabels is the
+        degree's own object, and equal rows of the degree are one object, so
+        identity tells those apart; rows that were scaled or summed are new,
+        and are told apart by value.
         """
         kind, max_degree, _ = self.key
         rows = {}
@@ -289,7 +313,21 @@ class _Degree:
                         key = (ea, er)
                         kept = rows.get(key)
                         rows[key] = image if kept is None else tuple(map(add, kept, image))
-        return list(dict.fromkeys(rows.values()))
+        distinct = {id(row): row for row in rows.values()}
+        if all(map(self._sparse.__contains__, distinct)):
+            return list(distinct.values())
+        return list(dict.fromkeys(distinct.values()))
+
+    def restricted_kernel(self, d, rank):
+        """ker R_d, offered the order-d kernel as its candidate.
+
+        The degree's own rows reach `exactq.kernel_basis` as the SparseRows
+        interned with the blocks, so no order converts them again.
+        """
+        rows = self.restricted_rows(d, rank)
+        sparse = self._sparse
+        rows = [sparse.get(id(row), row) for row in rows]
+        return kernel_basis(rows, len(self.basis), candidate=self.kernel(d))
 
 
 @lru_cache(maxsize=1)
@@ -366,7 +404,7 @@ def near_primitive_kernel_restricted(model, m, d):
         if model.kind == "u":
             raise QueryError("odd orders have no restricted pairing over the complex model")
         raise QueryError("restriction to BSO(1) kills every positive-degree class")
-    return kernel_basis(state.restricted_rows(d, rank), len(state.basis), candidate=state.kernel(d))
+    return state.restricted_kernel(d, rank)
 
 
 def npd(model, d, n):

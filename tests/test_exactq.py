@@ -320,7 +320,7 @@ def _exact_rank(rows, ncols):
 def _rank_mod_p(rows, ncols, p=None):
     """The rank of a `RankModP` echelon fed every row, one at a time."""
     echelon = exactq.RankModP(p)
-    for cols, row in exactq._supports(rows, ncols):
+    for cols, row in exactq.sparse_rows(rows, ncols):
         echelon.add(cols, row)
     return echelon.rank
 
@@ -601,3 +601,109 @@ def test_a_kept_subspace_reads_exactly_as_its_eliminated_twin(case, data):
         assert kernel_basis(rows, ncols, candidate=candidate).rows == kernel.rows
         assert stacked_kernels([rows], ncols, [candidate])[0].rows == kernel.rows
         assert kernel_basis(rows, ncols, candidate=twin).rows == kernel.rows
+
+
+def test_stacked_kernels_check_the_row_width_of_every_block():
+    # A long row used to be cut to the width: the kernel of [[1, 2, 3]] in
+    # two columns came back as that of [[1, 2]], spanned by (2, -1).
+    for blocks, bad in ([[[1, 2, 3]]], 3), ([[[1, 0]], [[1]]], 1), ([[], [[0, 1], [1, 2, 3]]], 3):
+        for candidates in (None, [Subspace.zero(2)] * len(blocks)):
+            with pytest.raises(DimensionMismatch, match=f"row length {bad} != 2 columns"):
+                stacked_kernels(blocks, 2, candidates)
+
+
+def test_stacked_kernels_refuse_a_candidate_count_other_than_the_block_count():
+    # Two blocks with one candidate used to return one kernel.
+    blocks = [[[1, 0]], [[0, 1]]]
+    for count in (0, 1, 3):
+        with pytest.raises(DimensionMismatch, match=f"candidate count {count} != block count 2"):
+            stacked_kernels(blocks, 2, [Subspace.zero(2)] * count)
+    with pytest.raises(DimensionMismatch, match=r"candidate lives in Q\^3, the rows in Q\^2"):
+        stacked_kernels(blocks, 2, [Subspace.full(2), Subspace.zero(3)])
+
+
+def test_sparse_rows_keep_converted_rows_and_convert_the_rest():
+    rows = [[0, 0, 0], [Fraction(1, 2), 0, Fraction(-1, 3)], (0, 4, 0)]
+    converted = exactq.sparse_rows(rows, 3)
+    assert converted == [((0, 2), (3, 0, -2)), ((1,), (0, 4, 0))]
+    assert all(type(r) is exactq.SparseRow for r in converted)
+    again = exactq.sparse_rows(converted + [[1, 1, 1]], 3)
+    assert again[0] is converted[0] and again[1] is converted[1]
+    with pytest.raises(DimensionMismatch, match="row length 3 != 2 columns"):
+        exactq.sparse_rows(converted, 2)
+
+
+def _checked_rows(monkeypatch):
+    """Record the rows each annihilation check multiplies out: a list that
+    gains ``(candidate, row)`` for every `SparseRow` not yet in the
+    candidate's memo when the check starts."""
+    checked = []
+    annihilates = exactq._annihilates
+
+    def recording(rows, subspace):
+        checked.extend((subspace, r) for r in rows if id(r) not in subspace._annihilated)
+        return annihilates(rows, subspace)
+
+    monkeypatch.setattr(exactq, "_annihilates", recording)
+    return checked
+
+
+def test_a_certified_candidate_still_checks_a_new_row(monkeypatch):
+    """Once rows certify K, a call with one more row checks that row alone
+    against K, and returns the true kernel when it does not annihilate K;
+    an equal but distinct Subspace checks every row itself."""
+    ncols = 4
+    rows = [[1, 1, 0, 0], [0, 1, 1, 0], [1, 2, 1, 0]]
+    bad = [0, 0, 1, 1]
+    kernel = kernel_basis(rows, ncols)
+    truth = kernel_basis(rows + [bad], ncols)
+    assert truth != kernel
+    pairs = exactq.sparse_rows(rows, ncols)
+    extra = exactq.sparse_rows([bad], ncols)
+    checked = _checked_rows(monkeypatch)
+
+    assert kernel_basis(pairs, ncols, candidate=kernel) is kernel
+    assert [r for _, r in checked] == pairs
+    checked.clear()
+    assert kernel_basis(pairs, ncols, candidate=kernel) is kernel
+    assert checked == []
+    assert kernel_basis(pairs + extra, ncols, candidate=kernel) == truth
+    assert [r for _, r in checked] == extra
+    # Dense rows are converted afresh on every call, so all are checked.
+    checked.clear()
+    assert kernel_basis(rows + [bad], ncols, candidate=kernel) == truth
+    assert len(checked) == 4
+
+    twin = Subspace(kernel.ambient_dim, kernel.rows, kernel.pivots)
+    assert twin == kernel and twin is not kernel
+    checked.clear()
+    assert kernel_basis(pairs + extra, ncols, candidate=twin) == truth
+    assert [(c is twin, r) for c, r in checked] == [(True, r) for r in pairs + extra]
+
+
+@settings(deadline=None)
+@given(sparse_rows(), st.data())
+def test_calls_that_share_candidates_give_the_kernels_of_fresh_calls(case, data):
+    """Calls that share converted rows and candidate objects, right and
+    wrong, in any order, each return the kernel a fresh call computes.  A
+    second block's candidate is drawn inside the first block's kernel, as
+    `stacked_kernels` asks of its caller."""
+    ncols, rows = case
+    pool = exactq.sparse_rows(rows, ncols)
+    subsets = st.lists(st.sampled_from(pool), max_size=6) if pool else st.just([])
+    kernels = [kernel_basis(rows, ncols)]
+    for _ in range(2):
+        kernels.append(kernel_basis([r.row for r in data.draw(subsets)], ncols))
+    candidates = [Subspace.zero(ncols), Subspace.full(ncols)]
+    for kernel in kernels:
+        candidates += kernel_candidates(kernel, ncols).values()
+    for _ in range(8):
+        block = data.draw(subsets)
+        candidate = data.draw(st.sampled_from(candidates))
+        expected = kernel_basis([list(r.row) for r in block], ncols)
+        assert kernel_basis(block, ncols, candidate=candidate) == expected
+        blocks = [block, data.draw(subsets)]
+        expected = stacked_kernels([[list(r.row) for r in b] for b in blocks], ncols)
+        inside = [c for c in candidates if all(map(expected[0].contains, c.basis))]
+        pair = [candidate, data.draw(st.sampled_from(inside))]
+        assert stacked_kernels(blocks, ncols, pair) == expected

@@ -440,6 +440,106 @@ def test_restricted_rows_scale_and_add_up_under_a_merging_map(monkeypatch):
             )
 
 
+def _handed_rows(monkeypatch):
+    """Record the rows and candidate of every call the restricted route
+    makes to `exactq.kernel_basis`, the latest last."""
+    handed = []
+    kernel_basis_ = nearprim.kernel_basis
+
+    def recording(rows, ncols, candidate=None):
+        handed.append((rows, candidate))
+        return kernel_basis_(rows, ncols, candidate)
+
+    monkeypatch.setattr(nearprim, "kernel_basis", recording)
+    return handed
+
+
+def _restricted_orders(model, bound):
+    for m in range(model.step, bound + 1, model.step):
+        for d in range(1, m + 1):
+            rank = restricted_pairing(model.kind, d)
+            if rank is not None:
+                yield m, d, rank
+
+
+@pytest.mark.parametrize("kind, bound", [("u", 24), ("so", 40)])
+def test_the_restricted_route_hands_over_the_degrees_own_sparse_rows(monkeypatch, kind, bound):
+    """Every row the restricted route hands to the certificate is the
+    degree's own SparseRow, converted once when the blocks were built, and
+    the rows are those of `restricted_rows`, in order."""
+    model = hopf_model(kind, bound)
+    handed = _handed_rows(monkeypatch)
+    nearprim._degree.cache_clear()
+    for m, d, rank in _restricted_orders(model, bound):
+        near_primitive_kernel_restricted(model, m, d)
+        rows, _ = handed.pop()
+        state = nearprim._degree(kind, bound, m)
+        dense = state.restricted_rows(d, rank)
+        assert [r.row for r in rows] == dense
+        for row, r in zip(dense, rows):
+            assert type(r) is exactq.SparseRow
+            assert state._sparse[id(row)] is r
+            assert r.cols == tuple(j for j, c in enumerate(row) if c)
+
+
+def test_restricted_rows_through_the_summing_path_give_the_same_kernels(monkeypatch):
+    """A stand-in for `_restricted_monomial` that writes each term cr * er
+    as 2cr * er - cr * er sends every row through the summing path, where
+    the rows are new objects that `exactq` converts; the restricted rows
+    and kernels stay as they were, entry by entry."""
+    bounds = (("u", 14), ("so", 24))
+
+    def restricted(kind, bound):
+        model = hopf_model(kind, bound)
+        out = {}
+        for m, d, rank in _restricted_orders(model, bound):
+            kernel = near_primitive_kernel_restricted(model, m, d)
+            rows = nearprim._degree(kind, bound, m).restricted_rows(d, rank)
+            out[m, d] = rows, kernel.rows, kernel.pivots
+        return out
+
+    nearprim._degree.cache_clear()
+    clean = {bound: restricted(*bound) for bound in bounds}
+    original = nearprim._restricted_monomial
+
+    def summing(kind, bound, rank, eb):
+        image = original(kind, bound, rank, eb)
+        return tuple(t for er, cr in image for t in ((er, 2 * cr), (er, -cr)))
+
+    monkeypatch.setattr(nearprim, "_restricted_monomial", summing)
+    handed = _handed_rows(monkeypatch)
+    nearprim._degree.cache_clear()
+    for bound in bounds:
+        assert restricted(*bound) == clean[bound]
+    assert handed and not any(type(r) is exactq.SparseRow for rows, _ in handed for r in rows)
+
+
+def test_each_row_is_checked_against_each_candidate_once(monkeypatch):
+    """Across the sweeps at u/24 and so/40, the annihilation checks multiply
+    out each distinct (row, candidate) pair at most once, and every row the
+    restricted route hands over has been checked against the candidate it
+    certifies."""
+    checked = []
+    annihilates = exactq._annihilates
+
+    def recording(rows, subspace):
+        checked.extend((subspace, r.row) for r in rows if id(r) not in subspace._annihilated)
+        return annihilates(rows, subspace)
+
+    monkeypatch.setattr(exactq, "_annihilates", recording)
+    handed = _handed_rows(monkeypatch)
+    for kind, bound in (("u", 24), ("so", 40)):
+        nearprim._degree.cache_clear()
+        assert verify_equivalence(hopf_model(kind, bound), bound).all_passed
+    pairs = [(id(subspace), row) for subspace, row in checked]
+    assert len(set(pairs)) == len(pairs)
+    restricted_rows = 0
+    for rows, candidate in handed:
+        restricted_rows += len(rows)
+        assert all(id(r) in candidate._annihilated for r in rows)
+    assert len(pairs) < restricted_rows
+
+
 def _wrong_candidate(true, how):
     """A subspace that is not the true kernel: a proper subspace of it, the
     full slice, or a space of its dimension holding a vector outside it.
