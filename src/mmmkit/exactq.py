@@ -53,20 +53,23 @@ exact kernel.  A candidate that fails costs the full elimination, never a
 wrong answer.  The near-primitive kernel route certifies a whole degree
 this way, one block per order; `kernel_basis` is the one-block call.
 
-Both read their rows in one sparse form, `SparseRow`: an integer row with
-its ascending nonzero columns.  `sparse_rows` is the one conversion into it.
+Both read their rows as `(cols, row)` pairs: an integer row with its
+ascending nonzero columns.  `_sparse_pairs` is the one conversion into them.
 It checks each dense row's width, clears its denominators and finds its
-support, and leaves zero rows out.  A `SparseRow` passes unconverted, so a
-caller that keeps its rows converted, as the near-primitive degrees do,
-converts each row once however many kernels read it.  The annihilation
-check (i) is memoised on the candidate: a Subspace keeps the rows already
-found to annihilate it, keyed by the identity of row objects the memo keeps
-alive, and checks only the others.  This is not vouching for containment.
-Every row is still checked exactly against the very subspace it certifies,
-once, and a Subspace never changes, so a row checked once stays checked.
-Another Subspace, even an equal one, starts with an empty memo and checks
-every row itself, so a wrong candidate is never accepted on the strength of
-rows checked against a different object.
+support, and leaves zero rows out.  A caller that hands the same rows to
+many kernels, as the near-primitive degrees do, keeps them as `SparseRow`s,
+pairs made once from their dense rows, which pass the conversion with only
+their width checked.  A SparseRow can only be made from its dense row, so
+its support is always its row's own.  The annihilation check (i) is
+memoised on the candidate: a Subspace keeps the SparseRows already found to
+annihilate it, keyed by identity and held alive by the memo, and checks
+only the others.  Pairs converted from dense rows are new objects on every
+call, so they are checked and never kept.  This is not vouching for
+containment.  Every row is still checked exactly against the very subspace
+it certifies, once, and a Subspace never changes, so a row checked once
+stays checked.  Another Subspace, even an equal one, starts with an empty
+memo and checks every row itself, so a wrong candidate is never accepted on
+the strength of rows checked against a different object.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from math import lcm
-from typing import NamedTuple
+from operator import itemgetter
 
 from . import _core
 from .errors import DimensionMismatch
@@ -104,36 +107,50 @@ def _int_row(row):
     return [int(e * scale) for e in row]
 
 
-class SparseRow(NamedTuple):
-    """An integer row with its nonzero columns, as `sparse_rows` makes it."""
+def _pair(row):
+    """``(cols, row)`` of one dense row: its integer entries as a tuple and
+    their ascending nonzero columns."""
+    row = tuple(_int_row(row))
+    return tuple(compress(range(len(row)), row)), row
 
-    cols: tuple  # ascending, never empty
-    row: tuple
+
+class SparseRow(tuple):
+    """A row kept in the form the kernel routines read: the pair
+    ``(cols, row)`` of its integer entries and their nonzero columns.
+
+    It is made from the dense row alone (ints or Fractions), so its support
+    is the row's own.  Handed to many kernels, it is converted once, and a
+    Subspace that it was checked to annihilate remembers it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, row):
+        return tuple.__new__(cls, _pair(row))
+
+    cols = property(itemgetter(0))
+    row = property(itemgetter(1))
 
 
-def sparse_rows(rows, ncols):
-    """The nonzero rows of a matrix as `SparseRow`s: the one conversion that
+def _sparse_pairs(rows, ncols):
+    """The ``(cols, row)`` pair of every nonzero row: the one conversion that
     every kernel routine reads.
 
     Each dense row (ints or Fractions) is checked to have ``ncols`` entries,
-    cleared of denominators and given its support; zero rows are left out.
-    A `SparseRow` passes as it is, once its width is checked, so a caller
-    that keeps converted rows pays for the conversion once.
+    cleared of denominators and given its support, as a new pair.  A
+    `SparseRow` passes as it is, once its width is checked.  Zero rows are
+    left out.
     """
-    columns = range(ncols)
     out = []
     for row in rows:
-        if type(row) is SparseRow:
-            if len(row.row) != ncols:
-                raise DimensionMismatch(f"row length {len(row.row)} != {ncols} columns")
+        kept = type(row) is SparseRow
+        width = len(row[1]) if kept else len(row)
+        if width != ncols:
+            raise DimensionMismatch(f"row length {width} != {ncols} columns")
+        if not kept:
+            row = _pair(row)
+        if row[0]:
             out.append(row)
-            continue
-        if len(row) != ncols:
-            raise DimensionMismatch(f"row length {len(row)} != {ncols} columns")
-        row = tuple(_int_row(row))
-        cols = tuple(compress(columns, row))
-        if cols:
-            out.append(SparseRow(cols, row))
     return out
 
 
@@ -313,19 +330,21 @@ def kernel_basis(rows, ncols, candidate=None):
 
 
 def _annihilates(rows, subspace):
-    """Whether every `SparseRow` is orthogonal to the integer basis
+    """Whether every ``(cols, row)`` pair is orthogonal to the integer basis
     ``subspace`` holds, its vectors as kept or its canonical rows.
 
-    Each row reads only its own nonzero columns, and is checked against a
-    subspace once: the rows found to annihilate it are kept in its memo,
-    keyed by the identity of row objects that the memo itself keeps alive.
+    Each row reads only its own nonzero columns.  A `SparseRow` is checked
+    against a subspace once: those found to annihilate it are kept in its
+    memo, keyed by identity and held alive there.  Any other pair is new to
+    this call and is checked without being kept, since its identity cannot
+    recur.
     """
     checked = subspace._annihilated
     fresh = [r for r in rows if id(r) not in checked]
     vectors = subspace._vectors
     if any(sum(row[j] * v[j] for j in cols) for cols, row in fresh for v in vectors):
         return False
-    checked.update((id(r), r) for r in fresh)
+    checked.update((id(r), r) for r in fresh if type(r) is SparseRow)
     return True
 
 
@@ -421,7 +440,9 @@ class KernelCertificate:
         self.queued = []
 
     def extend(self, rows, candidate):
-        rows = sparse_rows(rows, self.ncols)
+        return self._extend_pairs(_sparse_pairs(rows, self.ncols), candidate)
+
+    def _extend_pairs(self, rows, candidate):
         if not _annihilates(rows, candidate):
             return False
         echelon = self.echelon
@@ -472,7 +493,7 @@ def stacked_kernels(blocks, ncols, candidates=None):
     from scratch; a block that adds no rank shares the kernel of the prefix
     before it, and a candidate equal to its kernel is returned in its place.
     """
-    blocks = [sparse_rows(block, ncols) for block in blocks]
+    blocks = [_sparse_pairs(block, ncols) for block in blocks]
     if candidates is not None:
         if len(candidates) != len(blocks):
             raise DimensionMismatch(
@@ -484,7 +505,7 @@ def stacked_kernels(blocks, ncols, candidates=None):
                     f"candidate lives in Q^{candidate.ambient_dim}, the rows in Q^{ncols}"
                 )
         certificate = KernelCertificate(ncols)
-        if all(map(certificate.extend, blocks, candidates)):
+        if all(map(certificate._extend_pairs, blocks, candidates)):
             return list(candidates)
     reduced, pivots, kernel = [], [], None
     kernels = []

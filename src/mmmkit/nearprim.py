@@ -89,9 +89,9 @@ from operator import add
 
 from .errors import DimensionMismatch, QueryError
 from .exactq import (
+    SparseRow,
     Subspace,
     kernel_basis,
-    sparse_rows,
     stacked_kernels,
     subspace_equal,
 )
@@ -246,8 +246,7 @@ class _Degree:
                 blocks.setdefault(degree_of(eb), {})[eb] = tuple(pairs)
         self._columns = columns
         self._blocks = dict(sorted(blocks.items(), reverse=True))
-        # No row is zero, so the conversion gives one SparseRow per row.
-        self._sparse = dict(zip(map(id, interned), sparse_rows(interned, ncols)))
+        self._sparse = {id(row): SparseRow(row) for row in interned}
         self._kernels = None
         return self._blocks
 
@@ -296,10 +295,9 @@ class _Degree:
 
         Each key (ea, eb) with |eb| >= d goes to (ea, er) for every term
         cr * er of the restricted eb, and rows that share a key add up; each
-        eb is restricted once.  A row that restriction only relabels is the
-        degree's own object, and equal rows of the degree are one object, so
-        identity tells those apart; rows that were scaled or summed are new,
-        and are told apart by value.
+        eb is restricted once.  The first object met with each value is the
+        one returned, so a row that restriction only relabels comes back as
+        the degree's own object.
         """
         kind, max_degree, _ = self.key
         rows = {}
@@ -313,10 +311,7 @@ class _Degree:
                         key = (ea, er)
                         kept = rows.get(key)
                         rows[key] = image if kept is None else tuple(map(add, kept, image))
-        distinct = {id(row): row for row in rows.values()}
-        if all(map(self._sparse.__contains__, distinct)):
-            return list(distinct.values())
-        return list(dict.fromkeys(distinct.values()))
+        return list(dict.fromkeys(rows.values()))
 
     def restricted_kernel(self, d, rank):
         """ker R_d, offered the order-d kernel as its candidate.

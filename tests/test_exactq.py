@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from mmmkit import exactq
 from mmmkit.errors import DimensionMismatch
 from mmmkit.exactq import (
+    SparseRow,
     Subspace,
     kernel_basis,
     solve_in_span,
@@ -320,7 +321,7 @@ def _exact_rank(rows, ncols):
 def _rank_mod_p(rows, ncols, p=None):
     """The rank of a `RankModP` echelon fed every row, one at a time."""
     echelon = exactq.RankModP(p)
-    for cols, row in exactq.sparse_rows(rows, ncols):
+    for cols, row in exactq._sparse_pairs(rows, ncols):
         echelon.add(cols, row)
     return echelon.rank
 
@@ -622,15 +623,31 @@ def test_stacked_kernels_refuse_a_candidate_count_other_than_the_block_count():
         stacked_kernels(blocks, 2, [Subspace.full(2), Subspace.zero(3)])
 
 
-def test_sparse_rows_keep_converted_rows_and_convert_the_rest():
+def test_the_conversion_passes_sparse_rows_and_converts_the_rest():
     rows = [[0, 0, 0], [Fraction(1, 2), 0, Fraction(-1, 3)], (0, 4, 0)]
-    converted = exactq.sparse_rows(rows, 3)
+    converted = exactq._sparse_pairs(rows, 3)
     assert converted == [((0, 2), (3, 0, -2)), ((1,), (0, 4, 0))]
-    assert all(type(r) is exactq.SparseRow for r in converted)
-    again = exactq.sparse_rows(converted + [[1, 1, 1]], 3)
-    assert again[0] is converted[0] and again[1] is converted[1]
+    assert not any(type(r) is SparseRow for r in converted)
+    kept = [SparseRow(row) for row in rows]
+    assert kept == [((), (0, 0, 0))] + converted
+    again = exactq._sparse_pairs(kept + [[1, 1, 1]], 3)
+    assert again[0] is kept[1] and again[1] is kept[2]
+    assert again[2] == ((0, 1, 2), (1, 1, 1))
     with pytest.raises(DimensionMismatch, match="row length 3 != 2 columns"):
-        exactq.sparse_rows(converted, 2)
+        exactq._sparse_pairs(kept, 2)
+
+
+def test_a_sparse_row_is_made_from_its_dense_row_alone():
+    """A SparseRow takes no support from its caller, so it cannot leave a
+    nonzero column out or hold a Fraction, and it certifies no wrong
+    candidate."""
+    with pytest.raises(TypeError):
+        SparseRow((0,), (1, 1))
+    r = SparseRow([Fraction(1, 2), Fraction(-1, 2)])
+    assert (r.cols, r.row) == ((0, 1), (1, -1))
+    truth = kernel_basis([[1, -1]], 2)
+    for wrong in (Subspace.full(2), Subspace.from_vectors(2, [[1, 0]])):
+        assert kernel_basis([r], 2, candidate=wrong) == truth
 
 
 def _checked_rows(monkeypatch):
@@ -658,8 +675,8 @@ def test_a_certified_candidate_still_checks_a_new_row(monkeypatch):
     kernel = kernel_basis(rows, ncols)
     truth = kernel_basis(rows + [bad], ncols)
     assert truth != kernel
-    pairs = exactq.sparse_rows(rows, ncols)
-    extra = exactq.sparse_rows([bad], ncols)
+    pairs = [SparseRow(row) for row in rows]
+    extra = [SparseRow(bad)]
     checked = _checked_rows(monkeypatch)
 
     assert kernel_basis(pairs, ncols, candidate=kernel) is kernel
@@ -669,7 +686,8 @@ def test_a_certified_candidate_still_checks_a_new_row(monkeypatch):
     assert checked == []
     assert kernel_basis(pairs + extra, ncols, candidate=kernel) == truth
     assert [r for _, r in checked] == extra
-    # Dense rows are converted afresh on every call, so all are checked.
+    # Dense rows are converted afresh on every call, so all are checked,
+    # and none is kept.
     checked.clear()
     assert kernel_basis(rows + [bad], ncols, candidate=kernel) == truth
     assert len(checked) == 4
@@ -681,6 +699,24 @@ def test_a_certified_candidate_still_checks_a_new_row(monkeypatch):
     assert [(c is twin, r) for c, r in checked] == [(True, r) for r in pairs + extra]
 
 
+def test_dense_rows_leave_the_memo_as_it_is(monkeypatch):
+    """Dense rows become new pairs on every call, so repeated calls with one
+    candidate check every row each time and keep none of them; only the
+    SparseRows a caller hands over are kept."""
+    rows = [[1, 1, 0, 0], [0, 1, 1, 0], [1, 2, 1, 0]]
+    kernel = kernel_basis(rows, 4)
+    checked = _checked_rows(monkeypatch)
+    for _ in range(3):
+        assert kernel_basis(rows, 4, candidate=kernel) is kernel
+        assert stacked_kernels([rows[:2], rows[2:]], 4, [kernel, kernel]) == [kernel, kernel]
+    assert len(checked) == 3 * 6
+    assert kernel._annihilated == {}
+    kept = [SparseRow(row) for row in rows]
+    for _ in range(3):
+        assert kernel_basis(kept + rows, 4, candidate=kernel) is kernel
+    assert sorted(map(id, kernel._annihilated.values())) == sorted(map(id, kept))
+
+
 @settings(deadline=None)
 @given(sparse_rows(), st.data())
 def test_calls_that_share_candidates_give_the_kernels_of_fresh_calls(case, data):
@@ -689,7 +725,7 @@ def test_calls_that_share_candidates_give_the_kernels_of_fresh_calls(case, data)
     second block's candidate is drawn inside the first block's kernel, as
     `stacked_kernels` asks of its caller."""
     ncols, rows = case
-    pool = exactq.sparse_rows(rows, ncols)
+    pool = [SparseRow(row) for row in rows]
     subsets = st.lists(st.sampled_from(pool), max_size=6) if pool else st.just([])
     kernels = [kernel_basis(rows, ncols)]
     for _ in range(2):

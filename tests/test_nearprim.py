@@ -512,6 +512,9 @@ def test_restricted_rows_through_the_summing_path_give_the_same_kernels(monkeypa
     for bound in bounds:
         assert restricted(*bound) == clean[bound]
     assert handed and not any(type(r) is exactq.SparseRow for rows, _ in handed for r in rows)
+    # The converted rows are new on every call, so no memo keeps them.
+    for _, candidate in handed:
+        assert all(type(r) is exactq.SparseRow for r in candidate._annihilated.values())
 
 
 def test_each_row_is_checked_against_each_candidate_once(monkeypatch):
@@ -523,7 +526,7 @@ def test_each_row_is_checked_against_each_candidate_once(monkeypatch):
     annihilates = exactq._annihilates
 
     def recording(rows, subspace):
-        checked.extend((subspace, r.row) for r in rows if id(r) not in subspace._annihilated)
+        checked.extend((subspace, r[1]) for r in rows if id(r) not in subspace._annihilated)
         return annihilates(rows, subspace)
 
     monkeypatch.setattr(exactq, "_annihilates", recording)
