@@ -119,8 +119,8 @@ class SparseRow(tuple):
     ``(cols, row)`` of its integer entries and their nonzero columns.
 
     It is made from the dense row alone (ints or Fractions), so its support
-    is the row's own.  Handed to many kernels, it is converted once, and a
-    Subspace that it was checked to annihilate remembers it.
+    is the row's own.  Handed to many kernels, it is not converted again,
+    and a Subspace that it was checked to annihilate remembers it.
     """
 
     __slots__ = ()
