@@ -33,25 +33,26 @@ integer elimination that yields the canonical rows.
 
 `stacked_kernels` serves a growing stack of row blocks, as in a sweep where
 each step adds constraints, and is the one place that decides between
-certifying and eliminating.  Given a candidate K per block, each vouched by
-the caller to be annihilated by the blocks before its own, it runs one
-`KernelCertificate` over the stack, which accepts K only when (i) every new
-row annihilates the integer rows of K, checked exactly, so K lies in the
-kernel of the stack and its rank is at most ncols - dim K, and (ii) some
-subset of the rows so far has rank at least ncols - dim K.  Then the kernel
-contains K and has its dimension, so it is K, and K's canonical rows are the
-ones elimination would produce.  (ii) is counted modulo the prime
-p = 2^31 - 1 in one sparse echelon, `RankModP`, kept across the blocks.  A
-row whose last nonzero column is new joins it without reduction, so each
-block feeds those rows first and then the sparsest others, and stops once
-the rank is reached.  For an integer matrix the rank mod p is at most the
-rank over Q, so a rank reached mod p is reached over Q.  When any block
-fails, or no candidates are given, every block is eliminated once, against
-the integer RREF rows kept from the blocks before it, so no prefix is
-eliminated twice, and a candidate is returned only where it equals the
-exact kernel.  A candidate that fails costs the full elimination, never a
-wrong answer.  The near-primitive kernel route certifies a whole degree
-this way, one block per order; `kernel_basis` is the one-block call.
+certifying and eliminating.  Given a candidate K per block, it runs one
+`KernelCertificate` over the stack, which accepts K only when (i) every row
+of the stack so far, the new block and all the blocks before it,
+annihilates the integer rows of K, checked exactly, so K lies in the kernel
+of the stack and its rank is at most ncols - dim K, and (ii) some subset of
+the rows so far has rank at least ncols - dim K.  Then the kernel contains K
+and has its dimension, so it is K, and K's canonical rows are the ones
+elimination would produce.  Nothing is asked of the caller: a candidate may
+be any subspace of Q^ncols.  (ii) is counted modulo the prime p = 2^31 - 1
+in one sparse echelon, `RankModP`, kept across the blocks.  A row whose last
+nonzero column is new joins it without reduction, so each block feeds those
+rows first and then the sparsest others, and stops once the rank is reached.
+For an integer matrix the rank mod p is at most the rank over Q, so a rank
+reached mod p is reached over Q.  When any block fails, or no candidates are
+given, every block is eliminated once, against the integer RREF rows kept
+from the blocks before it, so no prefix is eliminated twice, and a candidate
+is returned only where it equals the exact kernel.  A candidate that fails
+costs the full elimination, never a wrong answer.  The near-primitive kernel
+route certifies a whole degree this way, one block per order;
+`kernel_basis` is the one-block call.
 
 Both read their rows as `(cols, row)` pairs: an integer row with its
 ascending nonzero columns.  `_sparse_pairs` is the one conversion into them.
@@ -64,12 +65,14 @@ its support is always its row's own.  The annihilation check (i) is
 memoised on the candidate: a Subspace keeps the SparseRows already found to
 annihilate it, keyed by identity and held alive by the memo, and checks
 only the others.  Pairs converted from dense rows are new objects on every
-call, so they are checked and never kept.  This is not vouching for
-containment.  Every row is still checked exactly against the very subspace
-it certifies, once, and a Subspace never changes, so a row checked once
-stays checked.  Another Subspace, even an equal one, starts with an empty
-memo and checks every row itself, so a wrong candidate is never accepted on
-the strength of rows checked against a different object.
+call, so they are checked and never kept.  Every row is still checked
+exactly against the very subspace it certifies, once, and a Subspace never
+changes, so a row checked once stays checked; the certificate's re-check of
+the blocks before a candidate costs nothing where that candidate is the
+object the blocks were checked against.  Another Subspace, even an equal
+one, starts with an empty memo and checks every row itself, so a wrong
+candidate is never accepted on the strength of rows checked against a
+different object.
 """
 
 from __future__ import annotations
@@ -359,13 +362,13 @@ class RankModP:
     reduced against the kept rows from its last column down and joins at
     the first free column it meets, or vanishes.  Reduction mod p can only
     lose independence, so for an integer matrix the rank is at most the
-    rank over Q.  ``p`` defaults to the current ``PRIME``.
+    rank over Q.  ``p`` is the ``PRIME`` at the time the echelon is made.
     """
 
     __slots__ = ("p", "kept")
 
-    def __init__(self, p=None):
-        self.p = PRIME if p is None else p
+    def __init__(self):
+        self.p = PRIME
         # last column -> the row as added, ``(cols, row)``, or once scaled a
         # dict {column: entry mod p} whose entry at the last column is 1
         self.kept = {}
@@ -418,32 +421,31 @@ class KernelCertificate:
     """Certifies, block by block, that a growing stack of integer rows has a
     known kernel, without eliminating it.
 
-    ``extend(rows, K)`` adds a block of rows and returns True when the
-    whole stack so far has kernel exactly K.  The caller vouches that the
-    rows added before annihilate K.  (i) The new rows are checked exactly
-    to annihilate K, so K lies in the kernel of the stack and its rank is
-    at most ncols - dim K.  (ii) The rows then feed one `RankModP` echelon,
-    kept across blocks, until its rank reaches ncols - dim K; the rank mod
-    p is at most the rank over Q, so the kernel has the dimension of K and
-    equals it.  Each block feeds first the sparsest row for every last
-    column the echelon has not taken yet, which join without reduction,
-    then the rest, sparsest first; rows not needed stay queued for the next
-    block.  A False says nothing more about the stack, and the certificate
-    must not be extended after it.
+    ``extend(rows, K)`` adds a block of ``(cols, row)`` pairs and returns
+    True when the whole stack so far has kernel exactly K, for any subspace
+    K of Q^ncols.  (i) Every row of the stack, the new block and the blocks
+    before it, is checked exactly to annihilate K, so K lies in the kernel
+    of the stack and its rank is at most ncols - dim K.  (ii) The new rows
+    then feed one `RankModP` echelon, kept across blocks, until its rank
+    reaches ncols - dim K; the rank mod p is at most the rank over Q, so the
+    kernel has the dimension of K and equals it.  Each block feeds first
+    the sparsest row for every last column the echelon has not taken yet,
+    which join without reduction, then the rest, sparsest first; rows not
+    needed stay queued for the next block.  A False says nothing more about
+    the stack, and the certificate must not be extended after it.
     """
 
-    __slots__ = ("ncols", "echelon", "queued")
+    __slots__ = ("ncols", "rows", "echelon", "queued")
 
     def __init__(self, ncols):
         self.ncols = ncols
+        self.rows = []  # every pair given so far
         self.echelon = RankModP()
         self.queued = []
 
     def extend(self, rows, candidate):
-        return self._extend_pairs(_sparse_pairs(rows, self.ncols), candidate)
-
-    def _extend_pairs(self, rows, candidate):
-        if not _annihilates(rows, candidate):
+        self.rows += rows
+        if not _annihilates(self.rows, candidate):
             return False
         echelon = self.echelon
         target = self.ncols - candidate.dim
@@ -485,8 +487,7 @@ def stacked_kernels(blocks, ncols, candidates=None):
     of ``blocks[0]`` through ``blocks[i]`` together.
 
     ``candidates`` optionally holds one Subspace per block believed to be
-    its kernel; the caller vouches that the blocks before each candidate's
-    own annihilate it.  When one `KernelCertificate` over the stack passes
+    its kernel.  When one `KernelCertificate` over the stack passes
     every block, the candidates are the kernels and are returned as they
     are.  Otherwise each block is eliminated once, against the integer RREF
     rows of the blocks before it, instead of re-eliminating every prefix
@@ -505,7 +506,7 @@ def stacked_kernels(blocks, ncols, candidates=None):
                     f"candidate lives in Q^{candidate.ambient_dim}, the rows in Q^{ncols}"
                 )
         certificate = KernelCertificate(ncols)
-        if all(map(certificate._extend_pairs, blocks, candidates)):
+        if all(map(certificate.extend, blocks, candidates)):
             return list(candidates)
     reduced, pivots, kernel = [], [], None
     kernels = []

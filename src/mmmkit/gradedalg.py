@@ -365,14 +365,12 @@ def poincare_series(alphabet, max_degree):
     return coeffs
 
 
-def degree_slice_vector(poly, degree, basis=None):
+def degree_slice_vector(poly, basis):
     """Coordinates of a polynomial over a degree slice's basis.
 
     Raises `DimensionMismatch` for any monomial outside ``basis``, so a
     polynomial with a term off the degree is refused.
     """
-    if basis is None:
-        basis = enumerate_monomials(poly.alphabet, degree)
     index = {e: i for i, e in enumerate(basis)}
     vec = [0] * len(basis)
     for exp, coeff in poly.terms.items():
@@ -394,100 +392,37 @@ def vector_to_polynomial(alphabet, vector, basis):
 
 
 class TensorElement:
-    """Element of the tensor square H (x) H of a polynomial algebra H.
+    """Element of the tensor square H (x) H of a polynomial algebra H, built
+    from ``{(ea, eb): c}`` and multiplied; it serves only the memoised
+    coproduct powers of `HopfModel`, and stays only until ROADMAP item 3
+    retargets the benchmark's ``gradedalg.tensor_mul`` span to the packed
+    product.
 
     H (x) H is again free graded-commutative, on ``alphabet.doubled()``, so
     the element is stored as a :class:`Polynomial` there: ea (x) eb is the
     monomial ``ea + eb``, and the sign of moving b1 past a2 in
     (a1 (x) b1)(a2 (x) b2) is that polynomial product's Koszul sign.
-    ``alphabet`` is the factor alphabet, and ``terms`` reads the polynomial
-    back keyed by ``(ea, eb)``.
+    ``terms`` reads the polynomial back keyed by ``(ea, eb)``.
     """
 
     __slots__ = ("alphabet", "poly")
 
-    def __init__(self, alphabet, terms=()):
+    def __init__(self, alphabet, terms):
         self.alphabet = alphabet
         self.poly = Polynomial(
-            alphabet.doubled(),
-            {tuple(ea) + tuple(eb): c for (ea, eb), c in dict(terms).items()},
+            alphabet.doubled(), {ea + eb: c for (ea, eb), c in terms.items()}
         )
-
-    @classmethod
-    def _of(cls, alphabet, poly):
-        element = object.__new__(cls)
-        element.alphabet = alphabet
-        element.poly = poly
-        return element
-
-    @classmethod
-    def zero(cls, alphabet):
-        return cls(alphabet)
-
-    @classmethod
-    def one(cls, alphabet):
-        return cls._of(alphabet, Polynomial.one(alphabet.doubled()))
-
-    @classmethod
-    def tensor(cls, left, right):
-        if left.alphabet != right.alphabet:
-            raise AlphabetMismatch("tensor factors use different alphabets")
-        terms = {
-            ea + eb: ca * cb
-            for ea, ca in left.terms.items()
-            for eb, cb in right.terms.items()
-        }
-        return cls._of(left.alphabet, Polynomial(left.alphabet.doubled(), terms))
 
     @property
     def terms(self):
         n = len(self.alphabet)
         return {(e[:n], e[n:]): c for e, c in self.poly.terms.items()}
 
-    def is_zero(self):
-        return not self.poly.terms
-
-    def __bool__(self):
-        return bool(self.poly.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, TensorElement) and self.poly == other.poly
-
-    def __add__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return TensorElement._of(self.alphabet, self.poly + other.poly)
-
-    def __neg__(self):
-        return TensorElement._of(self.alphabet, -self.poly)
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return TensorElement._of(self.alphabet, self.poly - other.poly)
-
     def __mul__(self, other):
-        if isinstance(other, TensorElement):
-            other = other.poly
-        elif not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return TensorElement._of(self.alphabet, self.poly * other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __repr__(self):
-        parts = []
-        alph = self.alphabet
-        terms = self.terms
-        for (ea, eb), c in sorted(terms.items())[:6]:
-            pa = Polynomial.from_monomial(alph, ea)
-            pb = Polynomial.from_monomial(alph, eb)
-            parts.append(f"{c}*({format_poly(pa)})x({format_poly(pb)})")
-        more = "" if len(terms) <= 6 else f" ... {len(terms)} terms"
-        return f"TensorElement({' + '.join(parts)}{more})"
+        product = object.__new__(TensorElement)
+        product.alphabet = self.alphabet
+        product.poly = self.poly * other.poly
+        return product
 
 
 # --- text grammar -----------------------------------------------------------
@@ -511,8 +446,6 @@ def _tokenize(text):
                 token=rest[0],
                 position=pos,
             )
-        if m.lastgroup is None:
-            break
         kind = m.lastgroup
         value = m.group(kind)
         tokens.append((kind, value, m.start(kind)))
@@ -548,7 +481,7 @@ class _Parser:
         return int(tok[1])
 
     def parse(self):
-        poly = self.parse_term(self.parse_sign(initial=True))
+        poly = self.parse_term(self.parse_sign())
         while True:
             tok = self.peek()
             if tok is None:
@@ -564,9 +497,9 @@ class _Parser:
                     position=tok[2],
                 )
 
-    def parse_sign(self, initial=False):
+    def parse_sign(self):
         tok = self.peek()
-        if initial and tok is not None and tok[0] == "op" and tok[1] == "-":
+        if tok is not None and tok[0] == "op" and tok[1] == "-":
             self.pos += 1
             return -1
         return 1

@@ -165,14 +165,12 @@ class HopfModel:
     # -- coproduct -----------------------------------------------------------
 
     def _gen_coproduct_power(self, i, e):
-        """delta(g_i)^e as a TensorElement, memoised."""
+        """delta(g_i)^e for e >= 1 as a TensorElement, memoised."""
         key = (i, e)
         cached = self._gen_coproduct_powers.get(key)
         if cached is not None:
             return cached
-        if e == 0:
-            result = TensorElement.one(self.generators)
-        elif e == 1:
+        if e == 1:
             alph = self.generators
             unit = alph.unit()
             terms = {}

@@ -215,7 +215,7 @@ class MMMAlgebra:
         self._require_odd()
         self._check_degree(n)
         basis = self.monomial_basis(n)
-        vectors = [degree_slice_vector(p, n, basis) for _, p in self._k_products(n)]
+        vectors = [degree_slice_vector(p, basis) for _, p in self._k_products(n)]
         return Subspace.from_vectors(len(basis), vectors)
 
     # --- invariance ----------------------------------------------------
@@ -235,7 +235,7 @@ class MMMAlgebra:
             vector_to_polynomial(self.restricted.alphabet, row, rbasis)
             for row in npd(self.model, self.d, cohdeg).basis
         ]
-        return polys, [degree_slice_vector(self.hat(p), n, basis) for p in polys]
+        return polys, [degree_slice_vector(self.hat(p), basis) for p in polys]
 
     def bordism_invariant_space(self, n):
         """MMM classes of degree n depending only on the total space's
@@ -279,7 +279,7 @@ class MMMAlgebra:
             raise QueryError("constants are not MMM classes; degree must be positive")
         self._check_degree(n)
         basis = self.monomial_basis(n)
-        target = degree_slice_vector(x, n, basis)
+        target = degree_slice_vector(x, basis)
         is_linear = [sum(e) == 1 for e in basis]
         np_polys, np_vectors = self._np_image(n, basis)
         products = self._k_products(n)
@@ -288,12 +288,12 @@ class MMMAlgebra:
 
         dec_target = [0 if lin else c for c, lin in zip(target, is_linear)]
         dec_coeffs = solve_in_span(
-            [degree_slice_vector(p, n, basis) for p in proper], dec_target
+            [degree_slice_vector(p, basis) for p in proper], dec_target
         )
         if dec_coeffs is None:
             return InvarianceVerdict(False, reason="notPrimitive")
         lin_target = [c if lin else 0 for c, lin in zip(target, is_linear)]
-        kappa_vectors = [degree_slice_vector(p, n, basis) for p in kappa]
+        kappa_vectors = [degree_slice_vector(p, basis) for p in kappa]
         combo = solve_in_span(np_vectors + kappa_vectors, lin_target)
         if combo is None:
             return InvarianceVerdict(False, reason="notInNPdImage")

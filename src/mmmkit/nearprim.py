@@ -26,14 +26,13 @@ block B_k per degree k = |eb| of the right-hand factor, over every k >= d:
 
 The kernel route offers each prefix kernel's closed-form answer, the span
 S_k of order k, to `exactq.stacked_kernels`, which certifies all of them in
-one downward pass over the degree's blocks instead of eliminating them.  As
-k falls, the window m - k < |Q_i| < k shrinks, so the closed-form monomial
-sets are nested; the route checks with a subset test that each set lies in
-the one above instead of assuming it, so the blocks above, which annihilate
-the larger span, annihilate S_k too.  The pass then checks only the new
-block B_k exactly against S_k, and its rows join one mod-p echelon kept
-across the degree until the rank reaches ncols - dim S_k.  If any check
-fails, the degree's blocks are eliminated exactly instead, each once
+one downward pass over the degree's blocks instead of eliminating them.  The
+pass checks every block so far, B_k and the blocks above it, exactly
+against S_k, and the rows of B_k join one mod-p echelon kept across the
+degree until the rank reaches ncols - dim S_k.  Orders with no generator
+degree between them share one span object, whose memo has already checked
+the blocks above, so the re-check costs only where the span changes.  If any
+check fails, the degree's blocks are eliminated exactly instead, each once
 against the integer RREF rows kept from the blocks above it.  Either way
 the route returns the kernel of its own rows, so a wrong closed form still
 surfaces as a monomial-basis failure.
@@ -43,7 +42,9 @@ pair (ea, eb) of tensor factors.  Each distinct row is interned once, as one
 object together with its support, an `exactq.SparseRow`, and the kernel
 route's pass and every restricted order hand those same objects to `exactq`:
 no order converts a row again, and the certificate's annihilation memo
-checks each row against each candidate once.
+checks each row against each candidate once.  A certified kernel of order d
+has had every row of the blocks k >= d checked against it, so the rows that
+the restricted route only relabels pass its check from the memo.
 
 The restricted route of order d sends each key (ea, eb) with |eb| >= d to
 (ea, er) for every term of the restricted eb, and rows that land on one key
@@ -265,12 +266,10 @@ class _Degree:
 
         The closed-form spans S_k are offered to `exactq.stacked_kernels` as
         candidates, which certifies them in one downward pass or eliminates
-        the blocks exactly.  They are offered only when each S_k's monomials
-        lie among those of the span above, so that the blocks above, which
-        annihilate the larger span, annihilate S_k too.
+        the blocks exactly.
         """
-        # A repeated row leaves the kernel as it is, and a row met in a block
-        # above already annihilates every span certified below it.  Equal
+        # A repeated row leaves the kernel as it is, so each distinct row
+        # joins the stack once, in the first block that holds it.  Equal
         # rows are one object, so identity tells them apart.
         sparse = self._sparse
         seen = set()
@@ -283,11 +282,7 @@ class _Degree:
                         seen.add(id(row))
                         fresh.append(sparse[id(row)])
             fresh_blocks.append(fresh)
-        monomials = [self.monomials(k) for k in blocks]
-        nested = all(
-            set(above).issuperset(below) for above, below in zip(monomials, monomials[1:])
-        )
-        spans = [self.span(k) for k in blocks] if nested else None
+        spans = [self.span(k) for k in blocks]
         return stacked_kernels(fresh_blocks, len(self.basis), spans)
 
     def restricted_rows(self, d, rank):
@@ -428,7 +423,7 @@ def npd(model, d, n):
         return Subspace.zero(len(rbasis))
     state = _checked_degree(model, n, order)
     vectors = [
-        degree_slice_vector(restrict(model, d, state.primitive(e)), n, rbasis)
+        degree_slice_vector(restrict(model, d, state.primitive(e)), rbasis)
         for e in state.monomials(order)
     ]
     return Subspace.from_vectors(len(rbasis), vectors)
@@ -490,7 +485,7 @@ def verify_equivalence(model, max_degree):
     step = model.step
     for m in range(step, max_degree + 1, step):
         gen_basis = _degree(model.kind, model.max_degree, m).basis
-        primitive_vec = degree_slice_vector(model.power_sum(m // step), m, gen_basis)
+        primitive_vec = degree_slice_vector(model.power_sum(m // step), gen_basis)
         primitive_slice = Subspace.from_vectors(len(gen_basis), [primitive_vec])
         full_slice = Subspace.full(len(gen_basis))
         for d in range(1, m + 1):

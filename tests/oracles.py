@@ -96,8 +96,8 @@ class RootExpansion:
             for i, e in enumerate(exp):
                 for _ in range(e):
                     poly = poly * basic(i + 1)
-            vectors.append(degree_slice_vector(poly, degree, slice_basis))
-        coeffs = solve_in_span(vectors, degree_slice_vector(f, degree, slice_basis))
+            vectors.append(degree_slice_vector(poly, slice_basis))
+        coeffs = solve_in_span(vectors, degree_slice_vector(f, slice_basis))
         if coeffs is None:
             raise AssertionError("polynomial is not symmetric of this weight")
         return Polynomial(

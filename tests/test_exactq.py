@@ -172,12 +172,17 @@ def row_blocks(draw):
     return ncols, blocks
 
 
-def _wrong_candidates(ncols, truth, before):
-    """Subspaces of ``before`` other than ``truth``, the kernel of a block
-    stacked under rows whose kernel is ``before``: zero, ``before`` itself
-    and ``truth`` with a vector dropped, added from ``before``, or both."""
+def _wrong_candidates(ncols, truth, before, block):
+    """Subspaces other than ``truth``, the kernel of ``block`` stacked under
+    rows whose kernel is ``before``: zero, the full space, ``before`` itself,
+    ``truth`` with a vector dropped, added from ``before``, or both, and
+    ``truth`` with a vector added that ``block`` annihilates but the rows
+    before it do not."""
     outside = [v for v in before.basis if not truth.contains(v)]
-    candidates = [before, Subspace.zero(ncols)]
+    candidates = [before, Subspace.zero(ncols), Subspace.full(ncols)]
+    unseen = [v for v in kernel_basis(block, ncols).basis if not before.contains(v)]
+    if unseen:
+        candidates.append(Subspace.from_vectors(ncols, list(truth.basis) + unseen[:1]))
     if truth.dim:
         candidates.append(Subspace.from_vectors(ncols, truth.basis[1:]))
     if outside:
@@ -193,7 +198,7 @@ def _wrong_candidates(ncols, truth, before):
 @given(row_blocks())
 def test_stacked_kernels_equal_the_kernel_of_every_prefix(case):
     """Without candidates, with the true kernels as candidates, and with one
-    wrong candidate drawn inside the kernel before it, the result is the
+    wrong candidate, inside the kernel before it or not, the result is the
     kernel of every prefix; true candidates come back as they are."""
     ncols, blocks = case
     kernels = stacked_kernels(blocks, ncols)
@@ -210,7 +215,7 @@ def test_stacked_kernels_equal_the_kernel_of_every_prefix(case):
     assert all(a is b for a, b in zip(returned, true)) and len(returned) == len(true)
     for i, truth in enumerate(kernels):
         before = kernels[i - 1] if i else Subspace.full(ncols)
-        for wrong in _wrong_candidates(ncols, truth, before):
+        for wrong in _wrong_candidates(ncols, truth, before, blocks[i]):
             candidates = kernels[:i] + [wrong] + kernels[i + 1 :]
             assert stacked_kernels(blocks, ncols, candidates) == kernels
 
@@ -218,21 +223,22 @@ def test_stacked_kernels_equal_the_kernel_of_every_prefix(case):
 @settings(deadline=None)
 @given(row_blocks())
 def test_kernel_certificate_accepts_exactly_the_kernel_of_every_prefix(case):
-    """Fed the blocks one by one, each with a candidate that the blocks
-    before it annihilate, the certificate says yes exactly when the
-    candidate is the kernel of the stack so far.  Entries of at most 3 in
-    at most 6 columns keep every minor below 2^31 - 1, so no rank is lost
+    """Fed the blocks one by one, each with a candidate, inside the kernel
+    of the blocks before it or not, the certificate says yes exactly when
+    the candidate is the kernel of the stack so far.  Entries of at most 3
+    in at most 6 columns keep every minor below 2^31 - 1, so no rank is lost
     mod that prime and the answer is exact both ways."""
     ncols, blocks = case
     kernels = stacked_kernels(blocks, ncols)
+    pairs = [exactq._sparse_pairs(block, ncols) for block in blocks]
     for i, block in enumerate(blocks):
         truth = kernels[i]
         before = kernels[i - 1] if i else Subspace.full(ncols)
-        for candidate in [truth] + _wrong_candidates(ncols, truth, before):
+        for candidate in [truth] + _wrong_candidates(ncols, truth, before, block):
             certificate = exactq.KernelCertificate(ncols)
-            for earlier, kernel in zip(blocks[:i], kernels):
+            for earlier, kernel in zip(pairs[:i], kernels):
                 assert certificate.extend(earlier, kernel)
-            assert certificate.extend(block, candidate) == (candidate is truth)
+            assert certificate.extend(pairs[i], candidate) == (candidate is truth)
 
 
 @st.composite
@@ -314,13 +320,19 @@ def test_a_certified_candidate_is_returned_as_it_is():
     assert kernel_basis(rows, 3, kernel) is kernel
 
 
+P = exactq.PRIME
+
+
 def _exact_rank(rows, ncols):
     return Subspace.from_vectors(ncols, rows).dim
 
 
-def _rank_mod_p(rows, ncols, p=None):
-    """The rank of a `RankModP` echelon fed every row, one at a time."""
-    echelon = exactq.RankModP(p)
+def _rank_mod_p(rows, ncols, p=P):
+    """The rank of a `RankModP` echelon fed every row, one at a time, made
+    while ``exactq.PRIME`` is ``p``."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(exactq, "PRIME", p)
+        echelon = exactq.RankModP()
     for cols, row in exactq._sparse_pairs(rows, ncols):
         echelon.add(cols, row)
     return echelon.rank
@@ -369,9 +381,6 @@ def test_rank_mod_the_word_size_prime_is_the_rank_of_small_rows(case):
     # 2^31 - 1 (Hadamard's bound), so no rank is lost mod that prime.
     ncols, rows = case
     assert _rank_mod_p(rows, ncols) == _exact_rank(rows, ncols)
-
-
-P = exactq.PRIME
 
 
 @pytest.mark.parametrize(
@@ -613,6 +622,18 @@ def test_stacked_kernels_check_the_row_width_of_every_block():
                 stacked_kernels(blocks, 2, candidates)
 
 
+def test_a_candidate_outside_the_kernel_before_it_is_not_certified():
+    # The full line used to come back for the second prefix: its empty
+    # block annihilates anything, and only the block before it, which the
+    # certificate checks against every later candidate, tells that the
+    # kernel is zero.
+    zero, full = Subspace.zero(1), Subspace.full(1)
+    assert stacked_kernels([[[1]], []], 1, [zero, full]) == [zero, zero]
+    certificate = exactq.KernelCertificate(1)
+    assert certificate.extend(exactq._sparse_pairs([[1]], 1), zero)
+    assert not certificate.extend([], full)
+
+
 def test_stacked_kernels_refuse_a_candidate_count_other_than_the_block_count():
     # Two blocks with one candidate used to return one kernel.
     blocks = [[[1, 0]], [[0, 1]]]
@@ -702,14 +723,16 @@ def test_a_certified_candidate_still_checks_a_new_row(monkeypatch):
 def test_dense_rows_leave_the_memo_as_it_is(monkeypatch):
     """Dense rows become new pairs on every call, so repeated calls with one
     candidate check every row each time and keep none of them; only the
-    SparseRows a caller hands over are kept."""
+    SparseRows a caller hands over are kept.  Each call checks 3 rows for
+    `kernel_basis`, then 2 for the first block and all 3 of the stack for
+    the second."""
     rows = [[1, 1, 0, 0], [0, 1, 1, 0], [1, 2, 1, 0]]
     kernel = kernel_basis(rows, 4)
     checked = _checked_rows(monkeypatch)
     for _ in range(3):
         assert kernel_basis(rows, 4, candidate=kernel) is kernel
         assert stacked_kernels([rows[:2], rows[2:]], 4, [kernel, kernel]) == [kernel, kernel]
-    assert len(checked) == 3 * 6
+    assert len(checked) == 3 * 8
     assert kernel._annihilated == {}
     kept = [SparseRow(row) for row in rows]
     for _ in range(3):
@@ -721,9 +744,9 @@ def test_dense_rows_leave_the_memo_as_it_is(monkeypatch):
 @given(sparse_rows(), st.data())
 def test_calls_that_share_candidates_give_the_kernels_of_fresh_calls(case, data):
     """Calls that share converted rows and candidate objects, right and
-    wrong, in any order, each return the kernel a fresh call computes.  A
-    second block's candidate is drawn inside the first block's kernel, as
-    `stacked_kernels` asks of its caller."""
+    wrong, in any order, each return the kernel a fresh call computes,
+    whether or not a second block's candidate lies inside the first
+    block's kernel."""
     ncols, rows = case
     pool = [SparseRow(row) for row in rows]
     subsets = st.lists(st.sampled_from(pool), max_size=6) if pool else st.just([])
@@ -740,6 +763,5 @@ def test_calls_that_share_candidates_give_the_kernels_of_fresh_calls(case, data)
         assert kernel_basis(block, ncols, candidate=candidate) == expected
         blocks = [block, data.draw(subsets)]
         expected = stacked_kernels([[list(r.row) for r in b] for b in blocks], ncols)
-        inside = [c for c in candidates if all(map(expected[0].contains, c.basis))]
-        pair = [candidate, data.draw(st.sampled_from(inside))]
+        pair = [candidate, data.draw(st.sampled_from(candidates))]
         assert stacked_kernels(blocks, ncols, pair) == expected

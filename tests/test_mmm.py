@@ -27,7 +27,7 @@ def restricted_poly(alg, text):
 
 
 def slice_vec(alg, x, n):
-    return degree_slice_vector(x, n, alg.monomial_basis(n))
+    return degree_slice_vector(x, alg.monomial_basis(n))
 
 
 def test_algebra_shapes_and_parity():
@@ -316,9 +316,7 @@ def test_odd_d_failure_is_backed_by_root_oracle():
     assert len(rbasis) == 3
 
     def restricted_vec(poly_in_ps):
-        return degree_slice_vector(
-            restrict(model, 5, poly_in_ps), 16, rbasis
-        )
+        return degree_slice_vector(restrict(model, 5, poly_in_ps), rbasis)
 
     s4 = power_sum_in_elementary("so", 4, model.generators)
     l4 = l_class_oracle(4, model.generators)[3]
@@ -327,7 +325,7 @@ def test_odd_d_failure_is_backed_by_root_oracle():
     )
     assert oracle_span.dim == 2
 
-    p1_fourth = degree_slice_vector(restricted_poly(alg, "p1^4"), 16, rbasis)
+    p1_fourth = degree_slice_vector(restricted_poly(alg, "p1^4"), rbasis)
     assert not oracle_span.contains(p1_fourth)
 
     verdict = alg.is_bordism_invariant(alg.parse("E11_1"))

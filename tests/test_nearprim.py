@@ -42,7 +42,7 @@ def mono_names(model, monos):
 
 def slice_vector(model, text, m):
     poly = parse_poly(text, model.generators)
-    return degree_slice_vector(poly, m, enumerate_monomials(model.generators, m))
+    return degree_slice_vector(poly, enumerate_monomials(model.generators, m))
 
 
 def test_query_validation():
@@ -148,7 +148,7 @@ def test_npd_examples():
     space = npd(mu, 2, 8)
     rbasis = enumerate_monomials(bu2.alphabet, 8)
     expected = degree_slice_vector(
-        parse_poly("c1^4 - 4*c1^2*c2 + 2*c2^2", bu2.alphabet), 8, rbasis
+        parse_poly("c1^4 - 4*c1^2*c2 + 2*c2^2", bu2.alphabet), rbasis
     )
     assert space.dim == 1
     assert space.contains(expected)
@@ -183,7 +183,7 @@ def test_npd_is_the_restricted_image_of_the_kernel():
                     model.generators,
                     {e: c for e, c in zip(gbasis, row)},
                 )
-                vectors.append(degree_slice_vector(restrict(model, d, poly), n, rbasis))
+                vectors.append(degree_slice_vector(restrict(model, d, poly), rbasis))
             assert subspace_equal(space, Subspace.from_vectors(len(rbasis), vectors))
 
 
@@ -609,8 +609,8 @@ def _wrong_closed_form(model, m, how):
     * "superspace": the true set plus a monomial of the set above; it is
       nested, but the new block does not annihilate it.
     * "not nested": the true set with one monomial swapped for one outside
-      the set above that the new block annihilates; only the nesting test
-      can tell.
+      the set above that the new block annihilates; only the check of the
+      blocks above against it can tell.
     """
     state = nearprim._degree(model.kind, model.max_degree, m)
     above = None
@@ -776,7 +776,7 @@ def test_the_closed_form_is_read_from_the_integer_table_without_elimination(
         for e in closed_form:
             expanded = model.from_primitive_basis(Polynomial.from_monomial(model.primitives, e))
             assert state.primitive(e).terms == expanded.terms
-            assert state.coordinates(e) == degree_slice_vector(expanded, m, state.basis)
+            assert state.coordinates(e) == degree_slice_vector(expanded, state.basis)
             least = min(map(sum, expanded.terms))
             assert [g for g in expanded.terms if sum(g) == least] == [e]
             assert expanded.terms[e] == prod(((-1) ** (i - 1) * i) ** k for i, k in enumerate(e, 1))
