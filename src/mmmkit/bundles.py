@@ -161,12 +161,6 @@ def _embed(poly, alphabet, offset):
     )
 
 
-def point_ring():
-    alphabet = GeneratorAlphabet([])
-    one = Polynomial.one(alphabet)
-    return CohomologyRing(alphabet, {}, (), tangent_chern=one, label="pt")
-
-
 def projective_space(n):
     """The ring of CP^n: one degree-2 generator, h^{n+1} = 0."""
     if n < 1:
@@ -318,27 +312,6 @@ def hirzebruch(k):
     return projectivize(base, line_bundle_sum(base, [(0,), (k,)]), label=f"O+O({k}) over cp1")
 
 
-def product_bundle(base):
-    """The trivial CP^1 bundle base x CP^1, built without the xi relation.
-
-    A second construction route for the same total spaces as P(O+O):
-    fibre integration reads off the second factor's generator.
-    """
-    fibre = projective_space(1)
-    total = product_ring(base, fibre)
-    xi = Polynomial.generator(total.alphabet, total.alphabet.names[-1])
-    vertical = total.reduce((Polynomial.one(total.alphabet) + xi) ** 2)
-    return BundleModel(base, total, 2, vertical, label=f"{base.label}xcp1")
-
-
-def biproj(a, b):
-    """P(O + O(a,b)) over CP^1 x CP^1."""
-    base = product_ring(projective_space(1), projective_space(1))
-    return projectivize(
-        base, line_bundle_sum(base, [(0, 0), (a, b)]), label=f"O+O({a},{b}) over cp1xcp1"
-    )
-
-
 # --- characteristic numbers ---------------------------------------------------
 
 
@@ -364,20 +337,6 @@ def mmm_number(bundle, indices):
     for i in indices:
         acc = bundle.base.mul(acc, bundle.fibre_integrate(bundle.total.pow(euler, i + 1)))
     return bundle.base.evaluate(acc)
-
-
-def mmm_class_number(bundle, algebra, x):
-    """Evaluate a polynomial MMM class from an aliased algebra on the bundle."""
-    if algebra.display_names is None:
-        raise QueryError("bundle evaluation needs the single-generator MMM algebras")
-    value = Fraction(0)
-    for exp, coeff in x.terms.items():
-        indices = []
-        for gi, e in enumerate(exp):
-            sdeg = algebra.alphabet.degrees[gi]
-            indices.extend([sdeg // 2] * e)
-        value += coeff * mmm_number(bundle, indices)
-    return value
 
 
 def total_space_char_numbers(bundle):

@@ -21,7 +21,7 @@ their count as its dimension.  Its rows and pivots are eliminated by the
 same core on their first read, and its rational basis (pivot entries 1) is
 boxed into Fractions on the first read of ``Subspace.basis``.  Vectors that
 do not peel (a zero vector, a repeat, any other dependency, or simply no
-column to peel at) are eliminated at once.  The kernel certificate reads
+column to peel at) are eliminated at once.  The annihilation check reads
 whichever integer basis a subspace holds, and `subspace_equal` answers
 without rows when both sides are one object, when their dimensions differ,
 and when the dimension is 0 or the ambient one.
@@ -31,28 +31,24 @@ the primitive RREF rows with integer entries, scaled by the lcm of the pivot
 entries it would divide by, and the vectors go straight into a second
 integer elimination that yields the canonical rows.
 
+`kernel_basis` takes an optional candidate K, any subspace of Q^ncols, and
+returns it only when the rows certify it: (i) every row annihilates the
+integer rows of K, checked exactly, so K lies in the kernel and the rank is
+at most ncols - dim K, and (ii) some subset of the rows has rank at least
+ncols - dim K.  Then the kernel contains K and has its dimension, so it is
+K, and K's canonical rows are the ones elimination would produce.  (ii) is
+counted modulo the prime p = 2^31 - 1 in one sparse echelon, `RankModP`.  A
+row whose last nonzero column is new joins it without reduction, so the
+sparsest row ending in each column goes first, then the sparsest others,
+until the rank is reached.  For an integer matrix the rank mod p is at most
+the rank over Q, so a rank reached mod p is reached over Q.  A candidate
+that fails costs the full elimination, never a wrong answer.
 `stacked_kernels` serves a growing stack of row blocks, as in a sweep where
-each step adds constraints, and is the one place that decides between
-certifying and eliminating.  Given a candidate K per block, it runs one
-`KernelCertificate` over the stack, which accepts K only when (i) every row
-of the stack so far, the new block and all the blocks before it,
-annihilates the integer rows of K, checked exactly, so K lies in the kernel
-of the stack and its rank is at most ncols - dim K, and (ii) some subset of
-the rows so far has rank at least ncols - dim K.  Then the kernel contains K
-and has its dimension, so it is K, and K's canonical rows are the ones
-elimination would produce.  Nothing is asked of the caller: a candidate may
-be any subspace of Q^ncols.  (ii) is counted modulo the prime p = 2^31 - 1
-in one sparse echelon, `RankModP`, kept across the blocks.  A row whose last
-nonzero column is new joins it without reduction, so each block feeds those
-rows first and then the sparsest others, and stops once the rank is reached.
-For an integer matrix the rank mod p is at most the rank over Q, so a rank
-reached mod p is reached over Q.  When any block fails, or no candidates are
-given, every block is eliminated once, against the integer RREF rows kept
-from the blocks before it, so no prefix is eliminated twice, and a candidate
-is returned only where it equals the exact kernel.  A candidate that fails
-costs the full elimination, never a wrong answer.  The near-primitive kernel
-route certifies a whole degree this way, one block per order;
-`kernel_basis` is the one-block call.
+each step adds constraints: it eliminates every block once, against the
+integer RREF rows kept from the blocks before it, so no prefix is
+eliminated twice.  The near-primitive kernel route needs no echelon: it
+reads its rank bound off its rows' leading columns and checks (i) with
+`annihilates`.
 
 Both read their rows as `(cols, row)` pairs: an integer row with its
 ascending nonzero columns.  `_sparse_pairs` is the one conversion into them.
@@ -61,18 +57,16 @@ support, and leaves zero rows out.  A caller that hands the same rows to
 many kernels, as the near-primitive degrees do, keeps them as `SparseRow`s,
 pairs made once from their dense rows, which pass the conversion with only
 their width checked.  A SparseRow can only be made from its dense row, so
-its support is always its row's own.  The annihilation check (i) is
-memoised on the candidate: a Subspace keeps the SparseRows already found to
-annihilate it, keyed by identity and held alive by the memo, and checks
-only the others.  Pairs converted from dense rows are new objects on every
-call, so they are checked and never kept.  Every row is still checked
-exactly against the very subspace it certifies, once, and a Subspace never
-changes, so a row checked once stays checked; the certificate's re-check of
-the blocks before a candidate costs nothing where that candidate is the
-object the blocks were checked against.  Another Subspace, even an equal
-one, starts with an empty memo and checks every row itself, so a wrong
-candidate is never accepted on the strength of rows checked against a
-different object.
+its support is always its row's own.  The annihilation check (i),
+`annihilates`, is memoised on the candidate: a Subspace keeps the
+SparseRows already found to annihilate it, keyed by identity and held alive
+by the memo, and checks only the others.  Pairs converted from dense rows
+are new objects on every call, so they are checked and never kept.  Every
+row is still checked exactly against the very subspace it certifies, once,
+and a Subspace never changes, so a row checked once stays checked.  Another
+Subspace, even an equal one, starts with an empty memo and checks every row
+itself, so a wrong candidate is never accepted on the strength of rows
+checked against a different object.
 """
 
 from __future__ import annotations
@@ -326,13 +320,23 @@ def kernel_basis(rows, ncols, candidate=None):
     ``ncols`` or a `SparseRow`, as a canonical Subspace of Q^ncols.
 
     ``candidate`` is an optional Subspace of Q^ncols believed to be the
-    kernel: it is returned when the rows certify it, and the kernel is
-    computed otherwise, so the result is always the kernel of the rows.
+    kernel.  It is returned when the rows certify it: they annihilate it,
+    and fed to one `RankModP`, the seed rows first and then the sparsest,
+    they reach rank ncols - dim K.  Otherwise the kernel is eliminated, so
+    the result is always the kernel of the rows.
     """
-    return stacked_kernels([rows], ncols, None if candidate is None else [candidate])[0]
+    rows = _sparse_pairs(rows, ncols)
+    if candidate is not None:
+        if candidate.ambient_dim != ncols:
+            raise DimensionMismatch(
+                f"candidate lives in Q^{candidate.ambient_dim}, the rows in Q^{ncols}"
+            )
+        if annihilates(rows, candidate) and _rank_reaches(rows, ncols - candidate.dim):
+            return candidate
+    return _kernel_of_rref(*_core.rref_int([row for _, row in rows], ncols), ncols)
 
 
-def _annihilates(rows, subspace):
+def annihilates(rows, subspace):
     """Whether every ``(cols, row)`` pair is orthogonal to the integer basis
     ``subspace`` holds, its vectors as kept or its canonical rows.
 
@@ -349,6 +353,27 @@ def _annihilates(rows, subspace):
         return False
     checked.update((id(r), r) for r in fresh if type(r) is SparseRow)
     return True
+
+
+def _rank_reaches(rows, target):
+    """Whether the ``(cols, row)`` pairs have rank at least ``target`` mod
+    ``PRIME``, and so over Q.
+
+    The sparsest row ending in each last column joins the echelon without
+    reduction, so those seed rows go first, then the rest, sparsest first,
+    until the rank is reached.
+    """
+    rows = sorted(rows, key=lambda pair: len(pair[0]))
+    seeds = {}
+    for pair in rows:
+        seeds.setdefault(pair[0][-1], pair)
+    rest = [pair for pair in rows if seeds[pair[0][-1]] is not pair]
+    echelon = RankModP()
+    for cols, row in [*seeds.values(), *rest]:
+        if echelon.rank >= target:
+            break
+        echelon.add(cols, row)
+    return echelon.rank >= target
 
 
 class RankModP:
@@ -417,64 +442,6 @@ def _scaled(r, p):
     return {k: c * inverse % p for k, c in r.items()}
 
 
-class KernelCertificate:
-    """Certifies, block by block, that a growing stack of integer rows has a
-    known kernel, without eliminating it.
-
-    ``extend(rows, K)`` adds a block of ``(cols, row)`` pairs and returns
-    True when the whole stack so far has kernel exactly K, for any subspace
-    K of Q^ncols.  (i) Every row of the stack, the new block and the blocks
-    before it, is checked exactly to annihilate K, so K lies in the kernel
-    of the stack and its rank is at most ncols - dim K.  (ii) The new rows
-    then feed one `RankModP` echelon, kept across blocks, until its rank
-    reaches ncols - dim K; the rank mod p is at most the rank over Q, so the
-    kernel has the dimension of K and equals it.  Each block feeds first
-    the sparsest row for every last column the echelon has not taken yet,
-    which join without reduction, then the rest, sparsest first; rows not
-    needed stay queued for the next block.  A False says nothing more about
-    the stack, and the certificate must not be extended after it.
-    """
-
-    __slots__ = ("ncols", "rows", "echelon", "queued")
-
-    def __init__(self, ncols):
-        self.ncols = ncols
-        self.rows = []  # every pair given so far
-        self.echelon = RankModP()
-        self.queued = []
-
-    def extend(self, rows, candidate):
-        self.rows += rows
-        if not _annihilates(self.rows, candidate):
-            return False
-        echelon = self.echelon
-        target = self.ncols - candidate.dim
-        queue = self._feed_order(self.queued + rows)
-        fed = 0
-        while echelon.rank < target and fed < len(queue):
-            echelon.add(*queue[fed])
-            fed += 1
-        self.queued = queue[fed:]
-        return echelon.rank >= target
-
-    def _feed_order(self, rows):
-        kept = self.echelon.kept
-        seeds = {}  # last column not yet taken -> the sparsest row ending there
-        rest = []
-        for item in rows:
-            last = item[0][-1]
-            if last in kept:
-                rest.append(item)
-                continue
-            held = seeds.setdefault(last, item)
-            if held is not item:
-                if len(item[0]) < len(held[0]):
-                    seeds[last], item = item, held
-                rest.append(item)
-        rest.sort(key=lambda item: len(item[0]))
-        return list(seeds.values()) + rest
-
-
 def _kernel_of_rref(reduced, pivots, ncols):
     """The kernel of integer RREF rows with the given pivot columns."""
     if not pivots:
@@ -482,32 +449,15 @@ def _kernel_of_rref(reduced, pivots, ncols):
     return Subspace.from_vectors(ncols, _kernel_vectors(reduced, pivots, ncols))
 
 
-def stacked_kernels(blocks, ncols, candidates=None):
+def stacked_kernels(blocks, ncols):
     """Kernels of a growing row stack: entry i is the null space of the rows
     of ``blocks[0]`` through ``blocks[i]`` together.
 
-    ``candidates`` optionally holds one Subspace per block believed to be
-    its kernel.  When one `KernelCertificate` over the stack passes
-    every block, the candidates are the kernels and are returned as they
-    are.  Otherwise each block is eliminated once, against the integer RREF
-    rows of the blocks before it, instead of re-eliminating every prefix
-    from scratch; a block that adds no rank shares the kernel of the prefix
-    before it, and a candidate equal to its kernel is returned in its place.
+    Each block is eliminated once, against the integer RREF rows of the
+    blocks before it, instead of re-eliminating every prefix from scratch;
+    a block that adds no rank shares the kernel of the prefix before it.
     """
     blocks = [_sparse_pairs(block, ncols) for block in blocks]
-    if candidates is not None:
-        if len(candidates) != len(blocks):
-            raise DimensionMismatch(
-                f"candidate count {len(candidates)} != block count {len(blocks)}"
-            )
-        for candidate in candidates:
-            if candidate.ambient_dim != ncols:
-                raise DimensionMismatch(
-                    f"candidate lives in Q^{candidate.ambient_dim}, the rows in Q^{ncols}"
-                )
-        certificate = KernelCertificate(ncols)
-        if all(map(certificate.extend, blocks, candidates)):
-            return list(candidates)
     reduced, pivots, kernel = [], [], None
     kernels = []
     for rows in blocks:
@@ -519,9 +469,7 @@ def stacked_kernels(blocks, ncols, candidates=None):
         if kernel is None:  # no row constrains anything yet
             kernel = Subspace.full(ncols)
         kernels.append(kernel)
-    if candidates is None:
-        return kernels
-    return [c if c == k else k for c, k in zip(candidates, kernels)]
+    return kernels
 
 
 def subspace_equal(a, b):

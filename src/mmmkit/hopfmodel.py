@@ -13,9 +13,10 @@ and a pair ea (x) eb becomes pack(ea) + (pack(eb) << shift), so the product
 of two terms is one integer addition; every generator is even, so no sign
 arises.  Packing is exact as long as no slot carries into the next.  A term
 of delta(c^e) has, in each leg, exponents at most the number of factors of
-c^e, since each factor puts at most one generator on each side; the slot
-width is sized for that count, and widens for input with more factors than
-the model's bound allows.
+c^e, since each factor puts at most one generator on each side.  Within
+the model's bound that is at most ngens, so one slot width,
+``ngens.bit_length()``, serves the coproduct and the primitive table, and
+input above the bound is refused.
 
 Primitive generators Q_j are the integer Newton power sums s_j, so the
 coefficient of g_1^j inside Q_j is exactly 1; `character_component` divides
@@ -23,12 +24,11 @@ by j! to produce the Chern/Pontrjagin character pieces.  The primitive
 monomials Q^lam, the closed form of the near-primitives, are kept in one
 memoised integer table on the same packed keys: `primitive_monomial` builds
 Q^lam as Q^(lam - e_i) * Q_i, i the first index of lam, one packed product
-each, and takes the single factors Q_i from `from_primitive_basis`.  Its
-slot width is ``ngens.bit_length()``: a monomial within the model's bound
-has at most ngens factors, so no slot can carry.  The table lives as long
-as the model.  Models are built to a degree bound and treated as immutable
-afterwards; the write-once memo tables are filled on first use and are not
-guarded by locks.
+each, and takes the single factors Q_i from `from_primitive_basis`.  A
+monomial within the model's bound has at most ngens factors, so no slot
+can carry.  The table lives as long as the model.  Models are built to a
+degree bound and treated as immutable afterwards; the write-once memo
+tables are filled on first use and are not guarded by locks.
 """
 
 from __future__ import annotations
@@ -77,10 +77,10 @@ class HopfModel:
         )
         self._power_sums = self._build_power_sums()
         self._gen_coproduct_powers = {}
-        self._packed_powers = {}  # (i, e, width) -> packed delta(g_i)^e
-        self._decoded = {}  # width -> _Decoder
-        #: the slot width of the primitive table, wide enough for g_1^ngens
+        self._packed_powers = {}  # (i, e) -> packed delta(g_i)^e
+        #: the slot width of every packed key, wide enough for g_1^ngens
         self.width = self.ngens.bit_length()
+        self._decoded = _Decoder(self.width, self.ngens)
         self._primitive_monomials = {self.primitives.unit(): {0: 1}}
 
     def __repr__(self):
@@ -154,13 +154,7 @@ class HopfModel:
 
     def unpack(self, key):
         """The generator exponent tuple of a key of the primitive table."""
-        return self._decoder(self.width)[key]
-
-    def _decoder(self, width):
-        decoded = self._decoded.get(width)
-        if decoded is None:
-            decoded = self._decoded[width] = _Decoder(width, self.ngens)
-        return decoded
+        return self._decoded[key]
 
     # -- coproduct -----------------------------------------------------------
 
@@ -191,14 +185,14 @@ class HopfModel:
         self._gen_coproduct_powers[key] = result
         return result
 
-    def _packed_power(self, i, e, width):
-        """delta(g_i)^e as a packed dict at slot width ``width``, memoised."""
-        key = (i, e, width)
+    def _packed_power(self, i, e):
+        """delta(g_i)^e as a packed dict, memoised."""
+        key = (i, e)
         packed = self._packed_powers.get(key)
         if packed is None:
-            shift = width * self.ngens
+            shift = self.width * self.ngens
             packed = {
-                _pack(ea, width) + (_pack(eb, width) << shift): c
+                self.pack(ea) + (self.pack(eb) << shift): c
                 for (ea, eb), c in self._gen_coproduct_power(i, e).terms.items()
             }
             self._packed_powers[key] = packed
@@ -209,33 +203,33 @@ class HopfModel:
         empty in degree 0.
 
         Each monomial's delta is the product of the memoised delta(g_i)^e_i,
-        taken on packed keys (see the module docstring).  The slots are wide
-        enough for the most factors of any monomial of x, and at least for
-        g_1^ngens, the longest monomial within the bound.  No exponent of a
-        term exceeds its monomial's number of factors, and partial products
-        only grow towards the final exponents, so no slot carries.  The keys
-        are decoded once at the end, through a decoder cached per width.
+        taken on packed keys (see the module docstring).  x must lie within
+        the model's bound, so no monomial has more than ngens factors.  No
+        exponent of a term exceeds its monomial's number of factors, and
+        partial products only grow towards the final exponents, so no slot
+        carries.  The keys are decoded once at the end.
         """
         if x.alphabet != self.generators:
             raise AlphabetMismatch("expected a polynomial over the generator alphabet")
         degree = x.homogeneous_degree()
         if degree is None or degree == 0:
             return {}
-        width = max(self.ngens, *(sum(exp) for exp in x.terms)).bit_length()
-        shift = width * self.ngens
+        if degree > self.max_degree:
+            raise QueryError(f"degree {degree} is above the model bound {self.max_degree}")
+        shift = self.width * self.ngens
         total = {}
         for exp, coeff in x.terms.items():
             delta = None
             for i, e in enumerate(exp, 1):
                 if e:
-                    power = self._packed_power(i, e, width)
+                    power = self._packed_power(i, e)
                     delta = power if delta is None else _packed_product(delta, power)
             for key, c in delta.items():
                 total[key] = total.get(key, 0) + coeff * c
-            left = _pack(exp, width)
+            left = self.pack(exp)
             total[left] -= coeff
             total[left << shift] -= coeff
-        decoded = self._decoder(width)
+        decoded = self._decoded
         mask = (1 << shift) - 1
         return {(decoded[key & mask], decoded[key >> shift]): c for key, c in total.items() if c}
 

@@ -24,18 +24,25 @@ block B_k per degree k = |eb| of the right-hand factor, over every k >= d:
 
     kernel(d) = kernel(d+1) meet ker B_d,    kernel(m) = the whole slice.
 
-The kernel route offers each prefix kernel's closed-form answer, the span
-S_k of order k, to `exactq.stacked_kernels`, which certifies all of them in
-one downward pass over the degree's blocks instead of eliminating them.  The
-pass checks every block so far, B_k and the blocks above it, exactly
-against S_k, and the rows of B_k join one mod-p echelon kept across the
-degree until the rank reaches ncols - dim S_k.  Orders with no generator
+The kernel route certifies each prefix kernel against its closed-form
+answer, the span S_k of order k, in one downward pass over the degree's
+blocks, with two exact checks and no elimination.  First, every row of the
+blocks k' >= k annihilates S_k (`exactq.annihilates`), so the kernel
+contains S_k.  Second, those rows have at least ncols - dim S_k distinct
+leading columns, columns ordered by (monomial length, index); rows with
+distinct leading columns are triangular, hence independent, so the kernel
+has at most the dimension of S_k.  Every Whitney coefficient is 1, so the
+row keyed (ea, eb) has exactly one longest monomial, ea*eb, with entry
+prod C(gamma_i, ea_i) >= 1.  The monomials with no such split, |eb| >= k,
+are exactly the closed form's index set, so the distinct products number
+ncols - dim S_k and the count always suffices.  Orders with no generator
 degree between them share one span object, whose memo has already checked
-the blocks above, so the re-check costs only where the span changes.  If any
-check fails, the degree's blocks are eliminated exactly instead, each once
-against the integer RREF rows kept from the blocks above it.  Either way
-the route returns the kernel of its own rows, so a wrong closed form still
-surfaces as a monomial-basis failure.
+the blocks above, so the re-check costs only where the span changes.  If
+either check fails in any order, the degree's blocks are eliminated
+exactly instead by `exactq.stacked_kernels`, each once against the integer
+RREF rows kept from the blocks above it.  Either way the route returns the
+kernel of its own rows, so a wrong closed form still surfaces as a
+monomial-basis failure.
 
 The rows of a degree are built once, as dense integer rows keyed by the
 pair (ea, eb) of tensor factors.  Each distinct row is interned once, as one
@@ -53,12 +60,13 @@ applied to the stacked blocks.  Restriction keeps a generator, kills it or
 sends p_{d/2} to e^2, so it sends distinct surviving monomials to distinct
 monomials with coefficient 1.  Its matrix R_d is therefore the rows of every
 B_k (k >= d) whose right-hand factor survives, relabelled, and ker R_d
-contains the kernel route's answer K.  The route hands K as a candidate to
-`exactq.kernel_basis`, the one-block call of the same routine, which returns
-K only when the rows certify it (they annihilate K, and a subset of them has
-rank ncols - dim K) and eliminates R_d in full otherwise.  Either way the
-result is exactly ker R_d, so a wrong K cannot hide a fault; most orders
-need no elimination.
+contains the kernel route's answer K.  Its surviving rows' leading columns
+cover only part of that rank, so the route hands K as a candidate to
+`exactq.kernel_basis`, which returns K only when the rows certify it (they
+annihilate K, and a subset of them has rank ncols - dim K mod p) and
+eliminates R_d in full otherwise.  Either way the result is exactly
+ker R_d, so a wrong K cannot hide a fault; most orders need no
+elimination.
 
 The closed-form vectors are a basis as they stand.  By Newton's identities
 Q_n = +-n g_n plus products of two or more generators, so Q^lam has exactly
@@ -92,6 +100,7 @@ from .errors import DimensionMismatch, QueryError
 from .exactq import (
     SparseRow,
     Subspace,
+    annihilates,
     kernel_basis,
     stacked_kernels,
     subspace_equal,
@@ -264,9 +273,10 @@ class _Degree:
     def _prefix_kernels(self, blocks):
         """The kernel of the blocks k' >= k, for each block degree k.
 
-        The closed-form spans S_k are offered to `exactq.stacked_kernels` as
-        candidates, which certifies them in one downward pass or eliminates
-        the blocks exactly.
+        Each closed-form span S_k is returned when the rows of the blocks
+        k' >= k annihilate it and have at least ncols - dim S_k distinct
+        leading columns (see the module docstring).  If any order fails,
+        `exactq.stacked_kernels` eliminates the blocks.
         """
         # A repeated row leaves the kernel as it is, so each distinct row
         # joins the stack once, in the first block that holds it.  Equal
@@ -282,8 +292,17 @@ class _Degree:
                         seen.add(id(row))
                         fresh.append(sparse[id(row)])
             fresh_blocks.append(fresh)
-        spans = [self.span(k) for k in blocks]
-        return stacked_kernels(fresh_blocks, len(self.basis), spans)
+        ncols = len(self.basis)
+        position = [(sum(e), j) for j, e in enumerate(self.basis)]
+        stack, leading, spans = [], set(), []
+        for k, fresh in zip(blocks, fresh_blocks):
+            stack += fresh
+            leading.update(max(map(position.__getitem__, r.cols)) for r in fresh)
+            span = self.span(k)
+            if len(leading) < ncols - span.dim or not annihilates(stack, span):
+                return stacked_kernels(fresh_blocks, ncols)
+            spans.append(span)
+        return spans
 
     def restricted_rows(self, d, rank):
         """The distinct rows of the order-d matrix restricted to rank ``rank``.

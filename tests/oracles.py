@@ -5,12 +5,26 @@ root expansions, explicit power-series division, and a tiny hand-rolled
 ring for the Hirzebruch surfaces.  The polynomial container is reused as
 dumb storage, but none of the package's Newton recurrences, Bernoulli
 numbers, coproducts, or rewrite systems are.
+
+The example builders at the end (`point_ring`, `product_bundle`, `biproj`,
+`mmm_class_number`) are the exception: they assemble test inputs from the
+bundles module's own constructors, which the package itself never needs.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import comb, factorial, prod
 
+from mmmkit.bundles import (
+    BundleModel,
+    CohomologyRing,
+    line_bundle_sum,
+    mmm_number,
+    product_ring,
+    projective_space,
+    projectivize,
+)
+from mmmkit.errors import QueryError
 from mmmkit.exactq import solve_in_span
 from mmmkit.gradedalg import (
     GeneratorAlphabet,
@@ -245,6 +259,34 @@ def reduced_coproduct_by_pairs(model, x):
     return tensor_sum_by_pairs(*scaled)
 
 
+def coproduct_rows_by_pairs(model, m):
+    """The rows of the kernel route's matrix in degree m, from
+    `reduced_coproduct_by_pairs` alone: row (ea, eb) maps each degree-m
+    monomial gamma to the nonzero coefficient of ea (x) eb in the reduced
+    coproduct of g^gamma."""
+    rows = {}
+    for gamma in enumerate_monomials(model.generators, m):
+        x = Polynomial.from_monomial(model.generators, gamma)
+        for key, c in reduced_coproduct_by_pairs(model, x).items():
+            rows.setdefault(key, {})[gamma] = c
+    return rows
+
+
+def distinct_products(alphabet, rows, d):
+    """The number of distinct products ea*eb over the row keys with
+    |eb| >= d."""
+    return len(
+        {tuple(a + b for a, b in zip(ea, eb)) for ea, eb in rows if alphabet.degree(eb) >= d}
+    )
+
+
+def whitney_leading_entry(ea, eb):
+    """prod C(gamma_i, ea_i) for gamma = ea*eb: the coefficient of ea (x) eb
+    in the reduced coproduct of g^gamma when every Whitney coefficient is
+    1."""
+    return prod(comb(a + b, a) for a, b in zip(ea, eb))
+
+
 def l_class_oracle(kmax, target_alphabet):
     """L_1..L_kmax by expanding the product of x_i/tanh(x_i) over 6 roots.
 
@@ -441,3 +483,47 @@ def monomials_one_generator_at_a_time(alphabet, degree, allowed=None):
 
     rec(0, degree)
     return out
+
+
+# --- example bundles built from the package's constructors --------------------
+
+
+def point_ring():
+    alphabet = GeneratorAlphabet([])
+    one = Polynomial.one(alphabet)
+    return CohomologyRing(alphabet, {}, (), tangent_chern=one, label="pt")
+
+
+def product_bundle(base):
+    """The trivial CP^1 bundle base x CP^1, built without the xi relation.
+
+    A second construction route for the same total spaces as P(O+O):
+    fibre integration reads off the second factor's generator.
+    """
+    fibre = projective_space(1)
+    total = product_ring(base, fibre)
+    xi = Polynomial.generator(total.alphabet, total.alphabet.names[-1])
+    vertical = total.reduce((Polynomial.one(total.alphabet) + xi) ** 2)
+    return BundleModel(base, total, 2, vertical, label=f"{base.label}xcp1")
+
+
+def biproj(a, b):
+    """P(O + O(a,b)) over CP^1 x CP^1."""
+    base = product_ring(projective_space(1), projective_space(1))
+    return projectivize(
+        base, line_bundle_sum(base, [(0, 0), (a, b)]), label=f"O+O({a},{b}) over cp1xcp1"
+    )
+
+
+def mmm_class_number(bundle, algebra, x):
+    """Evaluate a polynomial MMM class from an aliased algebra on the bundle."""
+    if algebra.display_names is None:
+        raise QueryError("bundle evaluation needs the single-generator MMM algebras")
+    value = Fraction(0)
+    for exp, coeff in x.terms.items():
+        indices = []
+        for gi, e in enumerate(exp):
+            sdeg = algebra.alphabet.degrees[gi]
+            indices.extend([sdeg // 2] * e)
+        value += coeff * mmm_number(bundle, indices)
+    return value

@@ -9,18 +9,14 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import RankTwoOracle
+from oracles import RankTwoOracle, biproj, mmm_class_number, point_ring, product_bundle
 from mmmkit.errors import DimensionMismatch, InhomogeneousError, QueryError
 from mmmkit.gradedalg import Polynomial, enumerate_monomials, parse_poly
 from mmmkit.mmm import MMMAlgebra
 from mmmkit.bundles import (
-    biproj,
     hirzebruch,
     line_bundle_sum,
-    mmm_class_number,
     mmm_number,
-    point_ring,
-    product_bundle,
     product_ring,
     projective_space,
     projectivize,

@@ -197,9 +197,9 @@ def _wrong_candidates(ncols, truth, before, block):
 @settings(deadline=None)
 @given(row_blocks())
 def test_stacked_kernels_equal_the_kernel_of_every_prefix(case):
-    """Without candidates, with the true kernels as candidates, and with one
-    wrong candidate, inside the kernel before it or not, the result is the
-    kernel of every prefix; true candidates come back as they are."""
+    """Each entry is the kernel of its prefix, and `kernel_basis` on that
+    prefix gives it back for the true kernel as its candidate, returned as
+    it is, and for every wrong one, inside the kernel before it or not."""
     ncols, blocks = case
     kernels = stacked_kernels(blocks, ncols)
     assert len(kernels) == len(blocks)
@@ -210,35 +210,35 @@ def test_stacked_kernels_equal_the_kernel_of_every_prefix(case):
         assert kernel.dim == ncols - rank
         for v in kernel.basis:
             assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in stacked)
-    true = [Subspace(k.ambient_dim, k.rows, k.pivots) for k in kernels]
-    returned = stacked_kernels(blocks, ncols, true)
-    assert all(a is b for a, b in zip(returned, true)) and len(returned) == len(true)
-    for i, truth in enumerate(kernels):
+        true = Subspace(kernel.ambient_dim, kernel.rows, kernel.pivots)
+        assert kernel_basis(stacked, ncols, true) is true
         before = kernels[i - 1] if i else Subspace.full(ncols)
-        for wrong in _wrong_candidates(ncols, truth, before, blocks[i]):
-            candidates = kernels[:i] + [wrong] + kernels[i + 1 :]
-            assert stacked_kernels(blocks, ncols, candidates) == kernels
+        for wrong in _wrong_candidates(ncols, kernel, before, blocks[i]):
+            assert kernel_basis(stacked, ncols, wrong) == kernel
 
 
 @settings(deadline=None)
 @given(row_blocks())
 def test_kernel_certificate_accepts_exactly_the_kernel_of_every_prefix(case):
-    """Fed the blocks one by one, each with a candidate, inside the kernel
-    of the blocks before it or not, the certificate says yes exactly when
-    the candidate is the kernel of the stack so far.  Entries of at most 3
-    in at most 6 columns keep every minor below 2^31 - 1, so no rank is lost
-    mod that prime and the answer is exact both ways."""
+    """Given the rows of each prefix as SparseRows that earlier prefixes
+    have already certified their kernels with, and a candidate inside the
+    kernel of the blocks before it or not, `kernel_basis` returns the
+    candidate itself exactly when it is the kernel of the prefix.  Entries
+    of at most 3 in at most 6 columns keep every minor below 2^31 - 1, so
+    no rank is lost mod that prime and the answer is exact both ways."""
     ncols, blocks = case
     kernels = stacked_kernels(blocks, ncols)
-    pairs = [exactq._sparse_pairs(block, ncols) for block in blocks]
+    pairs = [[SparseRow(row) for row in block] for block in blocks]
     for i, block in enumerate(blocks):
         truth = kernels[i]
         before = kernels[i - 1] if i else Subspace.full(ncols)
+        stacked = [row for earlier in pairs[: i + 1] for row in earlier]
         for candidate in [truth] + _wrong_candidates(ncols, truth, before, block):
-            certificate = exactq.KernelCertificate(ncols)
-            for earlier, kernel in zip(pairs[:i], kernels):
-                assert certificate.extend(earlier, kernel)
-            assert certificate.extend(pairs[i], candidate) == (candidate is truth)
+            for j, kernel in enumerate(kernels[:i]):
+                earlier = [row for rows in pairs[: j + 1] for row in rows]
+                assert kernel_basis(earlier, ncols, kernel) is kernel
+            certified = kernel_basis(stacked, ncols, candidate) is candidate
+            assert certified == (candidate is truth)
 
 
 @st.composite
@@ -405,8 +405,8 @@ def test_a_rank_lost_mod_p_falls_back_to_the_exact_elimination(rows, ncols, monk
         return rref_int(block, width)
 
     monkeypatch.setattr(exactq._core, "rref_int", counting)
-    assert kernel_basis(rows, ncols, kernel) is kernel
-    assert eliminations  # certified by the exact path, not mod p
+    assert kernel_basis(rows, ncols, kernel) == kernel
+    assert eliminations  # found by the exact path, not certified mod p
 
 
 @pytest.mark.parametrize(
@@ -609,39 +609,41 @@ def test_a_kept_subspace_reads_exactly_as_its_eliminated_twin(case, data):
         candidate = Subspace.from_vectors(ncols, spanning)
         twin = _canonical_twin(ncols, spanning)
         assert kernel_basis(rows, ncols, candidate=candidate).rows == kernel.rows
-        assert stacked_kernels([rows], ncols, [candidate])[0].rows == kernel.rows
         assert kernel_basis(rows, ncols, candidate=twin).rows == kernel.rows
+        pairs = exactq._sparse_pairs(rows, ncols)
+        assert exactq.annihilates(pairs, candidate) == exactq.annihilates(pairs, twin)
 
 
 def test_stacked_kernels_check_the_row_width_of_every_block():
     # A long row used to be cut to the width: the kernel of [[1, 2, 3]] in
     # two columns came back as that of [[1, 2]], spanned by (2, -1).
     for blocks, bad in ([[[1, 2, 3]]], 3), ([[[1, 0]], [[1]]], 1), ([[], [[0, 1], [1, 2, 3]]], 3):
-        for candidates in (None, [Subspace.zero(2)] * len(blocks)):
-            with pytest.raises(DimensionMismatch, match=f"row length {bad} != 2 columns"):
-                stacked_kernels(blocks, 2, candidates)
+        with pytest.raises(DimensionMismatch, match=f"row length {bad} != 2 columns"):
+            stacked_kernels(blocks, 2)
+        rows = [row for block in blocks for row in block]
+        with pytest.raises(DimensionMismatch, match=f"row length {bad} != 2 columns"):
+            kernel_basis(rows, 2, Subspace.zero(2))
 
 
 def test_a_candidate_outside_the_kernel_before_it_is_not_certified():
-    # The full line used to come back for the second prefix: its empty
-    # block annihilates anything, and only the block before it, which the
-    # certificate checks against every later candidate, tells that the
-    # kernel is zero.
+    # The full line used to come back for the second prefix, offered as its
+    # candidate: its empty block annihilates anything, and only the block
+    # before it tells that the kernel is zero.  A row that certified one
+    # candidate is checked again against the next.
     zero, full = Subspace.zero(1), Subspace.full(1)
-    assert stacked_kernels([[[1]], []], 1, [zero, full]) == [zero, zero]
-    certificate = exactq.KernelCertificate(1)
-    assert certificate.extend(exactq._sparse_pairs([[1]], 1), zero)
-    assert not certificate.extend([], full)
+    assert stacked_kernels([[[1]], []], 1) == [zero, zero]
+    # The second prefix holds the first block's row and nothing more.
+    rows = [SparseRow([1])]
+    assert kernel_basis(rows, 1, zero) is zero
+    assert kernel_basis(rows, 1, full) == zero
 
 
-def test_stacked_kernels_refuse_a_candidate_count_other_than_the_block_count():
-    # Two blocks with one candidate used to return one kernel.
-    blocks = [[[1, 0]], [[0, 1]]]
-    for count in (0, 1, 3):
-        with pytest.raises(DimensionMismatch, match=f"candidate count {count} != block count 2"):
-            stacked_kernels(blocks, 2, [Subspace.zero(2)] * count)
-    with pytest.raises(DimensionMismatch, match=r"candidate lives in Q\^3, the rows in Q\^2"):
-        stacked_kernels(blocks, 2, [Subspace.full(2), Subspace.zero(3)])
+def test_kernel_basis_refuses_a_candidate_of_another_ambient_space():
+    rows = [[1, 0], [0, 1]]
+    for ncols in (1, 3):
+        message = rf"candidate lives in Q\^{ncols}, the rows in Q\^2"
+        with pytest.raises(DimensionMismatch, match=message):
+            kernel_basis(rows, 2, Subspace.zero(ncols))
 
 
 def test_the_conversion_passes_sparse_rows_and_converts_the_rest():
@@ -676,13 +678,13 @@ def _checked_rows(monkeypatch):
     gains ``(candidate, row)`` for every `SparseRow` not yet in the
     candidate's memo when the check starts."""
     checked = []
-    annihilates = exactq._annihilates
+    annihilates = exactq.annihilates
 
     def recording(rows, subspace):
         checked.extend((subspace, r) for r in rows if id(r) not in subspace._annihilated)
         return annihilates(rows, subspace)
 
-    monkeypatch.setattr(exactq, "_annihilates", recording)
+    monkeypatch.setattr(exactq, "annihilates", recording)
     return checked
 
 
@@ -723,16 +725,15 @@ def test_a_certified_candidate_still_checks_a_new_row(monkeypatch):
 def test_dense_rows_leave_the_memo_as_it_is(monkeypatch):
     """Dense rows become new pairs on every call, so repeated calls with one
     candidate check every row each time and keep none of them; only the
-    SparseRows a caller hands over are kept.  Each call checks 3 rows for
-    `kernel_basis`, then 2 for the first block and all 3 of the stack for
-    the second."""
+    SparseRows a caller hands over are kept.  Each round checks the 3 rows
+    of each of two calls."""
     rows = [[1, 1, 0, 0], [0, 1, 1, 0], [1, 2, 1, 0]]
     kernel = kernel_basis(rows, 4)
     checked = _checked_rows(monkeypatch)
     for _ in range(3):
         assert kernel_basis(rows, 4, candidate=kernel) is kernel
-        assert stacked_kernels([rows[:2], rows[2:]], 4, [kernel, kernel]) == [kernel, kernel]
-    assert len(checked) == 3 * 8
+        assert kernel_basis(rows[2:] + rows[:2], 4, candidate=kernel) is kernel
+    assert len(checked) == 3 * 6
     assert kernel._annihilated == {}
     kept = [SparseRow(row) for row in rows]
     for _ in range(3):
@@ -745,8 +746,8 @@ def test_dense_rows_leave_the_memo_as_it_is(monkeypatch):
 def test_calls_that_share_candidates_give_the_kernels_of_fresh_calls(case, data):
     """Calls that share converted rows and candidate objects, right and
     wrong, in any order, each return the kernel a fresh call computes,
-    whether or not a second block's candidate lies inside the first
-    block's kernel."""
+    also when a call adds rows to those a candidate was checked against
+    before, whether or not that candidate lies inside their kernel."""
     ncols, rows = case
     pool = [SparseRow(row) for row in rows]
     subsets = st.lists(st.sampled_from(pool), max_size=6) if pool else st.just([])
@@ -761,7 +762,7 @@ def test_calls_that_share_candidates_give_the_kernels_of_fresh_calls(case, data)
         candidate = data.draw(st.sampled_from(candidates))
         expected = kernel_basis([list(r.row) for r in block], ncols)
         assert kernel_basis(block, ncols, candidate=candidate) == expected
-        blocks = [block, data.draw(subsets)]
-        expected = stacked_kernels([[list(r.row) for r in b] for b in blocks], ncols)
-        pair = [candidate, data.draw(st.sampled_from(candidates))]
-        assert stacked_kernels(blocks, ncols, pair) == expected
+        grown = block + data.draw(subsets)
+        expected = kernel_basis([list(r.row) for r in grown], ncols)
+        for again in (candidate, data.draw(st.sampled_from(candidates))):
+            assert kernel_basis(grown, ncols, candidate=again) == expected

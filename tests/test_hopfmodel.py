@@ -152,8 +152,8 @@ def test_reduced_coproduct_examples():
 def test_reduced_coproduct_matches_the_whitney_oracle():
     """The packed table equals the pair-by-pair product of the generators'
     Whitney sums: on every monomial within two bounds, on L-class components
-    with Fraction coefficients, and on monomials with more factors than the
-    bound allows, whose exponents need wider slots than the model's."""
+    with Fraction coefficients, and on the longest monomials of a bound whose
+    exponents fill its slots."""
     for kind, bound in (("u", 16), ("so", 32)):
         model = hopf_model(kind, bound)
         for m in range(0, bound + 1, model.step):
@@ -164,11 +164,22 @@ def test_reduced_coproduct_matches_the_whitney_oracle():
     for k in range(1, model.ngens + 1):
         l_k = l_class_component(model, k)
         assert model.reduced_coproduct(l_k) == reduced_coproduct_by_pairs(model, l_k)
-    model = hopf_model("u", 24)  # 12 generators: 4-bit slots within the bound
+    model = hopf_model("u", 24)  # 12 generators: 4-bit slots
     c1, c2 = gen(model, 1), gen(model, 2)
-    for x in (c1**15, c1**16, c1**30, c1**14 * c2**8, c1**29 * 3 - c1**27 * c2 * 5):
+    for x in (c1**12, c1**10 * c2, c1**11 * 3 - c1**9 * c2 * 5):
         assert model.reduced_coproduct(x) == reduced_coproduct_by_pairs(model, x)
-    assert model.reduced_coproduct(c1**30)[(1,) + (0,) * 11, (29,) + (0,) * 11] == 30
+    assert model.reduced_coproduct(c1**12)[(1,) + (0,) * 11, (11,) + (0,) * 11] == 12
+
+
+def test_reduced_coproduct_refuses_input_above_the_model_bound():
+    """Above the bound a monomial can have more factors than a slot holds,
+    so the table refuses it and names its degree.  ``c1**30`` at u/24 used
+    to be taken on wider slots."""
+    model = hopf_model("u", 24)
+    c1, c2 = gen(model, 1), gen(model, 2)
+    for x, degree in ((c1**13, 26), (c1**30, 60), (c1**14 * c2**8, 60), (c2**7, 28)):
+        with pytest.raises(QueryError, match=f"degree {degree} is above the model bound 24"):
+            model.reduced_coproduct(x)
 
 
 def test_primitives_have_zero_reduced_coproduct():
@@ -389,7 +400,8 @@ def test_newton_and_coproduct_tables_have_int_coefficients():
         for j in range(1, model.ngens + 1):
             assert _all_int(model.power_sum(j).terms.values())
             assert _all_int(model.reduced_coproduct(model.power_sum(j)).values())
-            assert _all_int(model.reduced_coproduct(model.generator_poly(j) ** 2).values())
+            at_bound = model.generator_poly(j) * model.generator_poly(1) ** (model.ngens - j)
+            assert _all_int(model.reduced_coproduct(at_bound).values())
             q_j = Polynomial.generator(model.primitives, f"Q{j}")
             assert _all_int(model.from_primitive_basis(q_j**2).terms.values())
     assert not _all_int(l_class_component(hopf_model("so", 8), 2).terms.values())

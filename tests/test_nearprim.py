@@ -31,7 +31,14 @@ from mmmkit.nearprim import (
 )
 from mmmkit.exactq import Subspace, kernel_basis, subspace_equal
 
-from oracles import restricted_rows_by_entries, tensor_by_pairs, tensor_sum_by_pairs
+from oracles import (
+    coproduct_rows_by_pairs,
+    distinct_products,
+    restricted_rows_by_entries,
+    tensor_by_pairs,
+    tensor_sum_by_pairs,
+    whitney_leading_entry,
+)
 
 
 def mono_names(model, monos):
@@ -210,8 +217,9 @@ def test_reduced_coproduct_binomial_law():
     """On a power-sum monomial the reduced coproduct is the binomial sum over
     proper complementary exponent splits, read through the generators."""
     rng = random.Random(51)
-    for kind in ("u", "so"):
-        model = hopf_model(kind, 16)
+    # Up to three factors from Q1..Q3, so the bounds reach Q3^3.
+    for kind, bound in (("u", 18), ("so", 36)):
+        model = hopf_model(kind, bound)
         nprim = len(model.primitives)
 
         def power_sums(exp):
@@ -523,13 +531,14 @@ def test_each_row_is_checked_against_each_candidate_once(monkeypatch):
     restricted route hands over has been checked against the candidate it
     certifies."""
     checked = []
-    annihilates = exactq._annihilates
+    annihilates = exactq.annihilates
 
     def recording(rows, subspace):
         checked.extend((subspace, r[1]) for r in rows if id(r) not in subspace._annihilated)
         return annihilates(rows, subspace)
 
-    monkeypatch.setattr(exactq, "_annihilates", recording)
+    monkeypatch.setattr(exactq, "annihilates", recording)
+    monkeypatch.setattr(nearprim, "annihilates", recording)
     handed = _handed_rows(monkeypatch)
     for kind, bound in (("u", 24), ("so", 40)):
         nearprim._degree.cache_clear()
@@ -664,6 +673,30 @@ def test_a_wrong_closed_form_fails_with_the_exact_kernels_witness(monkeypatch, h
         assert near_primitive_kernel(model, m, d) == exact[d]
 
 
+@pytest.mark.parametrize("kind, bound", [("u", 16), ("so", 32)])
+def test_a_closed_form_one_monomial_short_eliminates_its_degree(monkeypatch, kind, bound):
+    """With one monomial dropped from one order's closed form, the rows
+    still annihilate the span, but their distinct leading columns fall one
+    short of the rank it asks for: that degree's blocks are eliminated, and
+    the sweep reports one monomial-basis failure, there."""
+    model = hopf_model(kind, bound)
+    m = bound
+    k, wrong = _wrong_closed_form(model, m, "subspace")
+    original = nearprim._Degree.monomials
+
+    def patched(self, d_):
+        return tuple(wrong) if (self.m, d_) == (m, k) else original(self, d_)
+
+    monkeypatch.setattr(nearprim._Degree, "monomials", patched)
+    calls = _record_eliminations(monkeypatch)
+    nearprim._degree.cache_clear()
+    report = verify_equivalence(model, bound)
+    assert [(f.degree, f.order, f.check) for f in report.failures] == [
+        (m, k, "monomial-basis")
+    ]
+    assert _eliminated(calls, "kernel") == [m]
+
+
 def _all_subspaces(model, bound):
     out = {}
     for m in range(model.step, bound + 1, model.step):
@@ -674,42 +707,48 @@ def _all_subspaces(model, bound):
     return out
 
 
-def _record_kernel_pass_eliminations(monkeypatch):
-    """Record the degree of each kernel pass that eliminates exactly.
+def _record_eliminations(monkeypatch):
+    """Record each kernel pass and each restricted order as
+    ``[route, m, eliminated]``, the latest last.
 
-    Returns a list that gains ``[m, eliminated]`` per kernel pass, the latest
-    last; ``eliminated`` turns True when `exactq.stacked_kernels` builds a
-    kernel from an exact elimination inside that pass.
+    ``route`` is "kernel" or "restricted", and ``eliminated`` turns True when
+    an exact elimination builds a kernel inside that call.
     """
-    passes = []
+    calls = []
     inside = []
-    prefix_kernels = nearprim._Degree._prefix_kernels
     kernel_of_rref = exactq._kernel_of_rref
+    for route, method in (("kernel", "_prefix_kernels"), ("restricted", "restricted_kernel")):
 
-    def tracking(self, blocks):
-        passes.append([self.m, False])
-        inside.append(True)
-        try:
-            return prefix_kernels(self, blocks)
-        finally:
-            inside.pop()
+        def tracking(self, *args, route=route, wrapped=getattr(nearprim._Degree, method)):
+            calls.append([route, self.m, False])
+            inside.append(calls[-1])
+            try:
+                return wrapped(self, *args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(nearprim._Degree, method, tracking)
 
     def recording(reduced, pivots, ncols):
         if inside:
-            passes[-1][1] = True
+            inside[-1][2] = True
         return kernel_of_rref(reduced, pivots, ncols)
 
-    monkeypatch.setattr(nearprim._Degree, "_prefix_kernels", tracking)
     monkeypatch.setattr(exactq, "_kernel_of_rref", recording)
-    return passes
+    return calls
+
+
+def _eliminated(calls, route):
+    return sorted({m for route_, m, eliminated in calls if route_ == route and eliminated})
 
 
 @pytest.mark.parametrize("kind, bound, m", [("u", 12, 10), ("so", 20, 16)])
 def test_a_rank_lost_mod_p_falls_back_and_keeps_every_subspace(monkeypatch, kind, bound, m):
     """Scaling every coproduct coefficient of degree m by the prime keeps
-    each kernel over Q but loses all rank mod p: that degree, and no other,
-    falls back to elimination, and every kernel and restricted subspace
-    stays as it was."""
+    each kernel over Q but loses all rank mod p.  The kernel route counts
+    leading columns, not a rank mod p, so it still certifies; the restricted
+    route falls back to elimination in that degree and no other, and every
+    kernel and restricted subspace stays as it was."""
     model = hopf_model(kind, bound)
     nearprim._degree.cache_clear()
     clean = _all_subspaces(model, bound)
@@ -726,9 +765,10 @@ def test_a_rank_lost_mod_p_falls_back_and_keeps_every_subspace(monkeypatch, kind
         return basis, tuple(tuple((pair, p * c) for pair, c in col) for col in columns)
 
     monkeypatch.setattr(nearprim, "_delta_bar_slice", scaled)
-    passes = _record_kernel_pass_eliminations(monkeypatch)
+    calls = _record_eliminations(monkeypatch)
     assert verify_equivalence(model, bound).all_passed
-    assert [m_ for m_, eliminated in passes if eliminated] == [m]
+    assert _eliminated(calls, "kernel") == []
+    assert _eliminated(calls, "restricted") == [m]
     assert _all_subspaces(model, bound) == clean
 
 
@@ -738,11 +778,32 @@ def test_a_rank_lost_mod_p_falls_back_and_keeps_every_subspace(monkeypatch, kind
 def test_the_certificate_serves_every_degree_without_elimination(monkeypatch, kind, bound):
     """On the true closed form no degree of the kernel route falls back to
     elimination."""
-    passes = _record_kernel_pass_eliminations(monkeypatch)
+    calls = _record_eliminations(monkeypatch)
     nearprim._degree.cache_clear()
     assert verify_equivalence(hopf_model(kind, bound), bound).all_passed
-    assert [m for m, eliminated in passes if eliminated] == []
-    assert len(passes) == bound // hopf_model(kind, bound).step
+    assert _eliminated(calls, "kernel") == []
+    assert len([c for c in calls if c[0] == "kernel"]) == bound // hopf_model(kind, bound).step
+
+
+@pytest.mark.parametrize("kind, bound", [("u", 24), ("so", 40)])
+def test_the_kernel_rank_is_the_count_of_distinct_leading_products(kind, bound):
+    """The fact the kernel route's certificate rests on, from the pair-by-pair
+    coproduct alone, with no elimination and no arithmetic mod p: each row
+    (ea, eb) has one longest column, ea*eb, with entry prod C(gamma_i, ea_i),
+    and in every order d the rows with |eb| >= d have exactly
+    ncols - dim S_d distinct products ea*eb."""
+    model = hopf_model(kind, bound)
+    for m in range(model.step, bound + 1, model.step):
+        ncols = len(enumerate_monomials(model.generators, m))
+        rows = coproduct_rows_by_pairs(model, m)
+        for (ea, eb), row in rows.items():
+            longest = max(map(sum, row))
+            gamma = tuple(a + b for a, b in zip(ea, eb))
+            assert [g for g in row if sum(g) == longest] == [gamma]
+            assert row[gamma] == whitney_leading_entry(ea, eb)
+        for d in range(1, m + 1):
+            closed_form = near_primitive_monomials(model, m, d)
+            assert distinct_products(model.generators, rows, d) == ncols - len(closed_form)
 
 
 @pytest.mark.parametrize("kind, bound", [("u", 24), ("so", 40)])
