@@ -43,17 +43,17 @@ sparsest row ending in each column goes first, then the sparsest others,
 until the rank is reached.  For an integer matrix the rank mod p is at most
 the rank over Q, so a rank reached mod p is reached over Q.  A candidate
 that fails costs the full elimination, never a wrong answer.
-`stacked_kernels` serves a growing stack of row blocks, as in a sweep where
-each step adds constraints: it eliminates every block once, against the
-integer RREF rows kept from the blocks before it, so no prefix is
-eliminated twice.  The near-primitive kernel route needs no echelon: it
-reads its rank bound off its rows' leading columns and checks (i) with
-`annihilates`.
 
-Both read their rows as `(cols, row)` pairs: an integer row with its
-ascending nonzero columns.  `_sparse_pairs` is the one conversion into them.
-It checks each dense row's width, clears its denominators and finds its
-support, and leaves zero rows out.  A caller that hands the same rows to
+`kernel_basis` is the one kernel routine.  The near-primitive kernel route
+certifies without it and without an echelon: it reads its rank bound off
+its rows' leading columns and checks (i) with `annihilates`.  When either
+near-primitive route's certificate fails, its fallback is `kernel_basis`
+on the rows of each order, eliminated from scratch.
+
+`kernel_basis` and `annihilates` read their rows as `(cols, row)` pairs:
+an integer row with its ascending nonzero columns.  `_sparse_pairs` is the
+one conversion into them.  It checks each dense row's width, clears its
+denominators and finds its support, and leaves zero rows out.  A caller that hands the same rows to
 many kernels, as the near-primitive degrees do, keeps them as `SparseRow`s,
 pairs made once from their dense rows, which pass the conversion with only
 their width checked.  A SparseRow can only be made from its dense row, so
@@ -230,17 +230,7 @@ class Subspace:
             raise DimensionMismatch(
                 f"vector length {len(vector)} != ambient {self.ambient_dim}"
             )
-        v = [Fraction(e) for e in vector]
-        coords = []
-        for row, p in zip(self.basis, self.pivots):
-            c = v[p]
-            coords.append(c)
-            if c:
-                for j in range(p, self.ambient_dim):
-                    v[j] -= c * row[j]
-        if any(v):
-            return None
-        return tuple(coords)
+        return solve_in_span(self.basis, vector)
 
     def contains(self, vector):
         return self.coordinates(vector) is not None
@@ -447,29 +437,6 @@ def _kernel_of_rref(reduced, pivots, ncols):
     if not pivots:
         return Subspace.full(ncols)
     return Subspace.from_vectors(ncols, _kernel_vectors(reduced, pivots, ncols))
-
-
-def stacked_kernels(blocks, ncols):
-    """Kernels of a growing row stack: entry i is the null space of the rows
-    of ``blocks[0]`` through ``blocks[i]`` together.
-
-    Each block is eliminated once, against the integer RREF rows of the
-    blocks before it, instead of re-eliminating every prefix from scratch;
-    a block that adds no rank shares the kernel of the prefix before it.
-    """
-    blocks = [_sparse_pairs(block, ncols) for block in blocks]
-    reduced, pivots, kernel = [], [], None
-    kernels = []
-    for rows in blocks:
-        if rows:
-            reduced, grown = _core.rref_int(reduced + [row for _, row in rows], ncols)
-            if len(grown) != len(pivots):
-                pivots = grown
-                kernel = _kernel_of_rref(reduced, pivots, ncols)
-        if kernel is None:  # no row constrains anything yet
-            kernel = Subspace.full(ncols)
-        kernels.append(kernel)
-    return kernels
 
 
 def subspace_equal(a, b):

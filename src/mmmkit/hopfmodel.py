@@ -35,9 +35,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
-from .errors import AlphabetMismatch, InhomogeneousError, QueryError
+from .errors import AlphabetMismatch, QueryError
 from .gradedalg import GeneratorAlphabet, Polynomial, TensorElement
 
 _ZERO = Fraction(0)
@@ -400,6 +400,12 @@ def l_class_components(model, kmax, d=None):
     first; restriction is a ring map, so the recursion then runs in the
     small restricted ring and returns restrict(model, d, L_k) without ever
     expanding L_k over the full alphabet.
+
+    The recursion runs in the integers.  The s_j have integer coefficients,
+    and each L_k is kept as an integer polynomial N_k over one int D_k: with
+    j f_j = (n_j / e_j) s_j, D_k is the lcm over j of k e_j D_{k-j}, N_k is
+    the sum of the n_j s_j N_{k-j} scaled to it, and both are divided by
+    their common content.  Each L_k is divided out once, at the end.
     """
     if model.kind != "so":
         raise QueryError("the L-class lives in the oriented model")
@@ -407,17 +413,21 @@ def l_class_components(model, kmax, d=None):
         raise QueryError(f"L_{kmax} is outside this model's bound (1..{model.ngens})")
     a = _l_log_coefficients(kmax)
     alphabet = model.generators if d is None else restricted_model("so", d).alphabet
-    weighted = [None]  # j f_j, indexed by j
+    sums = [None]  # s_j, indexed by j
     for j in range(1, kmax + 1):
-        s_j = model.power_sum(j) if d is None else restrict(model, d, model.power_sum(j))
-        weighted.append(s_j * (j * a[j]))
-    comps = [Polynomial.one(alphabet)]
+        sums.append(model.power_sum(j) if d is None else restrict(model, d, model.power_sum(j)))
+    weights = [j * a[j] for j in range(kmax + 1)]  # j f_j = weights[j] * s_j
+    nums, dens = [Polynomial.one(alphabet)], [1]  # L_k = nums[k] / dens[k]
     for k in range(1, kmax + 1):
+        scales = [k * weights[j].denominator * dens[k - j] for j in range(1, k + 1)]
+        den = lcm(*scales)
         acc = Polynomial.zero(alphabet)
-        for j in range(1, k + 1):
-            acc = acc + weighted[j] * comps[k - j]
-        comps.append(acc * Fraction(1, k))
-    return comps
+        for j, scale in enumerate(scales, 1):
+            acc = acc + sums[j] * (weights[j].numerator * (den // scale)) * nums[k - j]
+        g = gcd(den, *acc.terms.values())
+        nums.append(Polynomial(alphabet, {e: c // g for e, c in acc.terms.items()}))
+        dens.append(den // g)
+    return [num * Fraction(1, den) for num, den in zip(nums, dens)]
 
 
 def l_class_component(model, k):

@@ -38,9 +38,10 @@ are exactly the closed form's index set, so the distinct products number
 ncols - dim S_k and the count always suffices.  Orders with no generator
 degree between them share one span object, whose memo has already checked
 the blocks above, so the re-check costs only where the span changes.  If
-either check fails in any order, the degree's blocks are eliminated
-exactly instead by `exactq.stacked_kernels`, each once against the integer
-RREF rows kept from the blocks above it.  Either way the route returns the
+either check fails in any order, every order's kernel is eliminated
+exactly instead, `exactq.kernel_basis` of the rows of the blocks k' >= k,
+the orders certified before the failing one included; the restricted route
+falls back through the same routine.  Either way the route returns the
 kernel of its own rows, so a wrong closed form still surfaces as a
 monomial-basis failure.
 
@@ -94,6 +95,7 @@ changes, so they never outlive it.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from operator import add
 
 from .errors import DimensionMismatch, QueryError
@@ -102,7 +104,6 @@ from .exactq import (
     Subspace,
     annihilates,
     kernel_basis,
-    stacked_kernels,
     subspace_equal,
 )
 from .gradedalg import (
@@ -276,7 +277,8 @@ class _Degree:
         Each closed-form span S_k is returned when the rows of the blocks
         k' >= k annihilate it and have at least ncols - dim S_k distinct
         leading columns (see the module docstring).  If any order fails,
-        `exactq.stacked_kernels` eliminates the blocks.
+        every order's kernel, the certified ones included, is
+        `exactq.kernel_basis` of its own stack, eliminated from scratch.
         """
         # A repeated row leaves the kernel as it is, so each distinct row
         # joins the stack once, in the first block that holds it.  Equal
@@ -300,7 +302,7 @@ class _Degree:
             leading.update(max(map(position.__getitem__, r.cols)) for r in fresh)
             span = self.span(k)
             if len(leading) < ncols - span.dim or not annihilates(stack, span):
-                return stacked_kernels(fresh_blocks, ncols)
+                return [kernel_basis(rows, ncols) for rows in accumulate(fresh_blocks)]
             spans.append(span)
         return spans
 

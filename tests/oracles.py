@@ -6,6 +6,10 @@ ring for the Hirzebruch surfaces.  The polynomial container is reused as
 dumb storage, but none of the package's Newton recurrences, Bernoulli
 numbers, coproducts, or rewrite systems are.
 
+`l_class_by_fractions` is another exception: it is the L-class recursion
+as it ran before it moved to integers, on the package's power sums and log
+coefficients, so it checks the integer bookkeeping alone.
+
 The example builders at the end (`point_ring`, `product_bundle`, `biproj`,
 `mmm_class_number`) are the exception: they assemble test inputs from the
 bundles module's own constructors, which the package itself never needs.
@@ -32,7 +36,7 @@ from mmmkit.gradedalg import (
     degree_slice_vector,
     enumerate_monomials,
 )
-from mmmkit.hopfmodel import restricted_model
+from mmmkit.hopfmodel import _l_log_coefficients, restrict, restricted_model
 
 
 def series_quotient(num, den, nterms):
@@ -310,6 +314,24 @@ def l_class_oracle(kmax, target_alphabet):
         roots.in_elementary(total.degree_slice(4 * k), target_alphabet, 4 * k)
         for k in range(1, kmax + 1)
     ]
+
+
+def l_class_by_fractions(model, kmax, d=None):
+    """[L_0, ..., L_kmax] by k L_k = sum_j j f_j L_{k-j} in Fractions, with
+    f_j = a_j s_j, restricted to BSO(d) when ``d`` is given."""
+    a = _l_log_coefficients(kmax)
+    alphabet = model.generators if d is None else restricted_model("so", d).alphabet
+    weighted = [None]  # j f_j, indexed by j
+    for j in range(1, kmax + 1):
+        s_j = model.power_sum(j) if d is None else restrict(model, d, model.power_sum(j))
+        weighted.append(s_j * (j * a[j]))
+    comps = [Polynomial.one(alphabet)]
+    for k in range(1, kmax + 1):
+        acc = Polynomial.zero(alphabet)
+        for j in range(1, k + 1):
+            acc = acc + weighted[j] * comps[k - j]
+        comps.append(acc * Fraction(1, k))
+    return comps
 
 
 class RankTwoOracle:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from operator import add
 
@@ -16,7 +17,6 @@ from mmmkit.exactq import (
     Subspace,
     kernel_basis,
     solve_in_span,
-    stacked_kernels,
     subspace_equal,
     subspace_intersection,
     subspace_sum,
@@ -127,6 +127,40 @@ def test_coordinates_roundtrip():
         s.coordinates([1, 2, 3])
 
 
+@settings(deadline=None)
+@given(st.data())
+def test_coordinates_rebuild_the_vector_or_leave_the_span(data):
+    """Coordinates c give back the vector as sum c_i basis_i; None means the
+    vector raises the dimension by one.  The zero subspace has the empty
+    coordinates of the zero vector only, and a vector of another length is
+    refused."""
+    ncols = data.draw(st.integers(1, 5))
+    entry = st.integers(-3, 3)
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    vectors = data.draw(st.lists(row, max_size=4))
+    space = data.draw(
+        st.sampled_from([Subspace.from_vectors(ncols, vectors), Subspace.zero(ncols)])
+    )
+    weights = data.draw(st.lists(entry, min_size=len(vectors), max_size=len(vectors)))
+    inside = [sum(w * v[j] for w, v in zip(weights, vectors)) for j in range(ncols)]
+    for probe in (inside, data.draw(row), [0] * ncols):
+        coords = space.coordinates(probe)
+        if coords is None:
+            grown = Subspace.from_vectors(ncols, [*space.basis, probe])
+            assert grown.dim == space.dim + 1
+        else:
+            assert len(coords) == space.dim
+            rebuilt = [sum(c * b[j] for c, b in zip(coords, space.basis)) for j in range(ncols)]
+            assert rebuilt == probe
+        assert space.contains(probe) == (coords is not None)
+    zero = Subspace.zero(ncols)
+    assert zero.coordinates([0] * ncols) == ()
+    assert zero.coordinates(inside) == (() if not any(inside) else None)
+    for width in (ncols - 1, ncols + 1):
+        with pytest.raises(DimensionMismatch, match=f"vector length {width} != ambient {ncols}"):
+            space.coordinates([0] * width)
+
+
 def test_solve_in_span():
     vectors = [[1, 0, 1], [0, 1, 1]]
     assert solve_in_span(vectors, [2, 3, 5]) == (Fraction(2), Fraction(3))
@@ -194,18 +228,22 @@ def _wrong_candidates(ncols, truth, before, block):
     return [c for c in candidates if c != truth]
 
 
+def _prefix_kernels(blocks, ncols):
+    """The kernel of each prefix of ``blocks``, each eliminated from scratch."""
+    return [kernel_basis(rows, ncols) for rows in accumulate(blocks)]
+
+
 @settings(deadline=None)
 @given(row_blocks())
-def test_stacked_kernels_equal_the_kernel_of_every_prefix(case):
-    """Each entry is the kernel of its prefix, and `kernel_basis` on that
+def test_kernel_basis_of_every_prefix_is_its_kernel_for_every_candidate(case):
+    """The kernel of each prefix of a growing stack has the dimension its
+    rank leaves and is annihilated by every row, and `kernel_basis` on that
     prefix gives it back for the true kernel as its candidate, returned as
     it is, and for every wrong one, inside the kernel before it or not."""
     ncols, blocks = case
-    kernels = stacked_kernels(blocks, ncols)
-    assert len(kernels) == len(blocks)
+    kernels = _prefix_kernels(blocks, ncols)
     for i, kernel in enumerate(kernels):
         stacked = [row for block in blocks[: i + 1] for row in block]
-        assert kernel == kernel_basis(stacked, ncols)
         rank = Subspace.from_vectors(ncols, stacked).dim
         assert kernel.dim == ncols - rank
         for v in kernel.basis:
@@ -227,7 +265,7 @@ def test_kernel_certificate_accepts_exactly_the_kernel_of_every_prefix(case):
     of at most 3 in at most 6 columns keep every minor below 2^31 - 1, so
     no rank is lost mod that prime and the answer is exact both ways."""
     ncols, blocks = case
-    kernels = stacked_kernels(blocks, ncols)
+    kernels = _prefix_kernels(blocks, ncols)
     pairs = [[SparseRow(row) for row in block] for block in blocks]
     for i, block in enumerate(blocks):
         truth = kernels[i]
@@ -614,12 +652,12 @@ def test_a_kept_subspace_reads_exactly_as_its_eliminated_twin(case, data):
         assert exactq.annihilates(pairs, candidate) == exactq.annihilates(pairs, twin)
 
 
-def test_stacked_kernels_check_the_row_width_of_every_block():
+def test_kernel_basis_checks_the_row_width_of_every_prefix():
     # A long row used to be cut to the width: the kernel of [[1, 2, 3]] in
     # two columns came back as that of [[1, 2]], spanned by (2, -1).
     for blocks, bad in ([[[1, 2, 3]]], 3), ([[[1, 0]], [[1]]], 1), ([[], [[0, 1], [1, 2, 3]]], 3):
         with pytest.raises(DimensionMismatch, match=f"row length {bad} != 2 columns"):
-            stacked_kernels(blocks, 2)
+            _prefix_kernels(blocks, 2)
         rows = [row for block in blocks for row in block]
         with pytest.raises(DimensionMismatch, match=f"row length {bad} != 2 columns"):
             kernel_basis(rows, 2, Subspace.zero(2))
@@ -631,7 +669,7 @@ def test_a_candidate_outside_the_kernel_before_it_is_not_certified():
     # before it tells that the kernel is zero.  A row that certified one
     # candidate is checked again against the next.
     zero, full = Subspace.zero(1), Subspace.full(1)
-    assert stacked_kernels([[[1]], []], 1) == [zero, zero]
+    assert _prefix_kernels([[[1]], []], 1) == [zero, zero]
     # The second prefix holds the first block's row and nothing more.
     rows = [SparseRow([1])]
     assert kernel_basis(rows, 1, zero) is zero

@@ -12,6 +12,7 @@ import pytest
 
 from oracles import (
     elementary_in_power_sums,
+    l_class_by_fractions,
     l_class_oracle,
     power_sum_in_elementary,
     reduced_coproduct_by_pairs,
@@ -341,6 +342,20 @@ def test_l_class_matches_root_oracle():
     for k in range(1, 7):
         assert l_class_component(model, k) == expected[k - 1]
     assert l_class_components(model, 6) == [Polynomial.one(model.generators)] + expected
+
+
+def test_the_integer_l_class_recursion_matches_the_fraction_recursion():
+    """Entry by entry, as the root expansion gives them up to L_6 and as
+    the Fraction recursion gives them up to L_12, over the full alphabet
+    and restricted to BSO(3) and BSO(5)."""
+    model = hopf_model("so", 48)
+    comps = l_class_components(model, 12)
+    assert comps[1:7] == l_class_oracle(6, model.generators)
+    assert comps == l_class_by_fractions(model, 12)
+    for d in (3, 5):
+        assert l_class_components(model, 12, d) == l_class_by_fractions(model, 12, d)
+    for k in (1, 12):
+        assert l_class_component(model, k) == comps[k]
 
 
 @pytest.mark.parametrize("d", range(2, 10))

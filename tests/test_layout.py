@@ -1,4 +1,5 @@
-"""The package holds no code that only the tests reach."""
+"""The package holds no code that only the tests reach, and no import that
+nothing reads."""
 
 import ast
 from collections import Counter
@@ -36,6 +37,32 @@ def _unreferenced(package):
     return [(module, name) for module, name in defined if not named[name]]
 
 
+def _unused_imports(package):
+    """Names that a module of ``package`` imports and never reads, as
+    ``(file name, name)`` pairs.
+
+    ``__init__.py`` is left out, since it imports to re-export, and so are
+    ``from __future__`` imports.  A name is read where it appears as a bare
+    name anywhere in the module, f-strings included.
+    """
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = []
+        read = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [a.asname or a.name.partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [a.asname or a.name for a in node.names]
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+        unused += [(path.name, name) for name in imported if name not in read]
+    return unused
+
+
 def test_every_module_level_definition_is_used_in_the_package_or_exported():
     unused = [
         (module, name)
@@ -55,3 +82,22 @@ def test_the_check_finds_a_definition_that_nothing_names(tmp_path):
         "class Lonely:\n    pass\n"
     )
     assert _unreferenced(tmp_path) == [("a.py", "orphan"), ("b.py", "Lonely")]
+
+
+def test_every_import_is_read_in_its_module():
+    assert _unused_imports(PACKAGE) == [], "drop the imports that nothing reads"
+
+
+def test_the_check_finds_an_import_that_nothing_reads(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import exported\n")
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import os.path\n"
+        "from math import gcd, lcm as least\n"
+        "from .b import Error, exported\n\n\n"
+        "def f():\n"
+        '    """gcd is named here only in prose."""\n'
+        "    import json\n"
+        '    return f"{os.sep}{least(2, 3)}", json, exported.attr\n'
+    )
+    assert _unused_imports(tmp_path) == [("a.py", "gcd"), ("a.py", "Error")]

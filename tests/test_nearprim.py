@@ -678,10 +678,19 @@ def test_a_closed_form_one_monomial_short_eliminates_its_degree(monkeypatch, kin
     """With one monomial dropped from one order's closed form, the rows
     still annihilate the span, but their distinct leading columns fall one
     short of the rank it asks for: that degree's blocks are eliminated, and
-    the sweep reports one monomial-basis failure, there."""
+    the sweep reports one monomial-basis failure, there.  Every order of
+    that degree, the ones certified before the failing one included, is
+    then the kernel of its own stack, eliminated, not the span it was
+    certified against."""
     model = hopf_model(kind, bound)
     m = bound
-    k, wrong = _wrong_closed_form(model, m, "subspace")
+    state = nearprim._degree(kind, bound, m)
+    orders = list(state.blocks())
+    # The lowest order that has a monomial to drop, so that the orders
+    # above it are certified first.
+    k = min(d for d in orders if len(near_primitive_monomials(model, m, d)) >= 2)
+    assert max(orders) > k
+    wrong = near_primitive_monomials(model, m, k)[1:]
     original = nearprim._Degree.monomials
 
     def patched(self, d_):
@@ -695,6 +704,12 @@ def test_a_closed_form_one_monomial_short_eliminates_its_degree(monkeypatch, kin
         (m, k, "monomial-basis")
     ]
     assert _eliminated(calls, "kernel") == [m]
+    state = nearprim._degree(kind, bound, m)
+    for d in range(1, m + 1):
+        kernel = near_primitive_kernel(model, m, d)
+        assert kernel == _one_shot_kernel(model, m, d)
+        if d in orders:
+            assert kernel is not state.span(d)
 
 
 def _all_subspaces(model, bound):
