@@ -36,13 +36,16 @@ returns it only when the rows certify it: (i) every row annihilates the
 integer rows of K, checked exactly, so K lies in the kernel and the rank is
 at most ncols - dim K, and (ii) some subset of the rows has rank at least
 ncols - dim K.  Then the kernel contains K and has its dimension, so it is
-K, and K's canonical rows are the ones elimination would produce.  (ii) is
-counted modulo the prime p = 2^31 - 1 in one sparse echelon, `RankModP`.  A
-row whose last nonzero column is new joins it without reduction, so the
-sparsest row ending in each column goes first, then the sparsest others,
-until the rank is reached.  For an integer matrix the rank mod p is at most
-the rank over Q, so a rank reached mod p is reached over Q.  A candidate
-that fails costs the full elimination, never a wrong answer.
+K, and K's canonical rows are the ones elimination would produce.  Rows
+with distinct last nonzero columns are triangular, hence independent over
+Q, so (ii) holds at once, with no arithmetic, when the rows end in at least
+ncols - dim K distinct columns.  Otherwise (ii) is counted modulo the prime
+p = 2^31 - 1 in one sparse echelon, `RankModP`.  A row whose last nonzero
+column is new joins it without reduction, so the sparsest row ending in
+each column goes first, then the sparsest others, until the rank is
+reached.  For an integer matrix the rank mod p is at most the rank over Q,
+so a rank reached mod p is reached over Q.  A candidate that fails costs
+the full elimination, never a wrong answer.
 
 `kernel_basis` is the one kernel routine.  The near-primitive kernel route
 certifies without it and without an echelon: it reads its rank bound off
@@ -311,9 +314,10 @@ def kernel_basis(rows, ncols, candidate=None):
 
     ``candidate`` is an optional Subspace of Q^ncols believed to be the
     kernel.  It is returned when the rows certify it: they annihilate it,
-    and fed to one `RankModP`, the seed rows first and then the sparsest,
-    they reach rank ncols - dim K.  Otherwise the kernel is eliminated, so
-    the result is always the kernel of the rows.
+    and they end in ncols - dim K distinct columns or, fed to one
+    `RankModP`, the seed rows first and then the sparsest, reach that rank.
+    Otherwise the kernel is eliminated, so the result is always the kernel
+    of the rows.
     """
     rows = _sparse_pairs(rows, ncols)
     if candidate is not None:
@@ -346,13 +350,18 @@ def annihilates(rows, subspace):
 
 
 def _rank_reaches(rows, target):
-    """Whether the ``(cols, row)`` pairs have rank at least ``target`` mod
-    ``PRIME``, and so over Q.
+    """Whether the ``(cols, row)`` pairs have rank at least ``target`` over
+    Q.
 
-    The sparsest row ending in each last column joins the echelon without
+    Rows with distinct last nonzero columns are triangular, so independent
+    over Q: when the rows end in at least ``target`` distinct columns, no
+    echelon is built.  Otherwise the rank is counted mod ``PRIME``.  The
+    sparsest row ending in each last column joins the echelon without
     reduction, so those seed rows go first, then the rest, sparsest first,
     until the rank is reached.
     """
+    if len({cols[-1] for cols, _ in rows}) >= target:
+        return True
     rows = sorted(rows, key=lambda pair: len(pair[0]))
     seeds = {}
     for pair in rows:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 
 from .errors import AlphabetMismatch, DimensionMismatch, InhomogeneousError, ParseError
 
@@ -231,7 +232,7 @@ class Polynomial:
                         continue
                     if sign:
                         c = -c
-                key = tuple(x + y for x, y in zip(ea, eb))
+                key = tuple(map(add, ea, eb))
                 s = out.get(key, 0) + c
                 if s:
                     out[key] = s

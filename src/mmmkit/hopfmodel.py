@@ -7,7 +7,8 @@ is the Whitney formula on generators, extended multiplicatively:
 
     delta(g_n) = sum_{i=0..n} g_i (x) g_{n-i},   g_0 = 1.
 
-`HopfModel.reduced_coproduct` multiplies these out on packed integer keys.
+`HopfModel.reduced_coproduct` multiplies these out for one generator
+monomial at a time on packed integer keys, and hands the keys back packed.
 An exponent tuple becomes one int with a fixed number of bits per generator,
 and a pair ea (x) eb becomes pack(ea) + (pack(eb) << shift), so the product
 of two terms is one integer addition; every generator is even, so no sign
@@ -149,11 +150,13 @@ class HopfModel:
         return packed
 
     def pack(self, exp):
-        """A generator exponent tuple as a key of the primitive table."""
+        """A generator exponent tuple as a key of the primitive table, or
+        as one leg of a key of the coproduct table."""
         return _pack(exp, self.width)
 
     def unpack(self, key):
-        """The generator exponent tuple of a key of the primitive table."""
+        """The generator exponent tuple of a key of the primitive table, or
+        of one leg of a key of the coproduct table."""
         return self._decoded[key]
 
     # -- coproduct -----------------------------------------------------------
@@ -198,40 +201,33 @@ class HopfModel:
             self._packed_powers[key] = packed
         return packed
 
-    def reduced_coproduct(self, x):
-        """delta(x) - x(x)1 - 1(x)x for homogeneous x, as ``{(ea, eb): c}``;
-        empty in degree 0.
+    def reduced_coproduct(self, exp):
+        """delta(g^exp) - g^exp(x)1 - 1(x)g^exp for one generator exponent
+        tuple, as a packed dict ``{pack(ea) + (pack(eb) << shift): c}`` with
+        ``shift = width * ngens``; empty in degree 0.
 
-        Each monomial's delta is the product of the memoised delta(g_i)^e_i,
-        taken on packed keys (see the module docstring).  x must lie within
-        the model's bound, so no monomial has more than ngens factors.  No
-        exponent of a term exceeds its monomial's number of factors, and
-        partial products only grow towards the final exponents, so no slot
-        carries.  The keys are decoded once at the end.
+        delta(g^exp) is the product of the memoised delta(g_i)^e_i, taken on
+        packed keys (see the module docstring).  g^exp must lie within the
+        model's bound, so it has at most ngens factors.  No exponent of a
+        term exceeds that number, and partial products only grow towards the
+        final exponents, so no slot carries.  Every Whitney coefficient is 1,
+        so every entry of delta(g^exp) is positive, and the end terms
+        g^exp (x) 1 and 1 (x) g^exp have coefficient 1: dropping them leaves
+        no zero entry.
         """
-        if x.alphabet != self.generators:
-            raise AlphabetMismatch("expected a polynomial over the generator alphabet")
-        degree = x.homogeneous_degree()
-        if degree is None or degree == 0:
-            return {}
+        degree = self.generators.degree(exp)
         if degree > self.max_degree:
             raise QueryError(f"degree {degree} is above the model bound {self.max_degree}")
-        shift = self.width * self.ngens
-        total = {}
-        for exp, coeff in x.terms.items():
-            delta = None
-            for i, e in enumerate(exp, 1):
-                if e:
-                    power = self._packed_power(i, e)
-                    delta = power if delta is None else _packed_product(delta, power)
-            for key, c in delta.items():
-                total[key] = total.get(key, 0) + coeff * c
-            left = self.pack(exp)
-            total[left] -= coeff
-            total[left << shift] -= coeff
-        decoded = self._decoded
-        mask = (1 << shift) - 1
-        return {(decoded[key & mask], decoded[key >> shift]): c for key, c in total.items() if c}
+        if not degree:
+            return {}
+        delta = None
+        for i, e in enumerate(exp, 1):
+            if e:
+                power = self._packed_power(i, e)
+                delta = power if delta is None else _packed_product(delta, power)
+        left = self.pack(exp)
+        right = left << self.width * self.ngens
+        return {key: c for key, c in delta.items() if key != left and key != right}
 
 
 def _pack(exp, width):

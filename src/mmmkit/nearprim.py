@@ -46,11 +46,14 @@ kernel of its own rows, so a wrong closed form still surfaces as a
 monomial-basis failure.
 
 The rows of a degree are built once, as dense integer rows keyed by the
-pair (ea, eb) of tensor factors.  Each distinct row is interned once, as one
-object together with its support, an `exactq.SparseRow`, and the kernel
-route's pass and every restricted order hand those same objects to `exactq`:
-no order converts a row again, and the certificate's annihilation memo
-checks each row against each candidate once.  A certified kernel of order d
+pair (ea, eb) of tensor factors, straight from the packed keys that
+`HopfModel.reduced_coproduct` returns for each basis monomial: ea stays
+packed, and each distinct eb is decoded once, for its degree and for the
+restriction.  Each distinct row is interned once, as one object together
+with its support, an `exactq.SparseRow`, and the kernel route's pass and
+every restricted order hand those same objects to `exactq`: no order
+converts a row again, and the certificate's annihilation memo checks each
+row against each candidate once.  A certified kernel of order d
 has had every row of the blocks k >= d checked against it, so the rows that
 the restricted route only relabels pass its check from the memo.
 
@@ -64,10 +67,10 @@ B_k (k >= d) whose right-hand factor survives, relabelled, and ker R_d
 contains the kernel route's answer K.  Its surviving rows' leading columns
 cover only part of that rank, so the route hands K as a candidate to
 `exactq.kernel_basis`, which returns K only when the rows certify it (they
-annihilate K, and a subset of them has rank ncols - dim K mod p) and
-eliminates R_d in full otherwise.  Either way the result is exactly
-ker R_d, so a wrong K cannot hide a fault; most orders need no
-elimination.
+annihilate K, and they end in ncols - dim K distinct columns or a subset of
+them has that rank mod p) and eliminates R_d in full otherwise.  Either
+way the result is exactly ker R_d, so a wrong K cannot hide a fault; most
+orders need no elimination.
 
 The closed-form vectors are a basis as they stand.  By Newton's identities
 Q_n = +-n g_n plus products of two or more generators, so Q^lam has exactly
@@ -121,19 +124,14 @@ from .hopfmodel import fibre_dimension, hopf_model, restrict, restricted_model
 def _delta_bar_slice(kind, max_degree, m):
     """Reduced-coproduct data of every degree-m generator monomial.
 
-    Returns ``(basis, columns)`` where ``columns[j]`` lists
-    ``((exp_a, exp_b), integer coefficient)`` for basis monomial j, read
-    straight from the dict `HopfModel.reduced_coproduct` builds on packed
-    integer keys.  Kept for the latest degree, like the degree's state that
-    reads it.
+    Returns ``(basis, columns)`` where ``columns[j]`` is the packed dict
+    ``{pack(ea) + (pack(eb) << shift): integer coefficient}`` that
+    `HopfModel.reduced_coproduct` builds for basis monomial j, with no zero
+    entry.  Kept for the latest degree, like the degree's state that reads
+    it.
     """
     state = _degree(kind, max_degree, m)
-    model = state.model
-    columns = []
-    for exp in state.basis:
-        dbar = model.reduced_coproduct(Polynomial.from_monomial(model.generators, exp))
-        columns.append(tuple(dbar.items()))
-    return state.basis, tuple(columns)
+    return state.basis, tuple(map(state.model.reduced_coproduct, state.basis))
 
 
 class _Degree:
@@ -144,10 +142,14 @@ class _Degree:
     through one index of the packed basis monomials, built once per degree;
     ``primitive(exp)``, which only `npd` reads, decodes the same entry.
     ``blocks()`` holds the reduced-coproduct matrix as dense integer rows:
-    ``blocks()[k]`` maps each right-hand factor eb of degree k = |eb| to the
-    pairs ``(ea, row)``, where ``row[j]`` is the coefficient of ea (x) eb in
-    the reduced coproduct of basis monomial j; zero rows are left out, and
-    the k run from the highest down, the order of the kernel route's pass.
+    ``blocks()[k]`` maps each right-hand factor eb of degree k = |eb|, an
+    exponent tuple, to the pairs ``(ea, row)``, where ea is left packed as
+    the model packs it and ``row[j]`` is the coefficient of ea (x) eb in the
+    reduced coproduct of basis monomial j.  The blocks are read straight off
+    the packed table of `_delta_bar_slice`: each key splits into ea and eb
+    with one mask and one shift, and each distinct eb is decoded once.  The
+    table holds no zero entry, so no row is zero.  The k run from the
+    highest down, the order of the kernel route's pass.
     Equal rows are one tuple, interned with its support as one
     `exactq.SparseRow` when the blocks are built; both routes look a row's
     SparseRow up by the tuple's identity and hand that to `exactq`.
@@ -233,10 +235,14 @@ class _Degree:
         columns = _delta_bar_slice(*self.key)[1]
         if columns is self._columns:
             return self._blocks
+        model = self.model
+        shift = model.width * model.ngens
+        mask = (1 << shift) - 1
         ncols = len(self.basis)
-        rows = {}  # eb -> {ea: row}
+        rows = {}  # packed eb -> {packed ea: row}
         for j, col in enumerate(columns):
-            for (ea, eb), c in col:
+            for key, c in col.items():
+                eb, ea = key >> shift, key & mask
                 by_ea = rows.get(eb)
                 if by_ea is None:
                     by_ea = rows[eb] = {}
@@ -244,17 +250,16 @@ class _Degree:
                 if row is None:
                     row = by_ea[ea] = [0] * ncols
                 row[j] += c
-        degree_of = self.model.generators.degree
+        degree_of = model.generators.degree
         interned = {}  # each distinct row, as one tuple
         blocks = {}
         for eb, by_ea in rows.items():
+            eb = model.unpack(eb)
             pairs = []
             for ea, row in by_ea.items():
-                if any(row):
-                    row = tuple(row)
-                    pairs.append((ea, interned.setdefault(row, row)))
-            if pairs:
-                blocks.setdefault(degree_of(eb), {})[eb] = tuple(pairs)
+                row = tuple(row)
+                pairs.append((ea, interned.setdefault(row, row)))
+            blocks.setdefault(degree_of(eb), {})[eb] = tuple(pairs)
         self._columns = columns
         self._blocks = dict(sorted(blocks.items(), reverse=True))
         self._sparse = {id(row): SparseRow(row) for row in interned}

@@ -6,6 +6,11 @@ ring for the Hirzebruch surfaces.  The polynomial container is reused as
 dumb storage, but none of the package's Newton recurrences, Bernoulli
 numbers, coproducts, or rewrite systems are.
 
+`unpacked_coproduct` and `reduced_coproduct_of` are adapters, not
+references: they read the package's per-monomial coproduct table back as
+``{(ea, eb): c}`` dicts, so tests can hold it against
+`reduced_coproduct_by_pairs`.
+
 `l_class_by_fractions` is another exception: it is the L-class recursion
 as it ran before it moved to integers, on the package's power sums and log
 coefficients, so it checks the integer bookkeeping alone.
@@ -164,10 +169,10 @@ def restrict_by_substitution(model, d, x):
 def restricted_rows_by_entries(model, columns, d, rank, image=None):
     """The order-d restricted kernel matrix, assembled entry by entry.
 
-    ``columns[j]`` lists the ((ea, eb), coefficient) terms of the reduced
-    coproduct of basis monomial j.  Every entry with |eb| >= d is restricted
-    on its own and lands on row (ea, er) for each term cr * er of the image
-    of eb; entries that share a row and a column add up.  ``image(eb)``
+    ``columns[j]`` is the packed reduced coproduct of basis monomial j, as
+    `HopfModel.reduced_coproduct` returns it.  Every entry with |eb| >= d is
+    restricted on its own and lands on row (ea, er) for each term cr * er of
+    the image of eb; entries that share a row and a column add up.  ``image(eb)``
     gives the (er, cr) terms, by default through `restrict_by_substitution`.
     Returns the rows keyed by (ea, er).
     """
@@ -178,7 +183,7 @@ def restricted_rows_by_entries(model, columns, d, rank, image=None):
     ncols = len(columns)
     rows = {}
     for j, col in enumerate(columns):
-        for (ea, eb), c in col:
+        for (ea, eb), c in unpacked_coproduct(model, col).items():
             if model.generators.degree(eb) < d:
                 continue
             for er, cr in image(eb):
@@ -261,6 +266,24 @@ def reduced_coproduct_by_pairs(model, x):
                 delta = tensor_product_by_pairs(alphabet, delta, factor)
         scaled.append((coeff, delta))
     return tensor_sum_by_pairs(*scaled)
+
+
+def unpacked_coproduct(model, packed):
+    """A packed reduced coproduct, keyed ``pack(ea) + (pack(eb) << shift)``
+    as `HopfModel.reduced_coproduct` returns it, as a ``{(ea, eb): c}``
+    dict."""
+    shift = model.width * model.ngens
+    mask = (1 << shift) - 1
+    return {(model.unpack(key & mask), model.unpack(key >> shift)): c for key, c in packed.items()}
+
+
+def reduced_coproduct_of(model, x):
+    """The reduced coproduct of a polynomial x over the generators, the sum
+    of c * reduced_coproduct(e) over its terms c * g^e, as a ``{(ea, eb): c}``
+    dict with zero entries dropped."""
+    return tensor_sum_by_pairs(
+        *((c, unpacked_coproduct(model, model.reduced_coproduct(e))) for e, c in x.terms.items())
+    )
 
 
 def coproduct_rows_by_pairs(model, m):

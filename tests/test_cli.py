@@ -261,13 +261,10 @@ def test_verify_failure_exits_one(monkeypatch, capsys):
 
     def corrupted(kind, max_degree, m):
         basis, columns = original(kind, max_degree, m)
-        if m != 8 or not columns:
+        if m != 8 or not columns or not columns[0]:
             return basis, columns
-        first = columns[0]
-        if not first:
-            return basis, columns
-        (pair, c), rest = first[0], first[1:]
-        return basis, (((pair, c + 1),) + tuple(rest),) + columns[1:]
+        key = next(iter(columns[0]))
+        return basis, ({**columns[0], key: columns[0][key] + 1},) + columns[1:]
 
     monkeypatch.setattr(nearprim, "_delta_bar_slice", corrupted)
     code, out, _ = invoke(

@@ -447,6 +447,30 @@ def test_a_rank_lost_mod_p_falls_back_to_the_exact_elimination(rows, ncols, monk
     assert eliminations  # found by the exact path, not certified mod p
 
 
+class _NoEchelon(Exception):
+    pass
+
+
+def test_rows_ending_in_distinct_columns_certify_without_an_echelon(monkeypatch):
+    """Rows whose last nonzero columns are distinct are triangular, hence
+    independent over Q, so they certify a candidate of the right dimension
+    without any `RankModP`, even where every such last entry is a multiple
+    of the prime.  Rows that end in too few distinct columns still need the
+    echelon."""
+
+    def refused():
+        raise _NoEchelon
+
+    monkeypatch.setattr(exactq, "RankModP", refused)
+    rows = [[P, 0, 0, 0], [1, P, 0, 0], [0, 1, 2 * P, 0], [3, 0, P, 0]]
+    candidate = Subspace.from_vectors(4, [[0, 0, 0, 1]])
+    assert kernel_basis(rows, 4, candidate) is candidate
+    sparse = [SparseRow(row) for row in rows]
+    assert kernel_basis(sparse, 4, candidate) is candidate
+    with pytest.raises(_NoEchelon):
+        kernel_basis([[1, 1, 0], [0, 1, 0]], 3, Subspace.from_vectors(3, [[0, 0, 1]]))
+
+
 @pytest.mark.parametrize(
     "rows, ncols, candidate",
     [

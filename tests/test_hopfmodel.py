@@ -16,9 +16,11 @@ from oracles import (
     l_class_oracle,
     power_sum_in_elementary,
     reduced_coproduct_by_pairs,
+    reduced_coproduct_of,
     restrict_by_substitution,
     tensor_by_pairs,
     tensor_sum_by_pairs,
+    unpacked_coproduct,
     x_over_tanh_series,
 )
 from mmmkit.errors import AlphabetMismatch, QueryError
@@ -121,7 +123,7 @@ def _coproduct(model, x):
     if x.homogeneous_degree() == 0:
         return tensor_by_pairs(x, one)
     return tensor_sum_by_pairs(
-        (1, model.reduced_coproduct(x)),
+        (1, reduced_coproduct_of(model, x)),
         (1, tensor_by_pairs(x, one)),
         (1, tensor_by_pairs(one, x)),
     )
@@ -138,38 +140,52 @@ def test_coproduct_whitney_rule():
 
 
 def test_reduced_coproduct_examples():
+    """One monomial in, its packed reduced coproduct out."""
     m = hopf_model("u", 8)
-    c1, c2 = gen(m, 1), gen(m, 2)
+    shift = m.width * m.ngens
+    c1 = (1, 0, 0, 0)
     assert m.reduced_coproduct(c1) == {}
-    assert m.reduced_coproduct(c2) == tensor_by_pairs(c1, c1)
-    assert m.reduced_coproduct(c1 * c1) == tensor_by_pairs(c1, 2 * c1)
-    assert m.reduced_coproduct(Polynomial.one(m.generators)) == {}
+    assert m.reduced_coproduct((0, 1, 0, 0)) == {m.pack(c1) + (m.pack(c1) << shift): 1}
+    assert m.reduced_coproduct((2, 0, 0, 0)) == {m.pack(c1) + (m.pack(c1) << shift): 2}
+    assert m.reduced_coproduct((0, 0, 0, 0)) == {}
+    g1, g2 = gen(m, 1), gen(m, 2)
+    assert reduced_coproduct_of(m, g2) == tensor_by_pairs(g1, g1)
+    assert reduced_coproduct_of(m, g1 * g1) == tensor_by_pairs(g1, 2 * g1)
 
     ms = hopf_model("so", 8)
     p1 = gen(ms, 1)
-    assert ms.reduced_coproduct(p1 * p1) == tensor_by_pairs(p1, 2 * p1)
+    assert reduced_coproduct_of(ms, p1 * p1) == tensor_by_pairs(p1, 2 * p1)
 
 
 def test_reduced_coproduct_matches_the_whitney_oracle():
     """The packed table equals the pair-by-pair product of the generators'
-    Whitney sums: on every monomial within two bounds, on L-class components
-    with Fraction coefficients, and on the longest monomials of a bound whose
-    exponents fill its slots."""
-    for kind, bound in (("u", 16), ("so", 32)):
-        model = hopf_model(kind, bound)
-        for m in range(0, bound + 1, model.step):
-            for exp in enumerate_monomials(model.generators, m):
-                x = Polynomial.from_monomial(model.generators, exp)
-                assert model.reduced_coproduct(x) == reduced_coproduct_by_pairs(model, x)
+    Whitney sums on L-class components with Fraction coefficients, summed
+    monomial by monomial, and on the longest monomials of a bound whose
+    exponents fill its slots.  Every single monomial is checked below."""
     model = hopf_model("so", 32)
     for k in range(1, model.ngens + 1):
         l_k = l_class_component(model, k)
-        assert model.reduced_coproduct(l_k) == reduced_coproduct_by_pairs(model, l_k)
+        assert reduced_coproduct_of(model, l_k) == reduced_coproduct_by_pairs(model, l_k)
     model = hopf_model("u", 24)  # 12 generators: 4-bit slots
     c1, c2 = gen(model, 1), gen(model, 2)
     for x in (c1**12, c1**10 * c2, c1**11 * 3 - c1**9 * c2 * 5):
-        assert model.reduced_coproduct(x) == reduced_coproduct_by_pairs(model, x)
-    assert model.reduced_coproduct(c1**12)[(1,) + (0,) * 11, (11,) + (0,) * 11] == 12
+        assert reduced_coproduct_of(model, x) == reduced_coproduct_by_pairs(model, x)
+    dbar = unpacked_coproduct(model, model.reduced_coproduct((12,) + (0,) * 11))
+    assert dbar[(1,) + (0,) * 11, (11,) + (0,) * 11] == 12
+
+
+@pytest.mark.parametrize("kind, bound", [("u", 24), ("so", 40)])
+def test_each_packed_reduced_coproduct_decodes_to_the_whitney_oracle(kind, bound):
+    """Every monomial's packed reduced coproduct within two bounds decodes,
+    key by key, to the pair-by-pair product of the generators' Whitney sums
+    and holds no zero entry."""
+    model = hopf_model(kind, bound)
+    for m in range(0, bound + 1, model.step):
+        for exp in enumerate_monomials(model.generators, m):
+            packed = model.reduced_coproduct(exp)
+            assert all(packed.values())
+            x = Polynomial.from_monomial(model.generators, exp)
+            assert unpacked_coproduct(model, packed) == reduced_coproduct_by_pairs(model, x)
 
 
 def test_reduced_coproduct_refuses_input_above_the_model_bound():
@@ -179,18 +195,16 @@ def test_reduced_coproduct_refuses_input_above_the_model_bound():
     model = hopf_model("u", 24)
     c1, c2 = gen(model, 1), gen(model, 2)
     for x, degree in ((c1**13, 26), (c1**30, 60), (c1**14 * c2**8, 60), (c2**7, 28)):
+        (exp,) = x.terms
         with pytest.raises(QueryError, match=f"degree {degree} is above the model bound 24"):
-            model.reduced_coproduct(x)
+            model.reduced_coproduct(exp)
 
 
 def test_primitives_have_zero_reduced_coproduct():
     for kind, bound in (("u", 16), ("so", 32)):
         model = hopf_model(kind, bound)
         for j in range(1, model.ngens + 1):
-            assert model.reduced_coproduct(model.power_sum(j)) == {}
-        # The coproduct is taken on generator polynomials only.
-        with pytest.raises(AlphabetMismatch):
-            model.reduced_coproduct(Polynomial.generator(model.primitives, "Q1"))
+            assert reduced_coproduct_of(model, model.power_sum(j)) == {}
 
 
 def _triple(model, tensor, expand_left):
@@ -414,9 +428,11 @@ def test_newton_and_coproduct_tables_have_int_coefficients():
         model = hopf_model(kind, bound)
         for j in range(1, model.ngens + 1):
             assert _all_int(model.power_sum(j).terms.values())
-            assert _all_int(model.reduced_coproduct(model.power_sum(j)).values())
+            for exp in model.power_sum(j).terms:
+                assert _all_int(model.reduced_coproduct(exp).values())
             at_bound = model.generator_poly(j) * model.generator_poly(1) ** (model.ngens - j)
-            assert _all_int(model.reduced_coproduct(at_bound).values())
+            (exp,) = at_bound.terms
+            assert _all_int(model.reduced_coproduct(exp).values())
             q_j = Polynomial.generator(model.primitives, f"Q{j}")
             assert _all_int(model.from_primitive_basis(q_j**2).terms.values())
     assert not _all_int(l_class_component(hopf_model("so", 8), 2).terms.values())
