@@ -27,8 +27,6 @@ are fibre integrals of its powers paired with the base.  The same models
 reread as complex fibre-dimension-1 bundles for the complex flavor.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .errors import DimensionMismatch, InhomogeneousError, QueryError

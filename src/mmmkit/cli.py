@@ -11,8 +11,6 @@ fails, 2 for parse or validation errors and for an ``--out`` path that
 cannot be written.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys

@@ -37,9 +37,10 @@ integer rows of K, checked exactly, so K lies in the kernel and the rank is
 at most ncols - dim K, and (ii) some subset of the rows has rank at least
 ncols - dim K.  Then the kernel contains K and has its dimension, so it is
 K, and K's canonical rows are the ones elimination would produce.  Rows
-with distinct last nonzero columns are triangular, hence independent over
-Q, so (ii) holds at once, with no arithmetic, when the rows end in at least
-ncols - dim K distinct columns.  Otherwise (ii) is counted modulo the prime
+with distinct first nonzero columns are triangular, and so are rows with
+distinct last ones, hence independent over Q, so (ii) holds at once, with
+no arithmetic, when the rows start in at least ncols - dim K distinct
+columns or end in that many.  Otherwise (ii) is counted modulo the prime
 p = 2^31 - 1 in one sparse echelon, `RankModP`.  A row whose last nonzero
 column is new joins it without reduction, so the sparsest row ending in
 each column goes first, then the sparsest others, until the rank is
@@ -47,11 +48,12 @@ reached.  For an integer matrix the rank mod p is at most the rank over Q,
 so a rank reached mod p is reached over Q.  A candidate that fails costs
 the full elimination, never a wrong answer.
 
-`kernel_basis` is the one kernel routine.  The near-primitive kernel route
-certifies without it and without an echelon: it reads its rank bound off
-its rows' leading columns and checks (i) with `annihilates`.  When either
-near-primitive route's certificate fails, its fallback is `kernel_basis`
-on the rows of each order, eliminated from scratch.
+`kernel_basis` is the one kernel routine and the one certificate.  Both
+near-primitive routes hand it each order's rows with a candidate: the
+kernel route the closed-form span, whose rows always start in enough
+distinct columns, and the restricted route the kernel route's answer.  An
+order whose rows do not certify its candidate gets the exact kernel of its
+own rows from the same call.
 
 `kernel_basis` and `annihilates` read their rows as `(cols, row)` pairs:
 an integer row with its ascending nonzero columns.  `_sparse_pairs` is the
@@ -71,8 +73,6 @@ Subspace, even an equal one, starts with an empty memo and checks every row
 itself, so a wrong candidate is never accepted on the strength of rows
 checked against a different object.
 """
-
-from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
@@ -314,7 +314,7 @@ def kernel_basis(rows, ncols, candidate=None):
 
     ``candidate`` is an optional Subspace of Q^ncols believed to be the
     kernel.  It is returned when the rows certify it: they annihilate it,
-    and they end in ncols - dim K distinct columns or, fed to one
+    and they start or end in ncols - dim K distinct columns or, fed to one
     `RankModP`, the seed rows first and then the sparsest, reach that rank.
     Otherwise the kernel is eliminated, so the result is always the kernel
     of the rows.
@@ -353,14 +353,18 @@ def _rank_reaches(rows, target):
     """Whether the ``(cols, row)`` pairs have rank at least ``target`` over
     Q.
 
-    Rows with distinct last nonzero columns are triangular, so independent
-    over Q: when the rows end in at least ``target`` distinct columns, no
-    echelon is built.  Otherwise the rank is counted mod ``PRIME``.  The
-    sparsest row ending in each last column joins the echelon without
-    reduction, so those seed rows go first, then the rest, sparsest first,
-    until the rank is reached.
+    Rows with distinct first nonzero columns are triangular, and so are
+    rows with distinct last ones, so either set is independent over Q: when
+    the rows start in at least ``target`` distinct columns, or else end in
+    that many, no echelon is built.  Otherwise the rank is counted mod
+    ``PRIME``.  The sparsest row ending in each last column joins the
+    echelon without reduction, so those seed rows go first, then the rest,
+    sparsest first, until the rank is reached.
     """
-    if len({cols[-1] for cols, _ in rows}) >= target:
+    if (
+        len({cols[0] for cols, _ in rows}) >= target
+        or len({cols[-1] for cols, _ in rows}) >= target
+    ):
         return True
     rows = sorted(rows, key=lambda pair: len(pair[0]))
     seeds = {}

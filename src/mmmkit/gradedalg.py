@@ -31,8 +31,6 @@ ordinal (p1, c3, Q2, ch4, e, e7, x, E5_2).  Whitespace is insignificant;
 output is emitted in canonical order with coefficients in lowest terms.
 """
 
-from __future__ import annotations
-
 import re
 from fractions import Fraction
 from operator import add

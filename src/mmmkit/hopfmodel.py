@@ -32,8 +32,6 @@ degree bound and treated as immutable afterwards; the write-once memo
 tables are filled on first use and are not guarded by locks.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm

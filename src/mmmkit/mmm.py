@@ -20,8 +20,6 @@ flavor and d.  It and `bordism_invariant_space` read one per-degree
 construction of NP_d's hat image.
 """
 
-from __future__ import annotations
-
 import re
 
 from .errors import AlphabetMismatch, QueryError

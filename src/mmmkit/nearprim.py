@@ -26,24 +26,28 @@ block B_k per degree k = |eb| of the right-hand factor, over every k >= d:
 
 The kernel route certifies each prefix kernel against its closed-form
 answer, the span S_k of order k, in one downward pass over the degree's
-blocks, with two exact checks and no elimination.  First, every row of the
-blocks k' >= k annihilates S_k (`exactq.annihilates`), so the kernel
-contains S_k.  Second, those rows have at least ncols - dim S_k distinct
-leading columns, columns ordered by (monomial length, index); rows with
-distinct leading columns are triangular, hence independent, so the kernel
-has at most the dimension of S_k.  Every Whitney coefficient is 1, so the
-row keyed (ea, eb) has exactly one longest monomial, ea*eb, with entry
-prod C(gamma_i, ea_i) >= 1.  The monomials with no such split, |eb| >= k,
-are exactly the closed form's index set, so the distinct products number
-ncols - dim S_k and the count always suffices.  Orders with no generator
-degree between them share one span object, whose memo has already checked
-the blocks above, so the re-check costs only where the span changes.  If
-either check fails in any order, every order's kernel is eliminated
-exactly instead, `exactq.kernel_basis` of the rows of the blocks k' >= k,
-the orders certified before the failing one included; the restricted route
-falls back through the same routine.  Either way the route returns the
-kernel of its own rows, so a wrong closed form still surfaces as a
-monomial-basis failure.
+blocks: the rows of the blocks k' >= k go to `exactq.kernel_basis` with
+S_k as the candidate, the one certificate both routes share.  Its first
+check, that every row annihilates S_k, puts S_k inside the kernel.  Its
+second, that the rows start in at least ncols - dim S_k distinct first
+nonzero columns, bounds the kernel's dimension by dim S_k, and here it
+always holds, with no echelon.  Every Whitney coefficient is 1, so the row
+keyed (ea, eb) has the entry prod C(gamma_i, ea_i) >= 1 at the product
+gamma = ea*eb, and every other monomial x of the row is a proper
+coarsening of ea*eb: some g_i of x splits as g_a (x) g_{i-a}.  Take the
+smallest new part of that refinement.  Every generator split away is
+larger, so ea*eb has more factors of that generator than x and as many of
+each smaller one, and in the canonical order of the basis, descending lex,
+it sorts first: ea*eb is the row's first nonzero column.  The monomials
+with no such split, |eb| >= k, are exactly the closed form's index set, so
+the distinct products number ncols - dim S_k and the count always
+suffices.  Orders with no generator degree between them share one span
+object, whose memo has already checked the blocks above, so the re-check
+costs only where the span changes.  An order whose rows do not certify its
+span gets the exact kernel of its own rows from the same call, and the
+other orders keep their spans.  Either way the route returns the kernel of
+its own rows, so a wrong closed form still surfaces as a monomial-basis
+failure.
 
 The rows of a degree are built once, as dense integer rows keyed by the
 pair (ea, eb) of tensor factors, straight from the packed keys that
@@ -64,13 +68,14 @@ applied to the stacked blocks.  Restriction keeps a generator, kills it or
 sends p_{d/2} to e^2, so it sends distinct surviving monomials to distinct
 monomials with coefficient 1.  Its matrix R_d is therefore the rows of every
 B_k (k >= d) whose right-hand factor survives, relabelled, and ker R_d
-contains the kernel route's answer K.  Its surviving rows' leading columns
-cover only part of that rank, so the route hands K as a candidate to
-`exactq.kernel_basis`, which returns K only when the rows certify it (they
-annihilate K, and they end in ncols - dim K distinct columns or a subset of
-them has that rank mod p) and eliminates R_d in full otherwise.  Either
-way the result is exactly ker R_d, so a wrong K cannot hide a fault; most
-orders need no elimination.
+contains the kernel route's answer K.  The relabelled and summed rows need
+not start or end in enough distinct columns to bound its dimension, but
+the route hands K to the same certificate, `exactq.kernel_basis`, which
+returns K only when the rows certify it (they annihilate K, and they start
+or end in ncols - dim K distinct columns or a subset of them has that rank
+mod p) and eliminates R_d in full otherwise.  Either way the result is
+exactly ker R_d, so a wrong K cannot hide a fault; most orders need no
+elimination.
 
 The closed-form vectors are a basis as they stand.  By Newton's identities
 Q_n = +-n g_n plus products of two or more generators, so Q^lam has exactly
@@ -95,20 +100,11 @@ The rows and kernels are rebuilt whenever the coproduct table they came from
 changes, so they never outlive it.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
-from itertools import accumulate
 from operator import add
 
 from .errors import DimensionMismatch, QueryError
-from .exactq import (
-    SparseRow,
-    Subspace,
-    annihilates,
-    kernel_basis,
-    subspace_equal,
-)
+from .exactq import SparseRow, Subspace, kernel_basis, subspace_equal
 from .gradedalg import (
     Polynomial,
     degree_slice_vector,
@@ -277,39 +273,22 @@ class _Degree:
         return self._kernels[constrained - 1]
 
     def _prefix_kernels(self, blocks):
-        """The kernel of the blocks k' >= k, for each block degree k.
-
-        Each closed-form span S_k is returned when the rows of the blocks
-        k' >= k annihilate it and have at least ncols - dim S_k distinct
-        leading columns (see the module docstring).  If any order fails,
-        every order's kernel, the certified ones included, is
-        `exactq.kernel_basis` of its own stack, eliminated from scratch.
+        """The kernel of the blocks k' >= k, for each block degree k: the
+        stack of those blocks' rows handed to `exactq.kernel_basis` with the
+        closed-form span S_k as its candidate (see the module docstring).
+        An order whose rows do not certify S_k gets the exact kernel of its
+        own stack; the others keep their span.
         """
         # A repeated row leaves the kernel as it is, so each distinct row
         # joins the stack once, in the first block that holds it.  Equal
-        # rows are one object, so identity tells them apart.
+        # rows are one object, so the stack is keyed by identity.
         sparse = self._sparse
-        seen = set()
-        fresh_blocks = []
-        for block in blocks.values():
-            fresh = []
-            for pairs in block.values():
-                for _, row in pairs:
-                    if id(row) not in seen:
-                        seen.add(id(row))
-                        fresh.append(sparse[id(row)])
-            fresh_blocks.append(fresh)
         ncols = len(self.basis)
-        position = [(sum(e), j) for j, e in enumerate(self.basis)]
-        stack, leading, spans = [], set(), []
-        for k, fresh in zip(blocks, fresh_blocks):
-            stack += fresh
-            leading.update(max(map(position.__getitem__, r.cols)) for r in fresh)
-            span = self.span(k)
-            if len(leading) < ncols - span.dim or not annihilates(stack, span):
-                return [kernel_basis(rows, ncols) for rows in accumulate(fresh_blocks)]
-            spans.append(span)
-        return spans
+        stack, kernels = {}, []
+        for k, block in blocks.items():
+            stack.update((id(row), sparse[id(row)]) for pairs in block.values() for _, row in pairs)
+            kernels.append(kernel_basis(stack.values(), ncols, candidate=self.span(k)))
+        return kernels
 
     def restricted_rows(self, d, rank):
         """The distinct rows of the order-d matrix restricted to rank ``rank``.

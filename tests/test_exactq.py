@@ -424,16 +424,25 @@ def test_rank_mod_the_word_size_prime_is_the_rank_of_small_rows(case):
 @pytest.mark.parametrize(
     "rows, ncols",
     [
-        # The only 2x2 minor is P, so the rank is 2 over Q and 1 mod P.
-        ([[P, 1], [0, 1]], 2),
-        # Pivots that are multiples of P, behind sparser rows ending in the
-        # same columns, so only the exact elimination reaches the rank.
-        ([[2 * P, 0, 1], [0, 0, 1], [0, 3 * P, 1], [1, 1, 1]], 3),
-        ([[P, 1, 0, 0], [0, 1, 0, 0], [0, P, 1, 1], [0, 0, 1, 1], [0, 0, 0, 1]], 4),
+        # Both rows start in column 0 and end in column 1, so neither count
+        # certifies; the only 2x2 minor is P, so the rank is 2 over Q and 1
+        # mod P.
+        ([[1, 1], [1, 1 + P]], 2),
+        # Two first columns and one last column against rank 3: the second
+        # row differs from the first by P e1, so its pivot is a multiple of
+        # P and only the exact elimination reaches the rank.
+        ([[1, 0, 1], [1, P, 1], [0, 1, P]], 3),
+        # Two first columns and one last column against rank 4; the rows
+        # differ in pairs by P e1 and P e2.
+        ([[1, P, 0, 1], [1, 0, 0, 1], [0, 1, P, 1], [0, 1, 0, 1]], 4),
     ],
 )
 def test_a_rank_lost_mod_p_falls_back_to_the_exact_elimination(rows, ncols, monkeypatch):
     kernel = kernel_basis(rows, ncols)
+    target = ncols - kernel.dim
+    pairs = exactq._sparse_pairs(rows, ncols)
+    assert len({cols[0] for cols, _ in pairs}) < target
+    assert len({cols[-1] for cols, _ in pairs}) < target
     assert _rank_mod_p(rows, ncols) < _exact_rank(rows, ncols) == ncols - kernel.dim
     eliminations = []
     rref_int = exactq._core.rref_int
@@ -451,24 +460,45 @@ class _NoEchelon(Exception):
     pass
 
 
-def test_rows_ending_in_distinct_columns_certify_without_an_echelon(monkeypatch):
-    """Rows whose last nonzero columns are distinct are triangular, hence
-    independent over Q, so they certify a candidate of the right dimension
-    without any `RankModP`, even where every such last entry is a multiple
-    of the prime.  Rows that end in too few distinct columns still need the
-    echelon."""
-
+def _refuse_echelons(monkeypatch):
     def refused():
         raise _NoEchelon
 
     monkeypatch.setattr(exactq, "RankModP", refused)
+
+
+def test_rows_ending_in_distinct_columns_certify_without_an_echelon(monkeypatch):
+    """Rows whose last nonzero columns are distinct are triangular, hence
+    independent over Q, so they certify a candidate of the right dimension
+    without any `RankModP`, even where every such last entry is a multiple
+    of the prime.  Rows that start and end in too few distinct columns
+    still need the echelon."""
+    _refuse_echelons(monkeypatch)
     rows = [[P, 0, 0, 0], [1, P, 0, 0], [0, 1, 2 * P, 0], [3, 0, P, 0]]
     candidate = Subspace.from_vectors(4, [[0, 0, 0, 1]])
     assert kernel_basis(rows, 4, candidate) is candidate
     sparse = [SparseRow(row) for row in rows]
     assert kernel_basis(sparse, 4, candidate) is candidate
     with pytest.raises(_NoEchelon):
-        kernel_basis([[1, 1, 0], [0, 1, 0]], 3, Subspace.from_vectors(3, [[0, 0, 1]]))
+        kernel_basis(
+            [[1, 1, 1, 0], [1, 0, 1, 0]],
+            4,
+            Subspace.from_vectors(4, [[1, 0, -1, 0], [0, 0, 0, 1]]),
+        )
+
+
+def test_rows_starting_in_distinct_columns_certify_without_an_echelon(monkeypatch):
+    """Rows whose first nonzero columns are distinct are triangular too, so
+    they certify a candidate of the right dimension without any `RankModP`,
+    though they all end in one column and every first entry is a multiple
+    of the prime."""
+    _refuse_echelons(monkeypatch)
+    rows = [[P, 0, 0, 1], [0, 2 * P, 0, 1], [0, 0, P, 1]]
+    candidate = Subspace.from_vectors(4, [[2, 1, 2, -2 * P]])
+    assert kernel_basis(rows, 4) == candidate
+    assert kernel_basis(rows, 4, candidate) is candidate
+    sparse = [SparseRow(row) for row in rows]
+    assert kernel_basis(sparse, 4, candidate) is candidate
 
 
 @pytest.mark.parametrize(

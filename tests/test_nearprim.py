@@ -445,16 +445,30 @@ def test_restricted_rows_scale_and_add_up_under_a_merging_map(monkeypatch):
 
 
 def _handed_rows(monkeypatch):
-    """Record the rows and candidate of every call the restricted route
-    makes to `exactq.kernel_basis`, the latest last."""
+    """Record the rows and candidate of every call that
+    `_Degree.restricted_kernel` makes to `exactq.kernel_basis`, the latest
+    last.  The kernel route's calls are not recorded: the kernel pass that
+    the candidate may start runs before the scope opens."""
     handed = []
+    scope = []
     kernel_basis_ = nearprim.kernel_basis
+    restricted_kernel = nearprim._Degree.restricted_kernel
 
     def recording(rows, ncols, candidate=None):
-        handed.append((rows, candidate))
+        if scope:
+            handed.append((rows, candidate))
         return kernel_basis_(rows, ncols, candidate)
 
+    def scoped(self, d, rank):
+        self.kernel(d)
+        scope.append(True)
+        try:
+            return restricted_kernel(self, d, rank)
+        finally:
+            scope.pop()
+
     monkeypatch.setattr(nearprim, "kernel_basis", recording)
+    monkeypatch.setattr(nearprim._Degree, "restricted_kernel", scoped)
     return handed
 
 
@@ -534,7 +548,6 @@ def test_each_row_is_checked_against_each_candidate_once(monkeypatch):
         return annihilates(rows, subspace)
 
     monkeypatch.setattr(exactq, "annihilates", recording)
-    monkeypatch.setattr(nearprim, "annihilates", recording)
     handed = _handed_rows(monkeypatch)
     for kind, bound in (("u", 24), ("so", 40)):
         nearprim._degree.cache_clear()
@@ -672,12 +685,11 @@ def test_a_wrong_closed_form_fails_with_the_exact_kernels_witness(monkeypatch, h
 @pytest.mark.parametrize("kind, bound", [("u", 16), ("so", 32)])
 def test_a_closed_form_one_monomial_short_eliminates_its_degree(monkeypatch, kind, bound):
     """With one monomial dropped from one order's closed form, the rows
-    still annihilate the span, but their distinct leading columns fall one
-    short of the rank it asks for: that degree's blocks are eliminated, and
-    the sweep reports one monomial-basis failure, there.  Every order of
-    that degree, the ones certified before the failing one included, is
-    then the kernel of its own stack, eliminated, not the span it was
-    certified against."""
+    still annihilate the span, but their distinct first columns fall one
+    short of the rank it asks for: that order's stack alone is eliminated,
+    and the sweep reports one monomial-basis failure, there.  The orders
+    it serves get the exact kernel of that stack; every other order of the
+    degree still returns its span object."""
     model = hopf_model(kind, bound)
     m = bound
     state = nearprim._degree(kind, bound, m)
@@ -700,12 +712,17 @@ def test_a_closed_form_one_monomial_short_eliminates_its_degree(monkeypatch, kin
         (m, k, "monomial-basis")
     ]
     assert _eliminated(calls, "kernel") == [m]
+    assert sum(n for route, m_, n in calls if (route, m_) == ("kernel", m)) == 1
     state = nearprim._degree(kind, bound, m)
     for d in range(1, m + 1):
         kernel = near_primitive_kernel(model, m, d)
         assert kernel == _one_shot_kernel(model, m, d)
-        if d in orders:
+        # The block that constrains order d: the lowest block degree >= d.
+        served_by = min((o for o in orders if o >= d), default=None)
+        if served_by == k:
             assert kernel is not state.span(d)
+        elif served_by is not None:
+            assert kernel is state.span(d)
 
 
 def _all_subspaces(model, bound):
@@ -722,8 +739,8 @@ def _record_eliminations(monkeypatch):
     """Record each kernel pass and each restricted order as
     ``[route, m, eliminated]``, the latest last.
 
-    ``route`` is "kernel" or "restricted", and ``eliminated`` turns True when
-    an exact elimination builds a kernel inside that call.
+    ``route`` is "kernel" or "restricted", and ``eliminated`` counts the
+    exact eliminations that build a kernel inside that call.
     """
     calls = []
     inside = []
@@ -731,7 +748,7 @@ def _record_eliminations(monkeypatch):
     for route, method in (("kernel", "_prefix_kernels"), ("restricted", "restricted_kernel")):
 
         def tracking(self, *args, route=route, wrapped=getattr(nearprim._Degree, method)):
-            calls.append([route, self.m, False])
+            calls.append([route, self.m, 0])
             inside.append(calls[-1])
             try:
                 return wrapped(self, *args)
@@ -742,7 +759,7 @@ def _record_eliminations(monkeypatch):
 
     def recording(reduced, pivots, ncols):
         if inside:
-            inside[-1][2] = True
+            inside[-1][2] += 1
         return kernel_of_rref(reduced, pivots, ncols)
 
     monkeypatch.setattr(exactq, "_kernel_of_rref", recording)
@@ -753,15 +770,15 @@ def _eliminated(calls, route):
     return sorted({m for route_, m, eliminated in calls if route_ == route and eliminated})
 
 
-@pytest.mark.parametrize("kind, bound, m", [("u", 12, 10), ("so", 20, 20)])
+@pytest.mark.parametrize("kind, bound, m", [("u", 12, 12), ("so", 28, 28)])
 def test_a_rank_lost_mod_p_falls_back_and_keeps_every_subspace(monkeypatch, kind, bound, m):
     """Scaling every coproduct coefficient of degree m by the prime keeps
     each kernel over Q but loses all rank mod p.  The kernel route counts
-    leading columns, not a rank mod p, so it still certifies.  So does the
-    restricted route in every order whose rows end in enough distinct
-    columns; degree m has orders where they do not, and there the route
-    falls back to elimination, in that degree and no other.  Every kernel
-    and restricted subspace stays as it was."""
+    first columns, not a rank mod p, so it still certifies.  So does the
+    restricted route in every order whose rows start or end in enough
+    distinct columns; degree m has an order where they do neither, and
+    there the route falls back to elimination, in that degree and no other.
+    Every kernel and restricted subspace stays as it was."""
     model = hopf_model(kind, bound)
     nearprim._degree.cache_clear()
     clean = _all_subspaces(model, bound)
@@ -817,6 +834,23 @@ def test_the_kernel_rank_is_the_count_of_distinct_leading_products(kind, bound):
         for d in range(1, m + 1):
             closed_form = near_primitive_monomials(model, m, d)
             assert distinct_products(model.generators, rows, d) == ncols - len(closed_form)
+
+
+@pytest.mark.parametrize("kind, bound", [("u", 24), ("so", 40)])
+def test_the_product_is_the_first_column_of_every_coproduct_row(kind, bound):
+    """In the canonical order of the degree's basis, descending lex, the
+    product ea*eb is the first nonzero column of row (ea, eb): every other
+    monomial of the row coarsens it, and the refinement sorts first.  So
+    the distinct first columns of the rows with |eb| >= d are the distinct
+    products, and they number the kernel's codimension."""
+    model = hopf_model(kind, bound)
+    for m in range(model.step, bound + 1, model.step):
+        basis = enumerate_monomials(model.generators, m)
+        assert basis == sorted(basis, reverse=True)
+        position = {gamma: j for j, gamma in enumerate(basis)}
+        for (ea, eb), row in coproduct_rows_by_pairs(model, m).items():
+            gamma = tuple(a + b for a, b in zip(ea, eb))
+            assert min(map(position.__getitem__, row)) == position[gamma]
 
 
 @pytest.mark.parametrize("kind, bound", [("u", 24), ("so", 40)])
