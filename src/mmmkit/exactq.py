@@ -40,13 +40,12 @@ K, and K's canonical rows are the ones elimination would produce.  Rows
 with distinct first nonzero columns are triangular, and so are rows with
 distinct last ones, hence independent over Q, so (ii) holds at once, with
 no arithmetic, when the rows start in at least ncols - dim K distinct
-columns or end in that many.  Otherwise (ii) is counted modulo the prime
-p = 2^31 - 1 in one sparse echelon, `RankModP`.  A row whose last nonzero
-column is new joins it without reduction, so the sparsest row ending in
-each column goes first, then the sparsest others, until the rank is
-reached.  For an integer matrix the rank mod p is at most the rank over Q,
-so a rank reached mod p is reached over Q.  A candidate that fails costs
-the full elimination, never a wrong answer.
+columns or end in that many.  Otherwise (ii) is counted over Q in one
+sparse integer echelon, `_echelon_reaches`, which stops as soon as the rank
+is reached.  A row whose last nonzero column is new joins it without
+reduction, so the sparsest row ending in each column goes first, then the
+sparsest others.  The count is exact, so a candidate fails only when it is
+not the kernel, and then costs the full elimination, never a wrong answer.
 
 `kernel_basis` is the one kernel routine and the one certificate.  Both
 near-primitive routes hand it each order's rows with a candidate: the
@@ -76,7 +75,7 @@ checked against a different object.
 
 from fractions import Fraction
 from itertools import compress
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 
 from . import _core
@@ -86,10 +85,6 @@ from .errors import DimensionMismatch
 COMPILED_CORE = False
 
 _ZERO = Fraction(0)
-
-#: the word-size prime 2^31 - 1 of the modular rank certificate
-PRIME = 2**31 - 1
-
 
 _is_int = int.__instancecheck__
 
@@ -315,9 +310,10 @@ def kernel_basis(rows, ncols, candidate=None):
     ``candidate`` is an optional Subspace of Q^ncols believed to be the
     kernel.  It is returned when the rows certify it: they annihilate it,
     and they start or end in ncols - dim K distinct columns or, fed to one
-    `RankModP`, the seed rows first and then the sparsest, reach that rank.
-    Otherwise the kernel is eliminated, so the result is always the kernel
-    of the rows.
+    integer echelon, the seed rows first and then the sparsest, reach that
+    rank over Q.  Otherwise, which happens only when K is not the kernel,
+    the kernel is eliminated, so the result is always the kernel of the
+    rows.
     """
     rows = _sparse_pairs(rows, ncols)
     if candidate is not None:
@@ -356,10 +352,10 @@ def _rank_reaches(rows, target):
     Rows with distinct first nonzero columns are triangular, and so are
     rows with distinct last ones, so either set is independent over Q: when
     the rows start in at least ``target`` distinct columns, or else end in
-    that many, no echelon is built.  Otherwise the rank is counted mod
-    ``PRIME``.  The sparsest row ending in each last column joins the
-    echelon without reduction, so those seed rows go first, then the rest,
-    sparsest first, until the rank is reached.
+    that many, no echelon is built.  Otherwise the rank is counted exactly
+    by `_echelon_reaches`.  The sparsest row ending in each last column
+    joins the echelon without reduction, so those seed rows go first, then
+    the rest, sparsest first, until the rank is reached.
     """
     if (
         len({cols[0] for cols, _ in rows}) >= target
@@ -371,78 +367,53 @@ def _rank_reaches(rows, target):
     for pair in rows:
         seeds.setdefault(pair[0][-1], pair)
     rest = [pair for pair in rows if seeds[pair[0][-1]] is not pair]
-    echelon = RankModP()
-    for cols, row in [*seeds.values(), *rest]:
-        if echelon.rank >= target:
-            break
-        echelon.add(cols, row)
-    return echelon.rank >= target
+    return _echelon_reaches([*seeds.values(), *rest], target)
 
 
-class RankModP:
-    """A row echelon over F_p that grows one integer row at a time.
+def _echelon_reaches(rows, target):
+    """Whether the ``(cols, row)`` pairs, taken in turn until ``target``
+    rows are kept, reach rank ``target`` over Q.
 
-    Every kept row sits under its last nonzero column mod p, so the kept
-    rows are triangular and their number is the rank over F_p of all rows
-    added.  A row whose last nonzero column is not taken yet joins as it
-    is, with no reduction; it is scaled to a sparse row ending in 1 only
-    when a later row ending in that column needs it.  Any other row is
-    reduced against the kept rows from its last column down and joins at
-    the first free column it meets, or vanishes.  Reduction mod p can only
-    lose independence, so for an integer matrix the rank is at most the
-    rank over Q.  ``p`` is the ``PRIME`` at the time the echelon is made.
+    Each kept row sits under its last nonzero column, so the kept rows are
+    triangular and their number is the rank of the rows taken.  A row whose
+    last column is free joins as it is.  Any other row r is reduced from its
+    last column down: against the kept row at column j, r becomes
+    a r - b pivot, where a and b are the pivot's and r's entries at j over
+    their gcd, so column j clears in the integers.  When a is not 1, r is
+    divided by its content, which keeps the entries small.  The row joins
+    at the first free column it meets, or vanishes.
     """
-
-    __slots__ = ("p", "kept")
-
-    def __init__(self):
-        self.p = PRIME
-        # last column -> the row as added, ``(cols, row)``, or once scaled a
-        # dict {column: entry mod p} whose entry at the last column is 1
-        self.kept = {}
-
-    @property
-    def rank(self):
-        return len(self.kept)
-
-    def add(self, cols, row):
-        """Add an integer row, given with its ascending nonzero columns."""
-        p, kept = self.p, self.kept
-        last = cols[-1]
-        if last not in kept and row[last] % p:
-            kept[last] = (cols, row)
-            return
-        r = _mod_p(cols, row, p)
+    kept = {}  # last column -> the row as added, or as a dict {column: entry}
+    for cols, row in rows:
+        if len(kept) >= target:
+            break
+        if cols[-1] not in kept:
+            kept[cols[-1]] = (cols, row)
+            continue
+        r = {j: row[j] for j in cols}
         while r:
             j = max(r)
-            pivot_row = kept.get(j)
-            if pivot_row is None:
-                kept[j] = _scaled(r, p)
-                return
-            if type(pivot_row) is tuple:
-                pivot_row = kept[j] = _scaled(_mod_p(*pivot_row, p), p)
-            f = r[j]
-            for k, c in pivot_row.items():
-                c = (r.get(k, 0) - f * c) % p
+            pivot = kept.get(j)
+            if pivot is None:
+                kept[j] = r
+                break
+            if type(pivot) is tuple:
+                pivot = kept[j] = {k: pivot[1][k] for k in pivot[0]}
+            g = gcd(pivot[j], r[j])
+            a, b = pivot[j] // g, r[j] // g
+            if a != 1:
+                r = {k: a * c for k, c in r.items()}
+            for k, c in pivot.items():
+                c = r.get(k, 0) - b * c
                 if c:
                     r[k] = c
                 else:
                     del r[k]
-
-
-def _mod_p(cols, row, p):
-    r = {}
-    for j in cols:
-        c = row[j] % p
-        if c:
-            r[j] = c
-    return r
-
-
-def _scaled(r, p):
-    """A sparse row mod p scaled so that its last entry is 1."""
-    inverse = pow(r[max(r)], -1, p)
-    return {k: c * inverse % p for k, c in r.items()}
+            if a != 1:
+                content = gcd(*r.values())
+                if content != 1:
+                    r = {k: c // content for k, c in r.items()}
+    return len(kept) >= target
 
 
 def _kernel_of_rref(reduced, pivots, ncols):

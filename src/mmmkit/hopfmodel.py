@@ -358,25 +358,18 @@ def bernoulli(n):
     return -acc / (n + 1)
 
 
-def _series_log(f, nterms):
-    """log of a power series with constant term 1; returns coefficients 0..nterms."""
-    a = [_ZERO] * (nterms + 1)
-    for n in range(1, nterms + 1):
-        acc = Fraction(n) * f[n]
-        for k in range(1, n):
-            acc -= Fraction(k) * a[k] * f[n - k]
-        a[n] = acc / n
-    return a
-
-
 @lru_cache(maxsize=None)
 def _l_log_coefficients(nterms):
-    """Coefficients a_k with log(sqrt(z)/tanh(sqrt(z))) = sum a_k z^k."""
-    f = [
-        Fraction(4**n) * bernoulli(2 * n) / factorial(2 * n)
-        for n in range(nterms + 1)
-    ]
-    return tuple(_series_log(f, nterms))
+    """Coefficients a_0..a_nterms with log(sqrt(z)/tanh(sqrt(z))) = sum a_k z^k.
+
+    With x = sqrt(z), log(x/tanh x) = log cosh x - log(sinh x / x), and the
+    two series have the coefficients 4^k (4^k - 1) B_2k / (2k (2k)!) and
+    4^k B_2k / (2k (2k)!) of x^2k, so a_k = 4^k (4^k - 2) B_2k / (2k (2k)!).
+    """
+    return (_ZERO,) + tuple(
+        4**k * (4**k - 2) * bernoulli(2 * k) / (2 * k * factorial(2 * k))
+        for k in range(1, nterms + 1)
+    )
 
 
 def l_class_components(model, kmax, d=None):

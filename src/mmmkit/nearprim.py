@@ -73,9 +73,10 @@ not start or end in enough distinct columns to bound its dimension, but
 the route hands K to the same certificate, `exactq.kernel_basis`, which
 returns K only when the rows certify it (they annihilate K, and they start
 or end in ncols - dim K distinct columns or a subset of them has that rank
-mod p) and eliminates R_d in full otherwise.  Either way the result is
-exactly ker R_d, so a wrong K cannot hide a fault; most orders need no
-elimination.
+over Q, counted in an integer echelon) and eliminates R_d in full
+otherwise.  The rank is exact, so the route eliminates only where K is
+not ker R_d, and the result is exactly ker R_d either way: a wrong K cannot
+hide a fault.
 
 The closed-form vectors are a basis as they stand.  By Newton's identities
 Q_n = +-n g_n plus products of two or more generators, so Q^lam has exactly

@@ -261,9 +261,8 @@ def test_kernel_certificate_accepts_exactly_the_kernel_of_every_prefix(case):
     """Given the rows of each prefix as SparseRows that earlier prefixes
     have already certified their kernels with, and a candidate inside the
     kernel of the blocks before it or not, `kernel_basis` returns the
-    candidate itself exactly when it is the kernel of the prefix.  Entries
-    of at most 3 in at most 6 columns keep every minor below 2^31 - 1, so
-    no rank is lost mod that prime and the answer is exact both ways."""
+    candidate itself exactly when it is the kernel of the prefix: the rank
+    is counted over Q, so the answer is exact both ways."""
     ncols, blocks = case
     kernels = _prefix_kernels(blocks, ncols)
     pairs = [[SparseRow(row) for row in block] for block in blocks]
@@ -358,92 +357,51 @@ def test_a_certified_candidate_is_returned_as_it_is():
     assert kernel_basis(rows, 3, kernel) is kernel
 
 
-P = exactq.PRIME
-
-
-def _exact_rank(rows, ncols):
-    return Subspace.from_vectors(ncols, rows).dim
-
-
-def _rank_mod_p(rows, ncols, p=P):
-    """The rank of a `RankModP` echelon fed every row, one at a time, made
-    while ``exactq.PRIME`` is ``p``."""
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(exactq, "PRIME", p)
-        echelon = exactq.RankModP()
-    for cols, row in exactq._sparse_pairs(rows, ncols):
-        echelon.add(cols, row)
-    return echelon.rank
-
-
-@settings(deadline=None)
-@given(sparse_rows(), st.sampled_from([2, 3, 5]))
-def test_rank_mod_p_is_at_most_the_rank_over_q(case, p):
-    ncols, rows = case
-    assert _rank_mod_p(rows, ncols, p) <= _exact_rank(rows, ncols)
-
-
-def _dense_rank_mod_p(rows, ncols, p):
-    """Rank over F_p by plain Gaussian elimination on dense rows."""
-    m = [[e % p for e in row] for row in rows]
-    rank = 0
-    for c in range(ncols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][c]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inverse = pow(m[rank][c], -1, p)
-        for r in range(len(m)):
-            if r != rank and m[r][c]:
-                f = m[r][c] * inverse
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
-@settings(deadline=None)
-@given(sparse_rows(), st.sampled_from([2, 3, 5]))
-@example((2, [[2, 1], [0, 1]]), 2)
-@example((2, [[1, 2], [0, 1]]), 2)
-def test_rank_mod_p_equals_the_dense_rank_over_f_p(case, p):
-    # Rows whose last entry vanishes mod p must not join as they are.
-    ncols, rows = case
-    assert _rank_mod_p(rows, ncols, p) == _dense_rank_mod_p(rows, ncols, p)
+#: the word-size prime 2^31 - 1: a rank counted modulo it can fall short
+P = 2**31 - 1
 
 
 @settings(deadline=None)
 @given(sparse_rows())
-@example((2, [[1, 1], [1, 2]]))
-def test_rank_mod_the_word_size_prime_is_the_rank_of_small_rows(case):
-    # Entries of at most 3 in at most 7 columns keep every minor far below
-    # 2^31 - 1 (Hadamard's bound), so no rank is lost mod that prime.
+@example((2, [[1, 1], [1, 1 + P]]))
+@example((3, [[1, 0, 1], [1, P, 1], [0, 1, P]]))
+@example((2, [[2, 0], [0, -3], [4, 6]]))
+@example((3, [[6, 4, 2], [3, 0, -9], [0, 10, 4], [9, 4, -7]]))
+def test_the_echelon_fed_every_row_reaches_exactly_the_rank(case):
+    # The first example's only 2x2 minor is P, so modulo P its rank is 1;
+    # the second's rank 3 falls to 2 modulo P.  The echelon counts over Q.
     ncols, rows = case
-    assert _rank_mod_p(rows, ncols) == _exact_rank(rows, ncols)
+    pairs = exactq._sparse_pairs(rows, ncols)
+    rank = Subspace.from_vectors(ncols, rows).dim
+    assert exactq._echelon_reaches(pairs, rank)
+    assert not exactq._echelon_reaches(pairs, rank + 1)
 
 
 @pytest.mark.parametrize(
     "rows, ncols",
     [
         # Both rows start in column 0 and end in column 1, so neither count
-        # certifies; the only 2x2 minor is P, so the rank is 2 over Q and 1
-        # mod P.
+        # certifies; the only 2x2 minor is P.
         ([[1, 1], [1, 1 + P]], 2),
         # Two first columns and one last column against rank 3: the second
-        # row differs from the first by P e1, so its pivot is a multiple of
-        # P and only the exact elimination reaches the rank.
+        # row differs from the first by P e1.
         ([[1, 0, 1], [1, P, 1], [0, 1, P]], 3),
         # Two first columns and one last column against rank 4; the rows
         # differ in pairs by P e1 and P e2.
         ([[1, P, 0, 1], [1, 0, 0, 1], [0, 1, P, 1], [0, 1, 0, 1]], 4),
     ],
 )
-def test_a_rank_lost_mod_p_falls_back_to_the_exact_elimination(rows, ncols, monkeypatch):
+def test_ranks_a_word_size_prime_would_lose_certify_with_no_elimination(
+    rows, ncols, monkeypatch
+):
+    """Each of these matrices loses rank modulo P, and its rows start and
+    end in too few distinct columns, so only the echelon can certify the
+    kernel; counting over Q it does, with no call to the elimination core."""
     kernel = kernel_basis(rows, ncols)
     target = ncols - kernel.dim
     pairs = exactq._sparse_pairs(rows, ncols)
     assert len({cols[0] for cols, _ in pairs}) < target
     assert len({cols[-1] for cols, _ in pairs}) < target
-    assert _rank_mod_p(rows, ncols) < _exact_rank(rows, ncols) == ncols - kernel.dim
     eliminations = []
     rref_int = exactq._core.rref_int
 
@@ -452,8 +410,8 @@ def test_a_rank_lost_mod_p_falls_back_to_the_exact_elimination(rows, ncols, monk
         return rref_int(block, width)
 
     monkeypatch.setattr(exactq._core, "rref_int", counting)
-    assert kernel_basis(rows, ncols, kernel) == kernel
-    assert eliminations  # found by the exact path, not certified mod p
+    assert kernel_basis(rows, ncols, kernel) is kernel
+    assert eliminations == []
 
 
 class _NoEchelon(Exception):
@@ -461,18 +419,17 @@ class _NoEchelon(Exception):
 
 
 def _refuse_echelons(monkeypatch):
-    def refused():
+    def refused(rows, target):
         raise _NoEchelon
 
-    monkeypatch.setattr(exactq, "RankModP", refused)
+    monkeypatch.setattr(exactq, "_echelon_reaches", refused)
 
 
 def test_rows_ending_in_distinct_columns_certify_without_an_echelon(monkeypatch):
     """Rows whose last nonzero columns are distinct are triangular, hence
     independent over Q, so they certify a candidate of the right dimension
-    without any `RankModP`, even where every such last entry is a multiple
-    of the prime.  Rows that start and end in too few distinct columns
-    still need the echelon."""
+    without any echelon, however large their entries.  Rows that start and
+    end in too few distinct columns still need the echelon."""
     _refuse_echelons(monkeypatch)
     rows = [[P, 0, 0, 0], [1, P, 0, 0], [0, 1, 2 * P, 0], [3, 0, P, 0]]
     candidate = Subspace.from_vectors(4, [[0, 0, 0, 1]])
@@ -489,9 +446,8 @@ def test_rows_ending_in_distinct_columns_certify_without_an_echelon(monkeypatch)
 
 def test_rows_starting_in_distinct_columns_certify_without_an_echelon(monkeypatch):
     """Rows whose first nonzero columns are distinct are triangular too, so
-    they certify a candidate of the right dimension without any `RankModP`,
-    though they all end in one column and every first entry is a multiple
-    of the prime."""
+    they certify a candidate of the right dimension without any echelon,
+    though they all end in one column and their entries are large."""
     _refuse_echelons(monkeypatch)
     rows = [[P, 0, 0, 1], [0, 2 * P, 0, 1], [0, 0, P, 1]]
     candidate = Subspace.from_vectors(4, [[2, 1, 2, -2 * P]])
@@ -506,7 +462,8 @@ def test_rows_starting_in_distinct_columns_certify_without_an_echelon(monkeypatc
     [
         # Annihilated, but one dimension short of the kernel span(e2, e3).
         ([[1, 0, 0]], 3, [[0, 1, 0]]),
-        # Annihilated and short of the kernel span(e3); the rank is lost mod P.
+        # Annihilated, but its rows have rank 2 against the 3 that the zero
+        # candidate needs; they start in 2 columns and end in 1.
         ([[P, 1, 0], [0, 1, 0]], 3, []),
         # Not annihilated: the rank count alone would accept it.
         ([[P, 1], [0, 1], [1, 0]], 2, [[1, 1]]),

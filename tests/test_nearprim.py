@@ -19,7 +19,7 @@ from mmmkit.gradedalg import (
     parse_poly,
     poincare_series,
 )
-from mmmkit.hopfmodel import hopf_model, restrict, restricted_model
+from mmmkit.hopfmodel import fibre_dimension, hopf_model, restrict, restricted_model
 from mmmkit.nearprim import (
     near_primitive_kernel,
     near_primitive_kernel_restricted,
@@ -169,6 +169,23 @@ def test_npd_examples():
     # The slice below the order is sized from the model, so it must reach n.
     with pytest.raises(QueryError, match="degree 14 exceeds the model bound 12"):
         npd(mu, 9, 14)
+
+
+@pytest.mark.parametrize("kind, bound", [("u", 24), ("so", 40)])
+def test_npd_dimension_is_the_count_of_closed_form_monomials(kind, bound):
+    """Restriction keeps the closed-form near-primitives of the fibre's
+    order independent: dim NP_d in degree n is the number of closed-form
+    monomials of order `fibre_dimension(kind, d)` in degree n, none below
+    that order.  BSO(1) kills every positive degree, so NP_1 is 0 there."""
+    model = hopf_model(kind, bound)
+    for d in range(1, 13):
+        order = fibre_dimension(kind, d)
+        for n in range(model.step, bound + 1, model.step):
+            if (kind, d) == ("so", 1) or n < order:
+                expected = 0
+            else:
+                expected = len(near_primitive_monomials(model, n, order))
+            assert npd(model, d, n).dim == expected
 
 
 def test_npd_is_the_restricted_image_of_the_kernel():
@@ -771,20 +788,16 @@ def _eliminated(calls, route):
 
 
 @pytest.mark.parametrize("kind, bound, m", [("u", 12, 12), ("so", 28, 28)])
-def test_a_rank_lost_mod_p_falls_back_and_keeps_every_subspace(monkeypatch, kind, bound, m):
-    """Scaling every coproduct coefficient of degree m by the prime keeps
-    each kernel over Q but loses all rank mod p.  The kernel route counts
-    first columns, not a rank mod p, so it still certifies.  So does the
-    restricted route in every order whose rows start or end in enough
-    distinct columns; degree m has an order where they do neither, and
-    there the route falls back to elimination, in that degree and no other.
-    Every kernel and restricted subspace stays as it was."""
+def test_scaled_rows_certify_every_order_and_keep_every_subspace(monkeypatch, kind, bound, m):
+    """Scaling every coproduct coefficient of degree m by the word-size
+    prime 2^31 - 1 keeps each kernel over Q, though modulo that prime it
+    loses all rank.  The certificate counts over Q, so neither route
+    eliminates, in that degree or any other, and every kernel and
+    restricted subspace stays as it was."""
     model = hopf_model(kind, bound)
     nearprim._degree.cache_clear()
     clean = _all_subspaces(model, bound)
-
-    p = 7
-    monkeypatch.setattr(exactq, "PRIME", p)
+    p = 2**31 - 1
     original = nearprim._delta_bar_slice
 
     @lru_cache(maxsize=None)
@@ -798,6 +811,32 @@ def test_a_rank_lost_mod_p_falls_back_and_keeps_every_subspace(monkeypatch, kind
     calls = _record_eliminations(monkeypatch)
     assert verify_equivalence(model, bound).all_passed
     assert _eliminated(calls, "kernel") == []
+    assert _eliminated(calls, "restricted") == []
+    assert _all_subspaces(model, bound) == clean
+
+
+@pytest.mark.parametrize("kind, bound, m", [("u", 12, 12), ("so", 28, 28)])
+def test_an_order_the_echelon_refuses_falls_back_and_keeps_every_subspace(
+    monkeypatch, kind, bound, m
+):
+    """Degree m has a restricted order whose rows start and end in too few
+    distinct columns, so only the echelon can certify it.  Refused there,
+    the route falls back to elimination, in that degree and no other; the
+    kernel route counts first columns and never asks.  Every kernel and
+    restricted subspace stays as it was."""
+    model = hopf_model(kind, bound)
+    nearprim._degree.cache_clear()
+    clean = _all_subspaces(model, bound)
+    calls = _record_eliminations(monkeypatch)
+    echelon = exactq._echelon_reaches
+
+    def refused_in_degree_m(rows, target):
+        return calls[-1][1] != m and echelon(rows, target)
+
+    monkeypatch.setattr(exactq, "_echelon_reaches", refused_in_degree_m)
+    nearprim._degree.cache_clear()
+    assert verify_equivalence(model, bound).all_passed
+    assert _eliminated(calls, "kernel") == []
     assert _eliminated(calls, "restricted") == [m]
     assert _all_subspaces(model, bound) == clean
 
@@ -806,19 +845,20 @@ def test_a_rank_lost_mod_p_falls_back_and_keeps_every_subspace(monkeypatch, kind
     "kind, bound", [("u", 14), ("u", 16), ("u", 28), ("so", 24), ("so", 28), ("so", 48)]
 )
 def test_the_certificate_serves_every_degree_without_elimination(monkeypatch, kind, bound):
-    """On the true closed form no degree of the kernel route falls back to
+    """On the true closed form no degree of either route falls back to
     elimination."""
     calls = _record_eliminations(monkeypatch)
     nearprim._degree.cache_clear()
     assert verify_equivalence(hopf_model(kind, bound), bound).all_passed
     assert _eliminated(calls, "kernel") == []
+    assert _eliminated(calls, "restricted") == []
     assert len([c for c in calls if c[0] == "kernel"]) == bound // hopf_model(kind, bound).step
 
 
 @pytest.mark.parametrize("kind, bound", [("u", 24), ("so", 40)])
 def test_the_kernel_rank_is_the_count_of_distinct_leading_products(kind, bound):
     """The fact the kernel route's certificate rests on, from the pair-by-pair
-    coproduct alone, with no elimination and no arithmetic mod p: each row
+    coproduct alone, with no elimination and no echelon: each row
     (ea, eb) has one longest column, ea*eb, with entry prod C(gamma_i, ea_i),
     and in every order d the rows with |eb| >= d have exactly
     ncols - dim S_d distinct products ea*eb."""
