@@ -1,23 +1,39 @@
-"""The row-reduction core: integer Gauss-Jordan elimination.
+"""The row-reduction core: one sparse integer reduction step.
 
-Every exact elimination in ``exactq`` runs here, on lists of Python ints.
-Keeping all entries integral with per-row content reduction avoids Fraction
-overhead in the inner loop while staying exact; callers divide each output
-row by its pivot entry to recover the rational reduced row echelon form.
+Every exact elimination in ``exactq`` runs through `reduce_row`, on rows
+kept as dicts ``{column: int}`` of their nonzero entries.  Clearing a column
+by integer combinations, and dividing a row by its content whenever the
+combination scaled it, keeps every entry integral and small without
+Fraction overhead; callers divide each output row by its pivot entry to
+recover the rational reduced row echelon form.
 """
 
+from itertools import compress
 from math import gcd
 
 
-def _row_content(row, ncols):
-    g = 0
-    for c in range(ncols):
-        v = row[c]
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                return 1
-    return g
+def reduce_row(r, pivot, j):
+    """Clear column ``j`` of row ``r`` against ``pivot``, both nonzero there.
+
+    With a and b the entries of ``pivot`` and ``r`` at j over their gcd, the
+    result is a r - b pivot, divided by its content when a is not 1.  ``r``
+    may be changed in place; the result is the returned dict.
+    """
+    g = gcd(pivot[j], r[j])
+    a, b = pivot[j] // g, r[j] // g
+    if a != 1:
+        r = {k: a * c for k, c in r.items()}
+    for k, c in pivot.items():
+        c = r.get(k, 0) - b * c
+        if c:
+            r[k] = c
+        else:
+            del r[k]
+    if a != 1:
+        content = gcd(*r.values())
+        if content != 1:
+            r = {k: c // content for k, c in r.items()}
+    return r
 
 
 def rref_int(rows, ncols):
@@ -28,49 +44,33 @@ def rref_int(rows, ncols):
     integer row (content gcd 1, positive pivot entry) proportional to row i
     of the rational RREF and ``pivots[i]`` is its pivot column.  Zero rows
     are dropped.
+
+    Each row is reduced by its leading column against the rows kept so far
+    until it is new there or vanishes; once ``ncols`` rows are kept every
+    other row would vanish.  Each kept row is then cleared at every later
+    pivot in ascending order, the rows of later pivots first, so it is
+    cleared against rows already reduced, and scaled to content 1 with a
+    positive pivot entry.
     """
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    pivots = []
-    pr = 0
-    for pc in range(ncols):
-        pivot_row = -1
-        for r in range(pr, nrows):
-            if m[r][pc]:
-                pivot_row = r
-                break
-        if pivot_row < 0:
-            continue
-        if pivot_row != pr:
-            m[pr], m[pivot_row] = m[pivot_row], m[pr]
-        row = m[pr]
-        # Entries left of pc are zero in every row at or below pr, so the
-        # pivot row only needs normalising from pc onward.
-        if row[pc] < 0:
-            for c in range(pc, ncols):
-                row[c] = -row[c]
-        g = _row_content(row, ncols)
-        if g > 1:
-            for c in range(pc, ncols):
-                row[c] //= g
-        piv = row[pc]
-        for r in range(nrows):
-            if r == pr:
-                continue
-            other = m[r]
-            f = other[pc]
-            if not f:
-                continue
-            for c in range(ncols):
-                other[c] = piv * other[c] - f * row[c]
-            g = _row_content(other, ncols)
-            if g > 1:
-                for c in range(ncols):
-                    other[c] //= g
-        pivots.append(pc)
-        pr += 1
-        if pr == nrows or pr == ncols:
-            # Either no rows are left, or the column space is full and every
-            # remaining row must reduce to zero.
+    kept = {}  # pivot column -> row
+    for row in rows:
+        if len(kept) == ncols:
             break
-    return m[:pr], pivots
+        r = dict(compress(enumerate(row), row))
+        while r:
+            j = min(r)
+            pivot = kept.get(j)
+            if pivot is None:
+                kept[j] = r
+                break
+            r = reduce_row(r, pivot, j)
+    pivots = sorted(kept)
+    for p in reversed(pivots):
+        r = kept[p]
+        # The rows of later pivots are reduced already, so clearing one
+        # column brings in no other pivot column.
+        for q in sorted(q for q in r if q > p and q in kept):
+            r = reduce_row(r, kept[q], q)
+        content = gcd(*r.values()) if r[p] > 0 else -gcd(*r.values())
+        kept[p] = {k: c // content for k, c in r.items()}
+    return [[kept[p].get(k, 0) for k in range(ncols)] for p in pivots], pivots

@@ -1,18 +1,20 @@
 """Exact rational linear algebra: RREF, kernels, canonical subspaces.
 
 Everything is exact over the rationals.  Matrices are raw rows: lists of
-ints or Fractions, all of one stated width.  Every exact elimination runs in
-one core, ``_core.rref_int``, integer Gauss-Jordan elimination on Python
-ints; this module clears denominators on the way in.
+ints or Fractions, all of one stated width.  Every exact elimination runs
+through one sparse integer reduction step, ``_core.reduce_row``, on Python
+ints: ``_core.rref_int`` eliminates with it, and so does the restricted
+certificate's echelon.  This module clears denominators on the way in.
 
-A subspace is known by its primitive integer RREF rows, as the core
-returns them: row i is the i-th row of the rational reduced row echelon form
-scaled to integer entries with content 1 and a positive pivot entry, and
-rows are ordered by pivot column.  That scaling is unique, so the rows are a
-canonical form: two subspaces are equal iff their rows are equal entrywise.
-Pivot selection is deterministic (leftmost nonzero column, topmost
-unprocessed row), so every route to the same subspace produces the same
-rows.  The rows are not always stored, though.  `Subspace.from_vectors`
+A subspace is known by its primitive integer RREF rows, as
+``_core.rref_int`` returns them: row i is the i-th row of the rational
+reduced row echelon form scaled to integer entries with content 1 and a
+positive pivot entry, and rows are ordered by pivot column.  The rational
+RREF of a row space is unique, and so is that scaling of each of its rows,
+so the rows are a canonical form: two subspaces are equal iff their rows
+are equal entrywise, and every route to the same subspace produces the same
+rows, whatever vectors it spans it by and in whatever order they are
+reduced.  The rows are not always stored, though.  `Subspace.from_vectors`
 first runs an O(nnz) peeling test: it removes, again and again, a vector
 that is the only nonzero one in some column.  A vector removed that way
 takes no part in any dependency among those left, so when every vector
@@ -75,7 +77,7 @@ checked against a different object.
 
 from fractions import Fraction
 from itertools import compress
-from math import gcd, lcm
+from math import lcm
 from operator import itemgetter
 
 from . import _core
@@ -93,7 +95,7 @@ def _int_row(row):
     """Scale a row by the lcm of its denominators; row scaling preserves RREF.
 
     An integer row is kept as it is, not copied: nothing downstream writes
-    to it, and `_core.rref_int` copies what it reduces.
+    to it, and `_core.rref_int` reduces a dict of its nonzero entries.
     """
     if all(map(_is_int, row)):  # type check at C speed, no generator
         return row
@@ -376,12 +378,9 @@ def _echelon_reaches(rows, target):
 
     Each kept row sits under its last nonzero column, so the kept rows are
     triangular and their number is the rank of the rows taken.  A row whose
-    last column is free joins as it is.  Any other row r is reduced from its
-    last column down: against the kept row at column j, r becomes
-    a r - b pivot, where a and b are the pivot's and r's entries at j over
-    their gcd, so column j clears in the integers.  When a is not 1, r is
-    divided by its content, which keeps the entries small.  The row joins
-    at the first free column it meets, or vanishes.
+    last column is free joins as it is.  Any other row is reduced from its
+    last column down, by `_core.reduce_row` against the kept row at each
+    column, and joins at the first free column it meets, or vanishes.
     """
     kept = {}  # last column -> the row as added, or as a dict {column: entry}
     for cols, row in rows:
@@ -399,20 +398,7 @@ def _echelon_reaches(rows, target):
                 break
             if type(pivot) is tuple:
                 pivot = kept[j] = {k: pivot[1][k] for k in pivot[0]}
-            g = gcd(pivot[j], r[j])
-            a, b = pivot[j] // g, r[j] // g
-            if a != 1:
-                r = {k: a * c for k, c in r.items()}
-            for k, c in pivot.items():
-                c = r.get(k, 0) - b * c
-                if c:
-                    r[k] = c
-                else:
-                    del r[k]
-            if a != 1:
-                content = gcd(*r.values())
-                if content != 1:
-                    r = {k: c // content for k, c in r.items()}
+            r = _core.reduce_row(r, pivot, j)
     return len(kept) >= target
 
 

@@ -11,6 +11,10 @@ references: they read the package's per-monomial coproduct table back as
 ``{(ea, eb): c}`` dicts, so tests can hold it against
 `reduced_coproduct_by_pairs`.
 
+`rref_dense` is the dense integer Gauss-Jordan elimination that the
+package's elimination core ran before it reduced sparse rows; the core's
+output is held against it.
+
 `l_class_by_fractions` is another exception: it is the L-class recursion
 as it ran before it moved to integers, on the package's power sums and log
 coefficients, so it checks the integer bookkeeping alone.
@@ -22,7 +26,7 @@ bundles module's own constructors, which the package itself never needs.
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 
 from mmmkit.bundles import (
     BundleModel,
@@ -528,6 +532,55 @@ def monomials_one_generator_at_a_time(alphabet, degree, allowed=None):
 
     rec(0, degree)
     return out
+
+
+def rref_dense(rows, ncols):
+    """Dense integer Gauss-Jordan elimination, the package's elimination
+    core before it reduced sparse rows: the leftmost nonzero column pivots
+    on the topmost unprocessed row, which clears that column in every other
+    row, and each row is divided by its content after every step.  Returns
+    the primitive RREF rows and their pivots as `_core.rref_int` does.
+    """
+
+    def content(row):
+        g = 0
+        for v in row:
+            if v:
+                g = gcd(g, v)
+                if g == 1:
+                    return 1
+        return g
+
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    pivots = []
+    pr = 0
+    for pc in range(ncols):
+        pivot_row = next((r for r in range(pr, nrows) if m[r][pc]), None)
+        if pivot_row is None:
+            continue
+        m[pr], m[pivot_row] = m[pivot_row], m[pr]
+        row = m[pr]
+        if row[pc] < 0:
+            row[:] = [-v for v in row]
+        g = content(row)
+        if g > 1:
+            row[:] = [v // g for v in row]
+        piv = row[pc]
+        for r in range(nrows):
+            other = m[r]
+            f = other[pc]
+            if r == pr or not f:
+                continue
+            other[:] = [piv * a - f * b for a, b in zip(other, row)]
+            g = content(other)
+            if g > 1:
+                other[:] = [v // g for v in other]
+        pivots.append(pc)
+        pr += 1
+        if pr == nrows or pr == ncols:
+            break
+    return m[:pr], pivots
 
 
 # --- example bundles built from the package's constructors --------------------

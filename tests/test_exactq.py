@@ -22,6 +22,8 @@ from mmmkit.exactq import (
     subspace_sum,
 )
 
+from oracles import rref_dense
+
 
 def random_matrix(rng, rows, cols, lo=-5, hi=5):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
@@ -534,6 +536,89 @@ def test_rref_int_returns_the_canonical_primitive_rref(case, data):
     )
     moved = [[c * e for e in rows[i]] for c, i in zip(scales, order)]
     assert exactq._core.rref_int(moved, ncols) == (out, pivots)
+
+
+@st.composite
+def shaped_matrices(draw):
+    """A width and integer rows of that width: square, tall or wide; dense,
+    about 3 % nonzero, or of low rank as a thin matrix times a wide one;
+    with entries up to 9 or up to 10^6 in size."""
+    nrows, ncols = draw(
+        st.sampled_from([(40, 40), (25, 20), (60, 12), (12, 60), (80, 60), (8, 8)])
+    )
+    bound = draw(st.sampled_from([9, 10**6]))
+    shape = draw(st.sampled_from(["dense", "sparse", "low rank"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def entries(n, m, density):
+        return [
+            [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(m)]
+            for _ in range(n)
+        ]
+
+    if shape == "low rank":
+        rank = rng.randint(0, min(nrows, ncols) // 4)
+        thin, wide = entries(nrows, rank, 1), entries(rank, ncols, 1)
+        rows = [
+            [sum(row[t] * wide[t][c] for t in range(rank)) for c in range(ncols)]
+            for row in thin
+        ]
+    else:
+        rows = entries(nrows, ncols, 1 if shape == "dense" else 0.03)
+    return ncols, rows
+
+
+@settings(deadline=None, max_examples=60)
+@given(shaped_matrices())
+@example((3, [[0, 0, 0], [0, 0, 0]]))
+@example((3, []))
+@example((0, [[], []]))
+@example((2, [[1, 2], [3, 4], [5, 6], [-7, 8], [0, 0]]))
+@example((3, [[0, 2, 4], [0, 0, 0], [0, -3, -6], [5, 0, 1]]))
+def test_rref_int_equals_the_dense_elimination(case):
+    """The sparse core returns the rows and pivots of the dense
+    Gauss-Jordan elimination it replaced, entry by entry."""
+    ncols, rows = case
+    assert exactq._core.rref_int(rows, ncols) == rref_dense(rows, ncols)
+
+
+@st.composite
+def row_pairs(draw):
+    """Two sparse integer rows, as ``{column: entry}`` dicts of nonzero
+    entries, both nonzero at a column j."""
+    entry = st.integers(-10**6, 10**6).filter(bool)
+    small = st.integers(-9, 9).filter(bool)
+    row = st.dictionaries(st.integers(0, 12), draw(st.sampled_from([entry, small])), max_size=8)
+    r, pivot = draw(row), draw(row)
+    j = draw(st.integers(0, 12))
+    r[j], pivot[j] = draw(entry), draw(entry)
+    return r, pivot, j
+
+
+@settings(deadline=None)
+@given(row_pairs())
+@example(({0: 2, 1: 4}, {0: 3, 1: 6}, 0))
+@example(({0: 6, 2: 4}, {0: 3, 1: 1}, 0))
+def test_reduce_row_clears_its_column_by_a_positive_multiple_of_the_combination(case):
+    """reduce_row(r, pivot, j) is zero at j and is a r - b pivot up to a
+    positive scalar, where a and b are pivot[j] and r[j] over their gcd; it
+    stores no zero entry, and when a is not 1 its content is 1."""
+    r, pivot, j = case
+    g = gcd(pivot[j], r[j])
+    a, b = pivot[j] // g, r[j] // g
+    combination = {k: a * r.get(k, 0) - b * pivot.get(k, 0) for k in {*r, *pivot}}
+    combination = {k: c for k, c in combination.items() if c}
+    out = exactq._core.reduce_row(dict(r), pivot, j)
+    assert j not in out
+    assert all(out.values())
+    assert out.keys() == combination.keys()
+    if out:
+        k = next(iter(out))
+        scale = Fraction(combination[k], out[k])
+        assert scale > 0
+        assert all(combination[k] == scale * c for k, c in out.items())
+        if a != 1:
+            assert gcd(*out.values()) == 1
 
 
 @settings(deadline=None)

@@ -841,6 +841,39 @@ def test_an_order_the_echelon_refuses_falls_back_and_keeps_every_subspace(
     assert _all_subspaces(model, bound) == clean
 
 
+@pytest.mark.parametrize("kind, bound", [("u", 16), ("so", 28)])
+def test_every_order_falls_back_and_keeps_every_subspace_entry_by_entry(
+    monkeypatch, kind, bound
+):
+    """With the certificate refused everywhere, every order of both routes
+    gets the exact kernel of its own rows from the elimination core, and
+    every kernel, closed-form span and restricted kernel keeps the rows and
+    pivots of the certified run, entry by entry."""
+    model = hopf_model(kind, bound)
+
+    def rows_and_pivots():
+        nearprim._degree.cache_clear()
+        subspaces = _all_subspaces(model, bound)
+        for m, d, _ in list(subspaces):
+            subspaces[m, d, "span"] = near_primitive_span(model, m, d)
+        return {key: (s.rows, s.pivots) for key, s in subspaces.items()}
+
+    certified = rows_and_pivots()
+    blocks = {
+        m: len(nearprim._degree(kind, bound, m).blocks())
+        for m in range(model.step, bound + 1, model.step)
+    }
+    calls = _record_eliminations(monkeypatch)
+    monkeypatch.setattr(exactq, "_rank_reaches", lambda rows, target: False)
+    nearprim._degree.cache_clear()
+    assert verify_equivalence(model, bound).all_passed
+    assert {m for route, m, _ in calls if route == "kernel"} == set(blocks)
+    assert any(route == "restricted" for route, _, _ in calls)
+    for route, m, eliminated in calls:
+        assert eliminated == (blocks[m] if route == "kernel" else 1)
+    assert rows_and_pivots() == certified
+
+
 @pytest.mark.parametrize(
     "kind, bound", [("u", 14), ("u", 16), ("u", 28), ("so", 24), ("so", 28), ("so", 48)]
 )
