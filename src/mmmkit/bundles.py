@@ -38,9 +38,6 @@ from .gradedalg import (
 )
 from .hopfmodel import hopf_model
 
-_ZERO = Fraction(0)
-
-
 class CohomologyRing:
     """A graded ring presented by generator caps and rewrite rules.
 
@@ -95,7 +92,7 @@ class CohomologyRing:
                         stack.extend(rewritten.terms.items())
                     break
             else:
-                c = out.get(exp, _ZERO) + coeff
+                c = out.get(exp, 0) + coeff
                 if c:
                     out[exp] = c
                 else:
@@ -119,7 +116,7 @@ class CohomologyRing:
 
     def evaluate(self, poly):
         """Pair with the fundamental class: the top monomial's coefficient."""
-        return Fraction(self.reduce(poly).terms.get(self.top_monomial, _ZERO))
+        return Fraction(self.reduce(poly).terms.get(self.top_monomial, 0))
 
     def chern_class(self, k):
         """k-th Chern class of the tangent bundle."""
@@ -221,7 +218,7 @@ class BundleModel:
             if exp[xi] != top:
                 continue
             base_exp = exp[:xi] + exp[xi + 1 :]
-            out[base_exp] = out.get(base_exp, _ZERO) + coeff
+            out[base_exp] = out.get(base_exp, 0) + coeff
         return self.base.reduce(Polynomial(self.base.alphabet, out))
 
     def vertical_euler(self):
@@ -240,7 +237,7 @@ class BundleModel:
             {e: c for e, c in self.vertical_euler().terms.items() if not any(e[:xi])},
         )
         unit = self.base.alphabet.unit()
-        return Fraction(self.fibre_integrate(on_fibre).terms.get(unit, _ZERO))
+        return Fraction(self.fibre_integrate(on_fibre).terms.get(unit, 0))
 
 
 def projectivize(base, chern_of_v, label=""):

@@ -4,7 +4,9 @@ Every subcommand assembles one JSON-serializable document with up to
 three parts: the echoed query, a result (dimension + basis, a single
 polynomial, a verdict, or tables of numbers), and a list of named
 checks.  Both output formats render that same document, so the table
-and JSON views cannot drift apart.
+and JSON views cannot drift apart: every polynomial enters the document
+as `gradedalg.poly_to_terms` writes it, and the table prints those terms
+with `gradedalg.terms_to_text`, the renderer behind `format_poly` too.
 
 Exit status: 0 on success with all checks passing, 1 when a check
 fails, 2 for parse or validation errors and for an ``--out`` path that
@@ -22,9 +24,9 @@ from .gradedalg import (
     GeneratorAlphabet,
     Polynomial,
     enumerate_monomials,
-    format_monomial,
     format_poly,
-    join_terms,
+    poly_to_terms,
+    terms_to_text,
     vector_to_polynomial,
 )
 from .hopfmodel import (
@@ -52,28 +54,6 @@ MAX_LINE_BUNDLES = 16
 
 
 # --- document plumbing --------------------------------------------------------
-
-
-def poly_to_terms(poly, names=None):
-    """A polynomial as JSON terms: [[numerator, denominator], {gen: exp}]."""
-    names = names or poly.alphabet.names
-    out = []
-    for exp, coeff in poly.sorted_terms():
-        mono = {n: e for n, e in zip(names, exp) if e}
-        out.append([[coeff.numerator, coeff.denominator], mono])
-    return out
-
-
-def terms_to_text(terms):
-    """Rebuild the canonical text form from JSON terms."""
-    return join_terms(
-        (Fraction(num, den), format_monomial(mono.items()))
-        for (num, den), mono in terms
-    )
-
-
-def _rational_text(num, den):
-    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def render_table(doc):
@@ -109,7 +89,7 @@ def render_table(doc):
         if key in result:
             lines.append(f"{key}:")
             for name, (num, den) in result[key].items():
-                lines.append(f"  {name} = {_rational_text(num, den)}")
+                lines.append(f"  {name} = {Fraction(num, den)}")
     for key in ("checked", "skippedRestricted"):
         if key in result:
             lines.append(f"{key}: {result[key]}")
@@ -228,9 +208,8 @@ def _cmd_npd(args):
     space = npd(model, args.d, args.degree)
     polys = []
     if space.dim:  # BU(d) or BSO(d) is built only to name a basis
-        rm = restricted_model(args.model, args.d)
-        basis = enumerate_monomials(rm.alphabet, args.degree)
-        polys = [vector_to_polynomial(rm.alphabet, row, basis) for row in space.basis]
+        alphabet = restricted_model(args.model, args.d).alphabet
+        polys = [vector_to_polynomial(alphabet, row, args.degree) for row in space.basis]
     doc = _span_doc(
         {
             "command": "npd",
@@ -248,8 +227,7 @@ def _cmd_mmm_space(args):
     _check_mmm_cap(args, "--degree", args.degree)
     algebra = MMMAlgebra(args.flavor, args.d, args.degree)
     space = algebra.bordism_invariant_space(args.degree)
-    basis = algebra.monomial_basis(args.degree)
-    polys = [vector_to_polynomial(algebra.alphabet, row, basis) for row in space.basis]
+    polys = [vector_to_polynomial(algebra.alphabet, row, args.degree) for row in space.basis]
     doc = _span_doc(
         {
             "command": "mmm space",

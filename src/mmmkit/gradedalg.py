@@ -19,7 +19,15 @@ lexicographic on exponent tuples, so higher powers of earlier generators come
 first: in degree 12 over p1, p2, p3 that reads p1^3, p1*p2, p3.  Inhomogeneous
 polynomials print lower degrees first.
 
-This module also owns the shared text grammar:
+This module also owns a degree slice's coordinates and the one text
+renderer.  `slice_basis` is the one index of a slice, built once per
+alphabet and degree; `degree_slice_vector` and `vector_to_polynomial` read
+it to go between polynomials and coordinates.  `poly_to_terms` writes a
+polynomial as the JSON terms of the CLI's result documents, and
+`terms_to_text` renders those terms, so `format_poly` and every view of a
+document print through one path.
+
+The shared text grammar:
 
     poly   := term (('+'|'-') term)*
     term   := coeff ('*' factor)* | factor ('*' factor)*
@@ -33,7 +41,9 @@ output is emitted in canonical order with coefficients in lowest terms.
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from operator import add
+from types import MappingProxyType
 
 from .errors import AlphabetMismatch, DimensionMismatch, InhomogeneousError, ParseError
 
@@ -364,14 +374,23 @@ def poincare_series(alphabet, max_degree):
     return coeffs
 
 
-def degree_slice_vector(poly, basis):
-    """Coordinates of a polynomial over a degree slice's basis.
+@lru_cache(maxsize=None)
+def slice_basis(alphabet, degree):
+    """The one index of a degree slice: each exponent tuple of that degree
+    mapped to its position.  Iterating it gives the canonical basis and its
+    length is the slice's dimension.  Built once per alphabet and degree and
+    shared by every caller, so it is read-only."""
+    return MappingProxyType({e: i for i, e in enumerate(enumerate_monomials(alphabet, degree))})
 
-    Raises `DimensionMismatch` for any monomial outside ``basis``, so a
+
+def degree_slice_vector(poly, degree):
+    """Coordinates of a polynomial over the degree slice of its alphabet.
+
+    Raises `DimensionMismatch` for any monomial outside the slice, so a
     polynomial with a term off the degree is refused.
     """
-    index = {e: i for i, e in enumerate(basis)}
-    vec = [0] * len(basis)
+    index = slice_basis(poly.alphabet, degree)
+    vec = [0] * len(index)
     for exp, coeff in poly.terms.items():
         try:
             vec[index[exp]] = coeff
@@ -382,7 +401,9 @@ def degree_slice_vector(poly, basis):
     return tuple(vec)
 
 
-def vector_to_polynomial(alphabet, vector, basis):
+def vector_to_polynomial(alphabet, vector, degree):
+    """The polynomial with the given coordinates over a degree slice."""
+    basis = slice_basis(alphabet, degree)
     if len(vector) != len(basis):
         raise DimensionMismatch(f"vector length {len(vector)} != basis size {len(basis)}")
     return Polynomial(
@@ -583,28 +604,32 @@ def parse_poly(text, alphabet, aliases=None):
     return _Parser(tokens, alphabet, aliases).parse()
 
 
-def format_monomial(factors):
-    """``a*b^2`` from ordered ``(name, exponent)`` pairs; zero exponents drop."""
-    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in factors if e)
+def poly_to_terms(poly, names=None):
+    """A polynomial as JSON terms, ``[[numerator, denominator], {name:
+    exponent}]`` in canonical order.  ``names`` optionally overrides the
+    alphabet's generator names for display, matching them by position."""
+    names = names or poly.alphabet.names
+    return [
+        [[coeff.numerator, coeff.denominator], {n: e for n, e in zip(names, exp) if e}]
+        for exp, coeff in poly.sorted_terms()
+    ]
 
 
-def join_terms(terms):
-    """Signed text of ordered ``(coefficient, monomial text)`` pairs, with
-    coefficient magnitudes of 1 left implicit; an empty monomial text is the
-    constant term, and no terms read "0"."""
+def terms_to_text(terms):
+    """The canonical text of JSON terms: signed terms in their order, with
+    coefficient magnitudes of 1 left implicit; no terms read "0"."""
     parts = []
-    for coeff, mono in terms:
-        mag = abs(coeff)
-        if not mono:
+    for (num, den), mono in terms:
+        mag = Fraction(abs(num), den)
+        body = "*".join(name if e == 1 else f"{name}^{e}" for name, e in mono.items())
+        if not body:
             body = str(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{mag}*{mono}"
+        elif mag != 1:
+            body = f"{mag}*{body}"
         if not parts:
-            parts.append(f"-{body}" if coeff < 0 else body)
+            parts.append(f"-{body}" if num < 0 else body)
         else:
-            parts.append(f" - {body}" if coeff < 0 else f" + {body}")
+            parts.append(f" - {body}" if num < 0 else f" + {body}")
     return "".join(parts) or "0"
 
 
@@ -614,7 +639,4 @@ def format_poly(poly, names=None):
     ``names`` optionally overrides the alphabet's generator names for
     display, matching them by position.
     """
-    names = names or poly.alphabet.names
-    return join_terms(
-        (coeff, format_monomial(zip(names, exp))) for exp, coeff in poly.sorted_terms()
-    )
+    return terms_to_text(poly_to_terms(poly, names))

@@ -28,9 +28,9 @@ from .gradedalg import (
     GeneratorAlphabet,
     Polynomial,
     degree_slice_vector,
-    enumerate_monomials,
-    format_poly,
     parse_poly,
+    poincare_series,
+    slice_basis,
     vector_to_polynomial,
 )
 from .hopfmodel import (
@@ -94,12 +94,10 @@ class MMMAlgebra:
         self.model = hopf_model(kind, max(self.shift + degree_bound, STEP[kind]))
         entries = []
         self._mono_to_index = {}
-        counts = {}
-        for cohdeg in range(self.shift + 1, self.shift + degree_bound + 1):
-            for mono in enumerate_monomials(self.restricted.alphabet, cohdeg):
-                sdeg = cohdeg - self.shift
-                counts[sdeg] = counts.get(sdeg, 0) + 1
-                entries.append((f"E{sdeg}_{counts[sdeg]}", sdeg))
+        for sdeg in range(1, degree_bound + 1):
+            monos = slice_basis(self.restricted.alphabet, self.shift + sdeg)
+            for ordinal, mono in enumerate(monos, 1):
+                entries.append((f"E{sdeg}_{ordinal}", sdeg))
                 self._mono_to_index[mono] = len(self._mono_to_index)
         self.alphabet = GeneratorAlphabet(entries)
         if (kind, d) in _ALIASED:
@@ -121,9 +119,6 @@ class MMMAlgebra:
     def parse(self, text):
         return parse_poly(text, self.alphabet, self.aliases)
 
-    def format(self, poly):
-        return format_poly(poly, self.display_names)
-
     def name_degree(self, name):
         """The degree of the generator ``name`` in this flavor and d at any
         degree bound up to the cap, or None when no such bound has it."""
@@ -138,12 +133,9 @@ class MMMAlgebra:
         cohdeg = self.shift + degree
         if cohdeg > MAX_DEGREE_CAP:
             return None
-        if ordinal > len(enumerate_monomials(self.restricted.alphabet, cohdeg)):
+        if ordinal > poincare_series(self.restricted.alphabet, cohdeg)[cohdeg]:
             return None
         return degree
-
-    def monomial_basis(self, n):
-        return enumerate_monomials(self.alphabet, n)
 
     # --- the hat map ---------------------------------------------------
 
@@ -202,7 +194,7 @@ class MMMAlgebra:
             gdeg = g.homogeneous_degree()
             if gdeg > n:
                 continue
-            for mu in enumerate_monomials(self.alphabet, n - gdeg):
+            for mu in slice_basis(self.alphabet, n - gdeg):
                 prod = Polynomial.from_monomial(self.alphabet, mu) * g
                 if not prod.is_zero():
                     products.append((mu, prod))
@@ -212,9 +204,8 @@ class MMMAlgebra:
         """The degree-n slice of K as a subspace of the monomial slice."""
         self._require_odd()
         self._check_degree(n)
-        basis = self.monomial_basis(n)
-        vectors = [degree_slice_vector(p, basis) for _, p in self._k_products(n)]
-        return Subspace.from_vectors(len(basis), vectors)
+        vectors = [degree_slice_vector(p, n) for _, p in self._k_products(n)]
+        return Subspace.from_vectors(len(slice_basis(self.alphabet, n)), vectors)
 
     # --- invariance ----------------------------------------------------
 
@@ -224,16 +215,15 @@ class MMMAlgebra:
         if n > self.degree_bound:
             raise QueryError(f"degree {n} exceeds the configured bound {self.degree_bound}")
 
-    def _np_image(self, n, basis):
+    def _np_image(self, n):
         """NP_d in MMM degree n: its preimage polynomials over the restricted
-        model, and their hats as vectors over ``basis``, the degree-n slice."""
+        model, and their hats as vectors over the degree-n slice."""
         cohdeg = n + self.shift
-        rbasis = enumerate_monomials(self.restricted.alphabet, cohdeg)
         polys = [
-            vector_to_polynomial(self.restricted.alphabet, row, rbasis)
+            vector_to_polynomial(self.restricted.alphabet, row, cohdeg)
             for row in npd(self.model, self.d, cohdeg).basis
         ]
-        return polys, [degree_slice_vector(self.hat(p), basis) for p in polys]
+        return polys, [degree_slice_vector(self.hat(p), n) for p in polys]
 
     def bordism_invariant_space(self, n):
         """MMM classes of degree n depending only on the total space's
@@ -243,12 +233,12 @@ class MMMAlgebra:
         plus the generator-linear part of the K slice.
         """
         self._check_degree(n)
-        basis = self.monomial_basis(n)
-        space = Subspace.from_vectors(len(basis), self._np_image(n, basis)[1])
+        basis = slice_basis(self.alphabet, n)
+        space = Subspace.from_vectors(len(basis), self._np_image(n)[1])
         if self._odd:
             units = [
                 [int(j == i) for j in range(len(basis))]
-                for i, e in enumerate(basis)
+                for e, i in basis.items()
                 if sum(e) == 1
             ]
             linear = Subspace.from_vectors(len(basis), units)
@@ -276,22 +266,21 @@ class MMMAlgebra:
         if n == 0:
             raise QueryError("constants are not MMM classes; degree must be positive")
         self._check_degree(n)
-        basis = self.monomial_basis(n)
-        target = degree_slice_vector(x, basis)
-        is_linear = [sum(e) == 1 for e in basis]
-        np_polys, np_vectors = self._np_image(n, basis)
+        target = degree_slice_vector(x, n)
+        is_linear = [sum(e) == 1 for e in slice_basis(self.alphabet, n)]
+        np_polys, np_vectors = self._np_image(n)
         products = self._k_products(n)
         kappa = [p for mu, p in products if sum(mu) == 0]
         proper = [p for mu, p in products if sum(mu) > 0]
 
         dec_target = [0 if lin else c for c, lin in zip(target, is_linear)]
         dec_coeffs = solve_in_span(
-            [degree_slice_vector(p, basis) for p in proper], dec_target
+            [degree_slice_vector(p, n) for p in proper], dec_target
         )
         if dec_coeffs is None:
             return InvarianceVerdict(False, reason="notPrimitive")
         lin_target = [c if lin else 0 for c, lin in zip(target, is_linear)]
-        kappa_vectors = [degree_slice_vector(p, basis) for p in kappa]
+        kappa_vectors = [degree_slice_vector(p, n) for p in kappa]
         combo = solve_in_span(np_vectors + kappa_vectors, lin_target)
         if combo is None:
             return InvarianceVerdict(False, reason="notInNPdImage")

@@ -92,7 +92,8 @@ reads only the dimension.
 
 Everything nearprim knows about one degree m of one model lives in one
 object, `_Degree`, kept for the degree asked for last: the generator-monomial
-basis every route, span and witness reads, each order's closed-form
+basis every route and span reads (the slice `gradedalg.slice_basis` keeps for
+every caller, witnesses included), each order's closed-form
 monomials, each primitive monomial as coordinates, the closed-form spans, and
 the keyed rows with the kernels certified from them.  Each piece is built on
 first use.  The primitive monomials themselves live in the model's memoised
@@ -112,6 +113,7 @@ from .gradedalg import (
     enumerate_monomials,
     format_poly,
     poincare_series,
+    slice_basis,
     vector_to_polynomial,
 )
 from .hopfmodel import fibre_dimension, hopf_model, restrict, restricted_model
@@ -156,7 +158,7 @@ class _Degree:
         self.model = hopf_model(kind, max_degree)
         self.key = (kind, max_degree, m)
         self.m = m
-        self.basis = tuple(enumerate_monomials(self.model.generators, m))
+        self.basis = tuple(slice_basis(self.model.generators, m))
         self._monomials = {}  # order -> closed-form monomials
         self._index = None  # packed basis monomial -> its position
         self._coordinates = {}  # exponent -> integer coordinates over basis
@@ -423,16 +425,15 @@ def npd(model, d, n):
     order = fibre_dimension(model.kind, d)
     if n < order:
         return Subspace.zero(poincare_series(model.generators, n)[n])
-    rm = restricted_model(model.kind, d)
-    rbasis = enumerate_monomials(rm.alphabet, n)
-    if n % model.step != 0 or not rbasis:
-        return Subspace.zero(len(rbasis))
+    ncols = len(slice_basis(restricted_model(model.kind, d).alphabet, n))
+    if n % model.step != 0 or not ncols:
+        return Subspace.zero(ncols)
     state = _checked_degree(model, n, order)
     vectors = [
-        degree_slice_vector(restrict(model, d, state.primitive(e)), rbasis)
+        degree_slice_vector(restrict(model, d, state.primitive(e)), n)
         for e in state.monomials(order)
     ]
-    return Subspace.from_vectors(len(rbasis), vectors)
+    return Subspace.from_vectors(ncols, vectors)
 
 
 # --- the sweep ----------------------------------------------------------------
@@ -463,15 +464,12 @@ class EquivalenceReport:
 
 def _difference_witness(model, m, a, b):
     """A basis vector of one subspace missing from the other, rendered."""
-    basis = _degree(model.kind, model.max_degree, m).basis
     for row in a.basis:
         if not b.contains(row):
-            poly = vector_to_polynomial(model.generators, row, basis)
-            return format_poly(poly)
+            return format_poly(vector_to_polynomial(model.generators, row, m))
     for row in b.basis:
         if not a.contains(row):
-            poly = vector_to_polynomial(model.generators, row, basis)
-            return format_poly(poly)
+            return format_poly(vector_to_polynomial(model.generators, row, m))
     return "spaces agree"
 
 
@@ -490,10 +488,10 @@ def verify_equivalence(model, max_degree):
     report = EquivalenceReport()
     step = model.step
     for m in range(step, max_degree + 1, step):
-        gen_basis = _degree(model.kind, model.max_degree, m).basis
-        primitive_vec = degree_slice_vector(model.power_sum(m // step), gen_basis)
-        primitive_slice = Subspace.from_vectors(len(gen_basis), [primitive_vec])
-        full_slice = Subspace.full(len(gen_basis))
+        ncols = len(slice_basis(model.generators, m))
+        primitive_vec = degree_slice_vector(model.power_sum(m // step), m)
+        primitive_slice = Subspace.from_vectors(ncols, [primitive_vec])
+        full_slice = Subspace.full(ncols)
         for d in range(1, m + 1):
             kernel = near_primitive_kernel(model, m, d)
             span = near_primitive_span(model, m, d)

@@ -115,7 +115,6 @@ class RootExpansion:
     def _rewrite(self, f, target_alphabet, degree, basic):
         """Solve for f in the span of the products of ``basic(i)``, the i-th
         target generator standing for ``basic(i)``."""
-        slice_basis = enumerate_monomials(self.alphabet, degree)
         candidates = enumerate_monomials(target_alphabet, degree)
         vectors = []
         for exp in candidates:
@@ -123,8 +122,8 @@ class RootExpansion:
             for i, e in enumerate(exp):
                 for _ in range(e):
                     poly = poly * basic(i + 1)
-            vectors.append(degree_slice_vector(poly, slice_basis))
-        coeffs = solve_in_span(vectors, degree_slice_vector(f, slice_basis))
+            vectors.append(degree_slice_vector(poly, degree))
+        coeffs = solve_in_span(vectors, degree_slice_vector(f, degree))
         if coeffs is None:
             raise AssertionError("polynomial is not symmetric of this weight")
         return Polynomial(

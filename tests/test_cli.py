@@ -14,9 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmmkit import bundles, cli, hopfmodel, nearprim
-from mmmkit.cli import poly_to_terms, render_table, run, terms_to_text
-from mmmkit.gradedalg import GeneratorAlphabet, Polynomial, enumerate_monomials, format_poly
+from mmmkit import bundles, cli, gradedalg, hopfmodel, mmm, nearprim
+from mmmkit.cli import render_table, run
+from mmmkit.gradedalg import (
+    GeneratorAlphabet,
+    Polynomial,
+    enumerate_monomials,
+    format_poly,
+    parse_poly,
+    poly_to_terms,
+    terms_to_text,
+)
 
 
 def invoke(capsys, *argv):
@@ -162,25 +170,80 @@ def test_json_terms_read_the_same_from_int_and_fraction_coefficients(terms):
     assert poly == boxed and hash(poly) == hash(boxed)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("nearprim", "basis", "--model", "so", "--degree", "8", "--order", "5"),
-        ("nearprim", "verify", "--model", "so", "--max-degree", "12"),
-        ("npd", "--model", "u", "-d", "2", "--degree", "8"),
-        ("mmm", "space", "--flavor", "so", "-d", "2", "--degree", "6"),
-        ("mmm", "test", "--flavor", "so", "-d", "2", "--expr", "e1*e1"),
-        ("lclass", "-k", "3"),
-        ("bundle", "hirzebruch", "-k", "1", "--numbers"),
-        ("bundle", "custom", "--base", "cp1xcp1", "--twist", "0,0,2,1", "--numbers"),
-    ],
-)
+# The exact table bytes of one query per subcommand, recorded before the
+# table view and `format_poly` came to render through one function.
+TABLE_OUTPUTS = {
+    ("nearprim", "basis", "--model", "so", "--degree", "8", "--order", "5"): (
+        "query: command=nearprim basis model=so degree=8 order=5\n"
+        "dim 2: Q1^2, Q2\n"
+    ),
+    ("nearprim", "verify", "--model", "so", "--max-degree", "12"): (
+        "query: command=nearprim verify model=so maxDegree=12\n"
+        "checked: 24\n"
+        "skippedRestricted: 3\n"
+        "[PASS] equivalence-sweep - checked 24 (m,d) pairs, 3 without a restricted pairing\n"
+    ),
+    ("npd", "--model", "u", "-d", "2", "--degree", "8"): (
+        "query: command=npd model=u d=2 degree=8\n"
+        "dim 1: c1^4 - 4*c1^2*c2 + 2*c2^2\n"
+    ),
+    ("mmm", "space", "--flavor", "so", "-d", "2", "--degree", "6"): (
+        "query: command=mmm space flavor=so d=2 degree=6\n"
+        "dim 1: e3\n"
+    ),
+    ("mmm", "test", "--flavor", "so", "-d", "2", "--expr", "e1*e1"): (
+        "query: command=mmm test flavor=so d=2 expr=e1*e1\n"
+        "no, notPrimitive\n"
+    ),
+    ("lclass", "-k", "3"): (
+        "query: command=lclass k=3\n"
+        "2/945*p1^3 - 13/945*p1*p2 + 62/945*p3\n"
+    ),
+    ("bundle", "hirzebruch", "-k", "1", "--numbers"): (
+        "query: command=bundle hirzebruch k=1\n"
+        "bundle: O+O(1) over cp1 (total degree 4)\n"
+        "mmmNumbers:\n"
+        "  e1# = 0\n"
+        "charNumbers:\n"
+        "  c1^2 = 8\n"
+        "  c2 = 4\n"
+        "  p1 = 0\n"
+        "[PASS] fibre-integration-normalization - pi_!(xi^(r-1)) = 1\n"
+        "[PASS] pullback-integrates-to-zero - pi_! pi* = 0 on the base generators\n"
+        "[PASS] fibre-euler-number - c_1(Tv) evaluates to 2 on the fibre\n"
+        "[PASS] motivating-identity-so-j1 - both sides 0\n"
+        "[PASS] motivating-identity-u-j1 - both sides 0\n"
+        "[PASS] motivating-identity-u-j2 - both sides 0\n"
+    ),
+    ("bundle", "custom", "--base", "cp1xcp1", "--twist", "0,0,2,1", "--numbers"): (
+        "query: command=bundle custom base=cp1xcp1 twist=0,0,2,1\n"
+        "bundle: O(0,0)+O(2,1) over cp1xcp1 (total degree 6)\n"
+        "mmmNumbers:\n"
+        "  e1^2# = 0\n"
+        "  e2# = 8\n"
+        "charNumbers:\n"
+        "  c1*c2 = 24\n"
+        "  c1^3 = 56\n"
+        "  c3 = 8\n"
+        "[PASS] fibre-integration-normalization - pi_!(xi^(r-1)) = 1\n"
+        "[PASS] pullback-integrates-to-zero - pi_! pi* = 0 on the base generators\n"
+        "[PASS] fibre-euler-number - c_1(Tv) evaluates to 2 on the fibre\n"
+        "[PASS] motivating-identity-so-j1 - both sides 0\n"
+        "[PASS] motivating-identity-u-j1 - both sides 0\n"
+        "[PASS] motivating-identity-u-j2 - both sides 0\n"
+        "[PASS] motivating-identity-u-j3 - both sides 4/3\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(TABLE_OUTPUTS))
 def test_json_and_table_render_the_same_document(argv, capsys):
     code_t, table_out, _ = invoke(capsys, *argv, "--format", "table")
     code_j, json_out, _ = invoke(capsys, *argv, "--format", "json")
-    assert code_t == code_j
+    assert code_t == code_j == 0
     doc = json.loads(json_out)
     assert render_table(doc) == table_out.rstrip("\n")
+    assert table_out == TABLE_OUTPUTS[argv]
 
 
 def test_out_flag_writes_the_json_document(tmp_path, capsys):
@@ -436,10 +499,9 @@ def test_large_alphabets_answer_without_a_recursion_error(argv, result, capsys):
 
 
 def test_terms_round_trip_matches_formatter():
+    """The text of a polynomial's JSON terms parses back to the polynomial."""
     rng = random.Random(91)
     alphabet = GeneratorAlphabet([("c1", 2), ("c2", 4)])
-    from fractions import Fraction
-
     for _ in range(25):
         terms = {
             (rng.randint(0, 3), rng.randint(0, 2)): Fraction(
@@ -448,7 +510,9 @@ def test_terms_round_trip_matches_formatter():
             for _ in range(rng.randint(0, 4))
         }
         poly = Polynomial(alphabet, terms)
-        assert terms_to_text(poly_to_terms(poly)) == format_poly(poly)
+        text = terms_to_text(poly_to_terms(poly))
+        assert text == format_poly(poly)
+        assert parse_poly(text, alphabet) == poly
 
 
 @pytest.mark.parametrize(
@@ -510,6 +574,25 @@ def test_bound_errors_name_the_users_flags(argv, message, capsys):
     code, out, err = invoke(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_an_unknown_ordinal_is_refused_without_enumerating_its_slice(monkeypatch, capsys):
+    """Whether E80_99999999 names a generator at any bound is decided by
+    counting BU(20)'s degree-120 monomials off the Poincare series; the
+    error message does not enumerate that slice."""
+    enumerate_monomials = gradedalg.enumerate_monomials
+
+    def guarded(alphabet, degree, allowed=None):
+        assert degree != 120, "the degree-120 slice was enumerated"
+        return enumerate_monomials(alphabet, degree, allowed)
+
+    for module in (gradedalg, mmm):  # every binding of the function
+        if getattr(module, "enumerate_monomials", None) is enumerate_monomials:
+            monkeypatch.setattr(module, "enumerate_monomials", guarded)
+    argv = ("mmm", "test", "--flavor", "u", "-d", "20", "--expr", "E80_99999999", "--bound", "4")
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: unknown generator 'E80_99999999' at position 0 (token 'E80_99999999')\n"
 
 
 def test_a_huge_exponent_is_refused_by_its_degree_at_once(capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmmkit.errors import AlphabetMismatch, InhomogeneousError, ParseError
+from mmmkit.errors import AlphabetMismatch, DimensionMismatch, InhomogeneousError, ParseError
 from mmmkit.gradedalg import (
     GeneratorAlphabet,
     Polynomial,
@@ -17,6 +17,7 @@ from mmmkit.gradedalg import (
     format_poly,
     parse_poly,
     poincare_series,
+    slice_basis,
     vector_to_polynomial,
 )
 from mmmkit.hopfmodel import hopf_model, restrict
@@ -181,10 +182,39 @@ def test_slice_vector_roundtrip():
     for _ in range(20):
         p = random_poly(rng, EVEN)
         for m in range(0, max(map(EVEN.degree, p.terms), default=0) + 1):
-            basis = enumerate_monomials(EVEN, m)
             piece = p.degree_slice(m)
-            vec = degree_slice_vector(piece, basis)
-            assert vector_to_polynomial(EVEN, vec, basis) == piece
+            vec = degree_slice_vector(piece, m)
+            assert len(vec) == len(enumerate_monomials(EVEN, m))
+            assert vector_to_polynomial(EVEN, vec, m) == piece
+
+
+def test_slice_coordinates_refuse_what_is_off_the_slice():
+    p = parse_poly("c1^2 + c2", EVEN)
+    with pytest.raises(DimensionMismatch, match=r"monomial \{'c1': 2\} is not in the slice basis"):
+        degree_slice_vector(p, 6)
+    with pytest.raises(DimensionMismatch, match="vector length 1 != basis size 2"):
+        vector_to_polynomial(EVEN, (1,), 4)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(st.integers(1, 7), max_size=8),
+    st.integers(0, 18),
+)
+def test_slice_basis_is_the_canonical_slice_indexed(degrees, degree):
+    """Iterating the index gives `enumerate_monomials`' canonical order, each
+    monomial maps to its position, and the size is the Poincare series
+    coefficient, exterior (odd) generators included."""
+    alphabet = GeneratorAlphabet([(f"g{i}", d) for i, d in enumerate(degrees)])
+    index = slice_basis(alphabet, degree)
+    assert list(index) == enumerate_monomials(alphabet, degree)
+    assert list(index.values()) == list(range(len(index)))
+    assert len(index) == poincare_series(alphabet, degree)[degree]
+    # One index per alphabet and degree, shared by every caller, so no
+    # caller may change it.
+    assert slice_basis(GeneratorAlphabet(zip(alphabet.names, degrees)), degree) is index
+    with pytest.raises(TypeError):
+        index[(0,) * len(degrees)] = -1
 
 
 def test_parse_examples():
