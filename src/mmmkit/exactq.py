@@ -1,10 +1,11 @@
 """Exact rational linear algebra: RREF, kernels, canonical subspaces.
 
-Everything is exact over the rationals.  Matrices are raw rows: lists of
-ints or Fractions, all of one stated width.  Every exact elimination runs
-through one sparse integer reduction step, ``_core.reduce_row``, on Python
-ints: ``_core.rref_int`` eliminates with it, and so does the restricted
-certificate's echelon.  This module clears denominators on the way in.
+Everything is exact over the rationals.  Matrices are raw rows, all of one
+stated width: lists of ints or Fractions, or `SparseRow`s.  Every exact
+elimination runs through one sparse integer reduction step,
+``_core.reduce_row``, on Python ints: ``_core.rref_int`` eliminates with
+it, and so does the restricted certificate's echelon.  This module clears
+denominators on the way in.
 
 A subspace is known by its primitive integer RREF rows, as
 ``_core.rref_int`` returns them: row i is the i-th row of the rational
@@ -56,29 +57,33 @@ distinct columns, and the restricted route the kernel route's answer.  An
 order whose rows do not certify its candidate gets the exact kernel of its
 own rows from the same call.
 
-`kernel_basis` and `annihilates` read their rows as `(cols, row)` pairs:
-an integer row with its ascending nonzero columns.  `_sparse_pairs` is the
-one conversion into them.  It checks each dense row's width, clears its
-denominators and finds its support, and leaves zero rows out.  A caller that hands the same rows to
-many kernels, as the near-primitive degrees do, keeps them as `SparseRow`s,
-pairs made once from their dense rows, which pass the conversion with only
-their width checked.  A SparseRow can only be made from its dense row, so
-its support is always its row's own.  The annihilation check (i),
-`annihilates`, is memoised on the candidate: a Subspace keeps the
-SparseRows already found to annihilate it, keyed by identity and held alive
-by the memo, and checks only the others.  Pairs converted from dense rows
-are new objects on every call, so they are checked and never kept.  Every
-row is still checked exactly against the very subspace it certifies, once,
-and a Subspace never changes, so a row checked once stays checked.  Another
-Subspace, even an equal one, starts with an empty memo and checks every row
-itself, so a wrong candidate is never accepted on the strength of rows
+`kernel_basis` and `annihilates` read their rows sparse, as triples
+``(cols, vals, width)``: the ascending nonzero columns of a row, their int
+entries and the row's number of columns.  `_sparse_pairs` is the one
+conversion into them.  It checks each row's width, and gives each dense row
+(ints or Fractions) its cleared entries and their support, leaving zero
+rows out.  A caller that hands the same rows to many kernels, as the
+near-primitive degrees do, makes them once as `SparseRow`s, which pass the
+conversion with only their width checked and are never densified; only
+`kernel_basis`'s fallback to `_core.rref_int` writes rows out dense.  A
+SparseRow checks its own fields when it is made: strictly ascending int
+columns below its width, each with a nonzero int entry, so its support is
+always its row's own.  The annihilation check (i), `annihilates`, is
+memoised on the candidate: a Subspace keeps the SparseRows already found to
+annihilate it, keyed by identity and held alive by the memo, and checks
+only the others.  Triples converted from dense rows are new objects on
+every call, so they are checked and never kept.  Every row is still
+checked exactly against the very subspace it certifies, once, and a
+Subspace never changes, so a row checked once stays checked.  Another
+Subspace, even an equal one, starts with an empty memo and checks every
+row itself, so a wrong candidate is never accepted on the strength of rows
 checked against a different object.
 """
 
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
 from math import lcm
-from operator import itemgetter
+from operator import itemgetter, lt
 
 from . import _core
 from .errors import DimensionMismatch
@@ -104,48 +109,50 @@ def _int_row(row):
     return [int(e * scale) for e in row]
 
 
-def _pair(row):
-    """``(cols, row)`` of one dense row: its integer entries as a tuple and
-    their ascending nonzero columns."""
-    row = tuple(_int_row(row))
-    return tuple(compress(range(len(row)), row)), row
-
-
 class SparseRow(tuple):
-    """A row kept in the form the kernel routines read: the pair
-    ``(cols, row)`` of its integer entries and their nonzero columns.
+    """A row kept in the form the kernel routines read: the triple
+    ``(cols, vals, width)`` of its strictly ascending nonzero columns, their
+    int entries and the number of columns it spans.
 
-    It is made from the dense row alone (ints or Fractions), so its support
-    is the row's own.  Handed to many kernels, it is not converted again,
-    and a Subspace that it was checked to annihilate remembers it.
+    Every field is checked, so its support is its own: each column is
+    listed once, in order and in range, with a nonzero int entry, so the
+    columns the certificate counts are exactly the row's nonzero ones.
+    Handed to many kernels, it is not converted again, and a Subspace that
+    it was checked to annihilate remembers it.
     """
 
     __slots__ = ()
 
-    def __new__(cls, row):
-        return tuple.__new__(cls, _pair(row))
+    def __new__(cls, cols, vals, width):
+        cols, vals = tuple(cols), tuple(vals)
+        # -1 and the width bound the columns, so one chain of < checks both
+        # the order and the range.
+        if not (all(map(_is_int, cols)) and all(map(lt, (-1, *cols), (*cols, width)))):
+            raise ValueError(f"columns {cols} are not strictly ascending ints in range({width})")
+        if len(vals) != len(cols) or not (all(map(_is_int, vals)) and all(vals)):
+            raise ValueError(f"entries {vals} are not one nonzero int for each column")
+        return tuple.__new__(cls, (cols, vals, width))
 
     cols = property(itemgetter(0))
-    row = property(itemgetter(1))
+    vals = property(itemgetter(1))
+    width = property(itemgetter(2))
 
 
 def _sparse_pairs(rows, ncols):
-    """The ``(cols, row)`` pair of every nonzero row: the one conversion that
-    every kernel routine reads.
+    """The ``(cols, vals, width)`` triple of every nonzero row: the one
+    conversion that every kernel routine reads.
 
-    Each dense row (ints or Fractions) is checked to have ``ncols`` entries,
-    cleared of denominators and given its support, as a new pair.  A
-    `SparseRow` passes as it is, once its width is checked.  Zero rows are
-    left out.
+    A `SparseRow` passes as it is.  Each dense row (ints or Fractions) is
+    cleared of denominators and given its support, as a new plain triple.
+    Every row is checked to be ``ncols`` wide, and zero rows are left out.
     """
     out = []
     for row in rows:
-        kept = type(row) is SparseRow
-        width = len(row[1]) if kept else len(row)
-        if width != ncols:
-            raise DimensionMismatch(f"row length {width} != {ncols} columns")
-        if not kept:
-            row = _pair(row)
+        if type(row) is not SparseRow:
+            row = _int_row(row)
+            row = tuple(compress(range(len(row)), row)), tuple(compress(row, row)), len(row)
+        if row[2] != ncols:
+            raise DimensionMismatch(f"row length {row[2]} != {ncols} columns")
         if row[0]:
             out.append(row)
     return out
@@ -307,7 +314,8 @@ def _kernel_vectors(rows, pivots, ncols):
 
 def kernel_basis(rows, ncols, candidate=None):
     """Null space of ``rows``, each a dense row of ints/Fractions of length
-    ``ncols`` or a `SparseRow`, as a canonical Subspace of Q^ncols.
+    ``ncols`` or a `SparseRow` of that width, as a canonical Subspace of
+    Q^ncols.
 
     ``candidate`` is an optional Subspace of Q^ncols believed to be the
     kernel.  It is returned when the rows certify it: they annihilate it,
@@ -315,7 +323,7 @@ def kernel_basis(rows, ncols, candidate=None):
     integer echelon, the seed rows first and then the sparsest, reach that
     rank over Q.  Otherwise, which happens only when K is not the kernel,
     the kernel is eliminated, so the result is always the kernel of the
-    rows.
+    rows; only there are the rows written out dense, for `_core.rref_int`.
     """
     rows = _sparse_pairs(rows, ncols)
     if candidate is not None:
@@ -325,31 +333,32 @@ def kernel_basis(rows, ncols, candidate=None):
             )
         if annihilates(rows, candidate) and _rank_reaches(rows, ncols - candidate.dim):
             return candidate
-    return _kernel_of_rref(*_core.rref_int([row for _, row in rows], ncols), ncols)
+    dense = [list(map(dict(zip(c, v)).get, range(ncols), repeat(0))) for c, v, _ in rows]
+    return _kernel_of_rref(*_core.rref_int(dense, ncols), ncols)
 
 
 def annihilates(rows, subspace):
-    """Whether every ``(cols, row)`` pair is orthogonal to the integer basis
-    ``subspace`` holds, its vectors as kept or its canonical rows.
+    """Whether every ``(cols, vals, width)`` row is orthogonal to the integer
+    basis ``subspace`` holds, its vectors as kept or its canonical rows.
 
-    Each row reads only its own nonzero columns.  A `SparseRow` is checked
-    against a subspace once: those found to annihilate it are kept in its
-    memo, keyed by identity and held alive there.  Any other pair is new to
-    this call and is checked without being kept, since its identity cannot
-    recur.
+    Each row multiplies out only its own entries, ``zip(cols, vals)``.  A
+    `SparseRow` is checked against a subspace once: those found to
+    annihilate it are kept in its memo, keyed by identity and held alive
+    there.  Any other row is new to this call and is checked without being
+    kept, since its identity cannot recur.
     """
     checked = subspace._annihilated
     fresh = [r for r in rows if id(r) not in checked]
     vectors = subspace._vectors
-    if any(sum(row[j] * v[j] for j in cols) for cols, row in fresh for v in vectors):
+    if any(sum([c * v[j] for j, c in zip(cols, vals)]) for cols, vals, _ in fresh for v in vectors):
         return False
     checked.update((id(r), r) for r in fresh if type(r) is SparseRow)
     return True
 
 
 def _rank_reaches(rows, target):
-    """Whether the ``(cols, row)`` pairs have rank at least ``target`` over
-    Q.
+    """Whether the ``(cols, vals, width)`` rows have rank at least
+    ``target`` over Q.
 
     Rows with distinct first nonzero columns are triangular, and so are
     rows with distinct last ones, so either set is independent over Q: when
@@ -360,21 +369,21 @@ def _rank_reaches(rows, target):
     the rest, sparsest first, until the rank is reached.
     """
     if (
-        len({cols[0] for cols, _ in rows}) >= target
-        or len({cols[-1] for cols, _ in rows}) >= target
+        len({cols[0] for cols, _, _ in rows}) >= target
+        or len({cols[-1] for cols, _, _ in rows}) >= target
     ):
         return True
-    rows = sorted(rows, key=lambda pair: len(pair[0]))
+    rows = sorted(rows, key=lambda row: len(row[0]))
     seeds = {}
-    for pair in rows:
-        seeds.setdefault(pair[0][-1], pair)
-    rest = [pair for pair in rows if seeds[pair[0][-1]] is not pair]
+    for row in rows:
+        seeds.setdefault(row[0][-1], row)
+    rest = [row for row in rows if seeds[row[0][-1]] is not row]
     return _echelon_reaches([*seeds.values(), *rest], target)
 
 
 def _echelon_reaches(rows, target):
-    """Whether the ``(cols, row)`` pairs, taken in turn until ``target``
-    rows are kept, reach rank ``target`` over Q.
+    """Whether the ``(cols, vals, width)`` rows, taken in turn until
+    ``target`` rows are kept, reach rank ``target`` over Q.
 
     Each kept row sits under its last nonzero column, so the kept rows are
     triangular and their number is the rank of the rows taken.  A row whose
@@ -383,13 +392,13 @@ def _echelon_reaches(rows, target):
     column, and joins at the first free column it meets, or vanishes.
     """
     kept = {}  # last column -> the row as added, or as a dict {column: entry}
-    for cols, row in rows:
+    for cols, vals, _ in rows:
         if len(kept) >= target:
             break
         if cols[-1] not in kept:
-            kept[cols[-1]] = (cols, row)
+            kept[cols[-1]] = (cols, vals)
             continue
-        r = {j: row[j] for j in cols}
+        r = dict(zip(cols, vals))
         while r:
             j = max(r)
             pivot = kept.get(j)
@@ -397,7 +406,7 @@ def _echelon_reaches(rows, target):
                 kept[j] = r
                 break
             if type(pivot) is tuple:
-                pivot = kept[j] = {k: pivot[1][k] for k in pivot[0]}
+                pivot = kept[j] = dict(zip(*pivot))
             r = _core.reduce_row(r, pivot, j)
     return len(kept) >= target
 

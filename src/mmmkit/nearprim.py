@@ -49,34 +49,37 @@ other orders keep their spans.  Either way the route returns the kernel of
 its own rows, so a wrong closed form still surfaces as a monomial-basis
 failure.
 
-The rows of a degree are built once, as dense integer rows keyed by the
-pair (ea, eb) of tensor factors, straight from the packed keys that
+The rows of a degree are built once, sparse, keyed by the pair (ea, eb)
+of tensor factors, straight from the packed keys that
 `HopfModel.reduced_coproduct` returns for each basis monomial: ea stays
 packed, and each distinct eb is decoded once, for its degree and for the
-restriction.  Each distinct row is interned once, as one object together
-with its support, an `exactq.SparseRow`, and the kernel route's pass and
-every restricted order hand those same objects to `exactq`: no order
+restriction.  Each row gathers its entries as ``{column: entry}`` in
+ascending column order, as the basis monomials come, and no row is ever
+written out dense.  Each distinct row is interned once, by value, as one
+`exactq.SparseRow` of its columns and entries, and the kernel route's pass
+and every restricted order hand those same objects to `exactq`: no order
 converts a row again, and the certificate's annihilation memo checks each
-row against each candidate once.  A certified kernel of order d
-has had every row of the blocks k >= d checked against it, so the rows that
-the restricted route only relabels pass its check from the memo.
+row against each candidate once.  A certified kernel of order d has had
+every row of the blocks k >= d checked against it, so the rows that the
+restricted route only relabels pass its check from the memo.
 
 The restricted route of order d sends each key (ea, eb) with |eb| >= d to
 (ea, er) for every term of the restricted eb, and rows that land on one key
 add up, scaled by the image coefficient: the linear map id (x) restrict
-applied to the stacked blocks.  Restriction keeps a generator, kills it or
-sends p_{d/2} to e^2, so it sends distinct surviving monomials to distinct
-monomials with coefficient 1.  Its matrix R_d is therefore the rows of every
-B_k (k >= d) whose right-hand factor survives, relabelled, and ker R_d
-contains the kernel route's answer K.  The relabelled and summed rows need
-not start or end in enough distinct columns to bound its dimension, but
-the route hands K to the same certificate, `exactq.kernel_basis`, which
-returns K only when the rows certify it (they annihilate K, and they start
-or end in ncols - dim K distinct columns or a subset of them has that rank
-over Q, counted in an integer echelon) and eliminates R_d in full
-otherwise.  The rank is exact, so the route eliminates only where K is
-not ker R_d, and the result is exactly ker R_d either way: a wrong K cannot
-hide a fault.
+applied to the stacked blocks, summed as sparse rows; a sum equal to a row
+of the degree is handed over as that row's object.  Restriction keeps a
+generator, kills it or sends p_{d/2} to e^2, so it sends distinct
+surviving monomials to distinct monomials with coefficient 1.  Its matrix
+R_d is therefore the rows of every B_k (k >= d) whose right-hand factor
+survives, relabelled, and ker R_d contains the kernel route's answer K.
+The relabelled and summed rows need not start or end in enough distinct
+columns to bound its dimension, but the route hands K to the same
+certificate, `exactq.kernel_basis`, which returns K only when the rows
+certify it (they annihilate K, and they start or end in ncols - dim K
+distinct columns or a subset of them has that rank over Q, counted in an
+integer echelon) and eliminates R_d in full otherwise.  The rank is exact,
+so the route eliminates only where K is not ker R_d, and the result is
+exactly ker R_d either way: a wrong K cannot hide a fault.
 
 The closed-form vectors are a basis as they stand.  By Newton's identities
 Q_n = +-n g_n plus products of two or more generators, so Q^lam has exactly
@@ -103,7 +106,6 @@ changes, so they never outlive it.
 """
 
 from functools import lru_cache
-from operator import add
 
 from .errors import DimensionMismatch, QueryError
 from .exactq import SparseRow, Subspace, kernel_basis, subspace_equal
@@ -140,18 +142,18 @@ class _Degree:
     ``coordinates(exp)`` reads Q^exp from the model's packed integer table
     through one index of the packed basis monomials, built once per degree;
     ``primitive(exp)``, which only `npd` reads, decodes the same entry.
-    ``blocks()`` holds the reduced-coproduct matrix as dense integer rows:
+    ``blocks()`` holds the reduced-coproduct matrix as sparse rows:
     ``blocks()[k]`` maps each right-hand factor eb of degree k = |eb|, an
     exponent tuple, to the pairs ``(ea, row)``, where ea is left packed as
-    the model packs it and ``row[j]`` is the coefficient of ea (x) eb in the
-    reduced coproduct of basis monomial j.  The blocks are read straight off
-    the packed table of `_delta_bar_slice`: each key splits into ea and eb
-    with one mask and one shift, and each distinct eb is decoded once.  The
-    table holds no zero entry, so no row is zero.  The k run from the
-    highest down, the order of the kernel route's pass.
-    Equal rows are one tuple, interned with its support as one
-    `exactq.SparseRow` when the blocks are built; both routes look a row's
-    SparseRow up by the tuple's identity and hand that to `exactq`.
+    the model packs it and ``row`` is the `exactq.SparseRow` whose entry at
+    column j is the coefficient of ea (x) eb in the reduced coproduct of
+    basis monomial j.  The blocks are read straight off the packed table of
+    `_delta_bar_slice`: each key splits into ea and eb with one mask and one
+    shift, and each distinct eb is decoded once.  The table holds no zero
+    entry, so no row is zero.  The k run from the highest down, the order
+    of the kernel route's pass.  Equal rows are one SparseRow, interned by
+    value when the blocks are built, and both routes hand that object to
+    `exactq`.
     """
 
     def __init__(self, kind, max_degree, m):
@@ -167,9 +169,7 @@ class _Degree:
         self._spans = {}  # monomial set -> span
         self._columns = None  # the coproduct table the blocks came from
         self._blocks = None
-        # id of each distinct row of the blocks -> its `exactq.SparseRow`;
-        # the blocks hold those rows, so no other object can take their ids
-        self._sparse = None
+        self._interned = None  # each distinct row, keyed by its value
         self._kernels = None
 
     # --- the closed form ---------------------------------------------------
@@ -238,30 +238,23 @@ class _Degree:
         shift = model.width * model.ngens
         mask = (1 << shift) - 1
         ncols = len(self.basis)
-        rows = {}  # packed eb -> {packed ea: row}
+        rows = {}  # packed eb -> {packed ea: {column: entry}}, columns ascending
         for j, col in enumerate(columns):
             for key, c in col.items():
-                eb, ea = key >> shift, key & mask
-                by_ea = rows.get(eb)
-                if by_ea is None:
-                    by_ea = rows[eb] = {}
-                row = by_ea.get(ea)
-                if row is None:
-                    row = by_ea[ea] = [0] * ncols
-                row[j] += c
+                rows.setdefault(key >> shift, {}).setdefault(key & mask, {})[j] = c
         degree_of = model.generators.degree
-        interned = {}  # each distinct row, as one tuple
+        interned = {}  # each distinct row, as one SparseRow
         blocks = {}
         for eb, by_ea in rows.items():
             eb = model.unpack(eb)
             pairs = []
             for ea, row in by_ea.items():
-                row = tuple(row)
+                row = SparseRow(row, row.values(), ncols)
                 pairs.append((ea, interned.setdefault(row, row)))
             blocks.setdefault(degree_of(eb), {})[eb] = tuple(pairs)
         self._columns = columns
         self._blocks = dict(sorted(blocks.items(), reverse=True))
-        self._sparse = {id(row): SparseRow(row) for row in interned}
+        self._interned = interned
         self._kernels = None
         return self._blocks
 
@@ -283,37 +276,44 @@ class _Degree:
         own stack; the others keep their span.
         """
         # A repeated row leaves the kernel as it is, so each distinct row
-        # joins the stack once, in the first block that holds it.  Equal
-        # rows are one object, so the stack is keyed by identity.
-        sparse = self._sparse
-        ncols = len(self.basis)
+        # joins the stack once, in the first block that holds it.
         stack, kernels = {}, []
         for k, block in blocks.items():
-            stack.update((id(row), sparse[id(row)]) for pairs in block.values() for _, row in pairs)
-            kernels.append(kernel_basis(stack.values(), ncols, candidate=self.span(k)))
+            stack.update(dict.fromkeys(row for pairs in block.values() for _, row in pairs))
+            kernels.append(kernel_basis(stack, len(self.basis), candidate=self.span(k)))
         return kernels
 
     def restricted_rows(self, d, rank):
         """The distinct rows of the order-d matrix restricted to rank ``rank``.
 
         Each key (ea, eb) with |eb| >= d goes to (ea, er) for every term
-        cr * er of the restricted eb, and rows that share a key add up; each
-        eb is restricted once.  The first object met with each value is the
-        one returned, so a row that restriction only relabels comes back as
-        the degree's own object.
+        cr * er of the restricted eb, and rows that share a key add up, as
+        sparse rows; each eb is restricted once.  A row that restriction
+        only relabels comes back as the degree's own object, and so does a
+        sum equal to a row of the degree; of the other rows, the first
+        object met with each value is the one returned.
         """
         kind, max_degree, _ = self.key
-        rows = {}
+        rows = {}  # (ea, er) -> a degree row, or a dict {column: entry} of a sum
         for k, block in self.blocks().items():
             if k < d:
                 break
             for eb, pairs in block.items():
                 for er, cr in _restricted_monomial(kind, max_degree, rank, eb):
                     for ea, row in pairs:
-                        image = row if cr == 1 else tuple(cr * c for c in row)
-                        key = (ea, er)
-                        kept = rows.get(key)
-                        rows[key] = image if kept is None else tuple(map(add, kept, image))
+                        kept = rows.get((ea, er))
+                        if kept is None and cr == 1:
+                            rows[ea, er] = row
+                            continue
+                        if type(kept) is not dict:
+                            kept = rows[ea, er] = dict(zip(kept.cols, kept.vals)) if kept else {}
+                        for j, c in zip(row.cols, row.vals):
+                            kept[j] = kept.get(j, 0) + cr * c
+        for key, row in rows.items():
+            if type(row) is dict:
+                cols = sorted(j for j, c in row.items() if c)
+                row = SparseRow(cols, map(row.__getitem__, cols), len(self.basis))
+                rows[key] = self._interned.get(row, row)
         return list(dict.fromkeys(rows.values()))
 
     def restricted_kernel(self, d, rank):
@@ -322,10 +322,7 @@ class _Degree:
         The degree's own rows reach `exactq.kernel_basis` as the SparseRows
         interned with the blocks, so no order converts them again.
         """
-        rows = self.restricted_rows(d, rank)
-        sparse = self._sparse
-        rows = [sparse.get(id(row), row) for row in rows]
-        return kernel_basis(rows, len(self.basis), candidate=self.kernel(d))
+        return kernel_basis(self.restricted_rows(d, rank), len(self.basis), self.kernel(d))
 
 
 @lru_cache(maxsize=1)

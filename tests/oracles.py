@@ -11,6 +11,9 @@ references: they read the package's per-monomial coproduct table back as
 ``{(ea, eb): c}`` dicts, so tests can hold it against
 `reduced_coproduct_by_pairs`.
 
+`dense_row` is an adapter too: it reads a `SparseRow` back as the dense
+integer row it stands for.
+
 `rref_dense` is the dense integer Gauss-Jordan elimination that the
 package's elimination core ran before it reduced sparse rows; the core's
 output is held against it.
@@ -531,6 +534,15 @@ def monomials_one_generator_at_a_time(alphabet, degree, allowed=None):
 
     rec(0, degree)
     return out
+
+
+def dense_row(row):
+    """The dense integer row of a `SparseRow`: its entries at its columns,
+    zeros elsewhere, over its width."""
+    dense = [0] * row.width
+    for j, c in zip(row.cols, row.vals):
+        dense[j] = c
+    return dense
 
 
 def rref_dense(rows, ncols):

@@ -22,7 +22,13 @@ from mmmkit.exactq import (
     subspace_sum,
 )
 
-from oracles import rref_dense
+from oracles import dense_row, rref_dense
+
+
+def sparse(row):
+    """The SparseRow of a dense integer row, made from its nonzero entries."""
+    cols = [j for j, c in enumerate(row) if c]
+    return SparseRow(cols, [row[j] for j in cols], len(row))
 
 
 def random_matrix(rng, rows, cols, lo=-5, hi=5):
@@ -267,7 +273,7 @@ def test_kernel_certificate_accepts_exactly_the_kernel_of_every_prefix(case):
     is counted over Q, so the answer is exact both ways."""
     ncols, blocks = case
     kernels = _prefix_kernels(blocks, ncols)
-    pairs = [[SparseRow(row) for row in block] for block in blocks]
+    pairs = [[sparse(row) for row in block] for block in blocks]
     for i, block in enumerate(blocks):
         truth = kernels[i]
         before = kernels[i - 1] if i else Subspace.full(ncols)
@@ -402,8 +408,8 @@ def test_ranks_a_word_size_prime_would_lose_certify_with_no_elimination(
     kernel = kernel_basis(rows, ncols)
     target = ncols - kernel.dim
     pairs = exactq._sparse_pairs(rows, ncols)
-    assert len({cols[0] for cols, _ in pairs}) < target
-    assert len({cols[-1] for cols, _ in pairs}) < target
+    assert len({cols[0] for cols, _, _ in pairs}) < target
+    assert len({cols[-1] for cols, _, _ in pairs}) < target
     eliminations = []
     rref_int = exactq._core.rref_int
 
@@ -436,8 +442,7 @@ def test_rows_ending_in_distinct_columns_certify_without_an_echelon(monkeypatch)
     rows = [[P, 0, 0, 0], [1, P, 0, 0], [0, 1, 2 * P, 0], [3, 0, P, 0]]
     candidate = Subspace.from_vectors(4, [[0, 0, 0, 1]])
     assert kernel_basis(rows, 4, candidate) is candidate
-    sparse = [SparseRow(row) for row in rows]
-    assert kernel_basis(sparse, 4, candidate) is candidate
+    assert kernel_basis(list(map(sparse, rows)), 4, candidate) is candidate
     with pytest.raises(_NoEchelon):
         kernel_basis(
             [[1, 1, 1, 0], [1, 0, 1, 0]],
@@ -455,8 +460,7 @@ def test_rows_starting_in_distinct_columns_certify_without_an_echelon(monkeypatc
     candidate = Subspace.from_vectors(4, [[2, 1, 2, -2 * P]])
     assert kernel_basis(rows, 4) == candidate
     assert kernel_basis(rows, 4, candidate) is candidate
-    sparse = [SparseRow(row) for row in rows]
-    assert kernel_basis(sparse, 4, candidate) is candidate
+    assert kernel_basis(list(map(sparse, rows)), 4, candidate) is candidate
 
 
 @pytest.mark.parametrize(
@@ -767,7 +771,7 @@ def test_a_candidate_outside_the_kernel_before_it_is_not_certified():
     zero, full = Subspace.zero(1), Subspace.full(1)
     assert _prefix_kernels([[[1]], []], 1) == [zero, zero]
     # The second prefix holds the first block's row and nothing more.
-    rows = [SparseRow([1])]
+    rows = [SparseRow([0], [1], 1)]
     assert kernel_basis(rows, 1, zero) is zero
     assert kernel_basis(rows, 1, full) == zero
 
@@ -783,28 +787,67 @@ def test_kernel_basis_refuses_a_candidate_of_another_ambient_space():
 def test_the_conversion_passes_sparse_rows_and_converts_the_rest():
     rows = [[0, 0, 0], [Fraction(1, 2), 0, Fraction(-1, 3)], (0, 4, 0)]
     converted = exactq._sparse_pairs(rows, 3)
-    assert converted == [((0, 2), (3, 0, -2)), ((1,), (0, 4, 0))]
+    assert converted == [((0, 2), (3, -2), 3), ((1,), (4,), 3)]
     assert not any(type(r) is SparseRow for r in converted)
-    kept = [SparseRow(row) for row in rows]
-    assert kept == [((), (0, 0, 0))] + converted
+    kept = [SparseRow((), (), 3)] + [SparseRow(*r) for r in converted]
+    assert kept[1:] == converted
     again = exactq._sparse_pairs(kept + [[1, 1, 1]], 3)
     assert again[0] is kept[1] and again[1] is kept[2]
-    assert again[2] == ((0, 1, 2), (1, 1, 1))
+    assert again[2] == ((0, 1, 2), (1, 1, 1), 3)
     with pytest.raises(DimensionMismatch, match="row length 3 != 2 columns"):
         exactq._sparse_pairs(kept, 2)
 
 
-def test_a_sparse_row_is_made_from_its_dense_row_alone():
-    """A SparseRow takes no support from its caller, so it cannot leave a
-    nonzero column out or hold a Fraction, and it certifies no wrong
-    candidate."""
-    with pytest.raises(TypeError):
-        SparseRow((0,), (1, 1))
-    r = SparseRow([Fraction(1, 2), Fraction(-1, 2)])
-    assert (r.cols, r.row) == ((0, 1), (1, -1))
+def test_a_sparse_row_refuses_a_support_that_is_not_its_own():
+    """A SparseRow's columns are strictly ascending ints below its width,
+    and each of its entries is a nonzero int, so it cannot leave a nonzero
+    column out, list a zero or hold a Fraction; a malformed one is refused
+    with the fault named.  A well-formed one certifies no wrong candidate."""
+    for cols, vals, fault in [
+        ((1, 0), (1, 1), r"columns \(1, 0\) are not strictly ascending ints in range\(2\)"),
+        ((0, 0), (1, 1), "not strictly ascending"),
+        ((0.5,), (1,), "not strictly ascending ints"),
+        ((0, 2), (1, 1), r"in range\(2\)"),
+        ((-1, 0), (1, 1), r"in range\(2\)"),
+        ((0,), (1, 1), r"entries \(1, 1\) are not one nonzero int for each column"),
+        ((0, 1), (1, 0), "not one nonzero int"),
+        ((0, 1), (1, Fraction(1, 2)), "not one nonzero int"),
+        ((0, 1), (1, 1.0), "not one nonzero int"),
+    ]:
+        with pytest.raises(ValueError, match=fault):
+            SparseRow(cols, vals, 2)
+    r = SparseRow([0, 1], [1, -1], 2)
+    assert (r.cols, r.vals, r.width) == ((0, 1), (1, -1), 2)
     truth = kernel_basis([[1, -1]], 2)
     for wrong in (Subspace.full(2), Subspace.from_vectors(2, [[1, 0]])):
         assert kernel_basis([r], 2, candidate=wrong) == truth
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_a_sparse_row_from_its_entries_is_the_one_from_its_dense_row(data):
+    """A SparseRow made from a row's nonzero entries, taken out of order
+    from a map that also lists zeros, equals the one made from the converted
+    dense row, and `kernel_basis` gives one Subspace for the dense rows and
+    for their SparseRows, with and without a candidate."""
+    ncols = data.draw(st.integers(1, 6))
+    entry = st.integers(-40, 40)
+    rows = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
+    made = []
+    for row in rows:
+        entries = dict(enumerate(row))
+        order = data.draw(st.permutations(list(entries)))
+        cols = sorted(j for j in order if entries[j])
+        r = SparseRow(cols, [entries[j] for j in cols], ncols)
+        assert exactq._sparse_pairs([r], ncols) == exactq._sparse_pairs([row], ncols)
+        if any(row):
+            assert r == SparseRow(*exactq._sparse_pairs([row], ncols)[0])
+        assert dense_row(r) == row
+        made.append(r)
+    kernel = kernel_basis(rows, ncols)
+    assert kernel_basis(made, ncols) == kernel
+    for candidate in kernel_candidates(kernel, ncols).values():
+        assert kernel_basis(made, ncols, candidate) == kernel_basis(rows, ncols, candidate)
 
 
 def _checked_rows(monkeypatch):
@@ -832,8 +875,8 @@ def test_a_certified_candidate_still_checks_a_new_row(monkeypatch):
     kernel = kernel_basis(rows, ncols)
     truth = kernel_basis(rows + [bad], ncols)
     assert truth != kernel
-    pairs = [SparseRow(row) for row in rows]
-    extra = [SparseRow(bad)]
+    pairs = list(map(sparse, rows))
+    extra = [sparse(bad)]
     checked = _checked_rows(monkeypatch)
 
     assert kernel_basis(pairs, ncols, candidate=kernel) is kernel
@@ -869,7 +912,7 @@ def test_dense_rows_leave_the_memo_as_it_is(monkeypatch):
         assert kernel_basis(rows[2:] + rows[:2], 4, candidate=kernel) is kernel
     assert len(checked) == 3 * 6
     assert kernel._annihilated == {}
-    kept = [SparseRow(row) for row in rows]
+    kept = list(map(sparse, rows))
     for _ in range(3):
         assert kernel_basis(kept + rows, 4, candidate=kernel) is kernel
     assert sorted(map(id, kernel._annihilated.values())) == sorted(map(id, kept))
@@ -883,20 +926,20 @@ def test_calls_that_share_candidates_give_the_kernels_of_fresh_calls(case, data)
     also when a call adds rows to those a candidate was checked against
     before, whether or not that candidate lies inside their kernel."""
     ncols, rows = case
-    pool = [SparseRow(row) for row in rows]
+    pool = list(map(sparse, rows))
     subsets = st.lists(st.sampled_from(pool), max_size=6) if pool else st.just([])
     kernels = [kernel_basis(rows, ncols)]
     for _ in range(2):
-        kernels.append(kernel_basis([r.row for r in data.draw(subsets)], ncols))
+        kernels.append(kernel_basis(list(map(dense_row, data.draw(subsets))), ncols))
     candidates = [Subspace.zero(ncols), Subspace.full(ncols)]
     for kernel in kernels:
         candidates += kernel_candidates(kernel, ncols).values()
     for _ in range(8):
         block = data.draw(subsets)
         candidate = data.draw(st.sampled_from(candidates))
-        expected = kernel_basis([list(r.row) for r in block], ncols)
+        expected = kernel_basis(list(map(dense_row, block)), ncols)
         assert kernel_basis(block, ncols, candidate=candidate) == expected
         grown = block + data.draw(subsets)
-        expected = kernel_basis([list(r.row) for r in grown], ncols)
+        expected = kernel_basis(list(map(dense_row, grown)), ncols)
         for again in (candidate, data.draw(st.sampled_from(candidates))):
             assert kernel_basis(grown, ncols, candidate=again) == expected

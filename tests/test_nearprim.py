@@ -1,5 +1,6 @@
 """Near-primitive slices: closed form vs kernel vs restricted detection."""
 
+import operator
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -33,6 +34,7 @@ from mmmkit.exactq import Subspace, kernel_basis, subspace_equal
 
 from oracles import (
     coproduct_rows_by_pairs,
+    dense_row,
     distinct_products,
     reduced_coproduct_of,
     restricted_rows_by_entries,
@@ -413,8 +415,10 @@ def test_restricted_kernel_equals_the_one_shot_kernel_of_its_rows():
 
 @pytest.mark.parametrize("kind,bound", [("u", 14), ("so", 24)])
 def test_restricted_rows_equal_the_entry_by_entry_assembly(kind, bound):
-    """The restricted rows read from the degree's keyed rows are, as a set,
-    the nonzero rows of the entry-by-entry assembly, and give its kernel."""
+    """The restricted rows read from the degree's keyed rows are distinct
+    SparseRows of the slice's width, and, read back as dense rows, they are
+    as a set the nonzero rows of the entry-by-entry assembly, and give its
+    kernel."""
     model = hopf_model(kind, bound)
     for m in range(model.step, bound + 1, model.step):
         basis, columns = nearprim._delta_bar_slice(kind, bound, m)
@@ -425,7 +429,10 @@ def test_restricted_rows_equal_the_entry_by_entry_assembly(kind, bound):
             reference = restricted_rows_by_entries(model, columns, d, rank)
             rows = nearprim._degree(kind, bound, m).restricted_rows(d, rank)
             assert len(set(rows)) == len(rows)
-            assert set(rows) == {tuple(row) for row in reference.values() if any(row)}
+            assert all(type(r) is exactq.SparseRow and r.width == len(basis) for r in rows)
+            assert {tuple(dense_row(r)) for r in rows} == {
+                tuple(row) for row in reference.values() if any(row)
+            }
             assert near_primitive_kernel_restricted(model, m, d) == kernel_basis(
                 list(reference.values()), len(basis)
             )
@@ -435,11 +442,13 @@ def test_restricted_rows_scale_and_add_up_under_a_merging_map(monkeypatch):
     """Restriction never scales or merges terms, but the row map must
     handle a linear map that does: with a stand-in that sends many eb to
     shared monomials with coefficients other than 1, the rows still match
-    the entry-by-entry assembly through the same map."""
+    the entry-by-entry assembly through the same map, a sum equal to a row
+    of the degree comes back as the degree's own object, and a sum that
+    cancels is a zero row, with no column."""
     kind, bound = "so", 16
 
     def merging(kind_, bound_, rank, eb):
-        return (((sum(eb) % 3,), 2), ((7,), -(eb[0] + 1)), ((eb[-1],), 1))
+        return (((sum(eb) % 3,), 2), ((7,), -(eb[0] + 1)), ((eb[-1],), 1), ((9,), 1), ((9,), -1))
 
     monkeypatch.setattr(nearprim, "_restricted_monomial", merging)
     model = hopf_model(kind, bound)
@@ -449,13 +458,23 @@ def test_restricted_rows_scale_and_add_up_under_a_merging_map(monkeypatch):
             reference = restricted_rows_by_entries(
                 model, columns, d, d, image=lambda eb: merging(kind, bound, d, eb)
             )
-            rows = nearprim._degree(kind, bound, m).restricted_rows(d, d)
-            assert {row for row in rows if any(row)} == {
+            state = nearprim._degree(kind, bound, m)
+            rows = state.restricted_rows(d, d)
+            assert {tuple(dense_row(r)) for r in rows if r.cols} == {
                 tuple(row) for row in reference.values() if any(row)
             }
+            own = _own_rows(state)
+            assert all(own.get(r, r) is r for r in rows)
+            assert not rows or ((), (), len(basis)) in rows
             assert kernel_basis(rows, len(basis)) == kernel_basis(
                 list(reference.values()), len(basis)
             )
+
+
+def _own_rows(state):
+    """Each row of the degree's blocks, keyed by its value."""
+    blocks = state.blocks().values()
+    return {row: row for block in blocks for pairs in block.values() for _, row in pairs}
 
 
 def _handed_rows(monkeypatch):
@@ -497,8 +516,8 @@ def _restricted_orders(model, bound):
 @pytest.mark.parametrize("kind, bound", [("u", 24), ("so", 40)])
 def test_the_restricted_route_hands_over_the_degrees_own_sparse_rows(monkeypatch, kind, bound):
     """Every row the restricted route hands to the certificate is the
-    degree's own SparseRow, converted once when the blocks were built, and
-    the rows are those of `restricted_rows`, in order."""
+    degree's own SparseRow, made once when the blocks were built, and the
+    rows are those of `restricted_rows`, in order."""
     model = hopf_model(kind, bound)
     handed = _handed_rows(monkeypatch)
     nearprim._degree.cache_clear()
@@ -506,19 +525,20 @@ def test_the_restricted_route_hands_over_the_degrees_own_sparse_rows(monkeypatch
         near_primitive_kernel_restricted(model, m, d)
         rows, _ = handed.pop()
         state = nearprim._degree(kind, bound, m)
-        dense = state.restricted_rows(d, rank)
-        assert [r.row for r in rows] == dense
-        for row, r in zip(dense, rows):
-            assert type(r) is exactq.SparseRow
-            assert state._sparse[id(row)] is r
-            assert r.cols == tuple(j for j, c in enumerate(row) if c)
+        again = state.restricted_rows(d, rank)
+        assert len(rows) == len(again) and all(map(operator.is_, rows, again))
+        own = _own_rows(state)
+        for r in rows:
+            assert type(r) is exactq.SparseRow and own[r] is r
 
 
 def test_restricted_rows_through_the_summing_path_give_the_same_kernels(monkeypatch):
     """A stand-in for `_restricted_monomial` that writes each term cr * er
     as 2cr * er - cr * er sends every row through the summing path, where
-    the rows are new objects that `exactq` converts; the restricted rows
-    and kernels stay as they were, entry by entry."""
+    each row is summed anew; every sum equals a row of the degree and comes
+    back as the degree's own SparseRow, so the restricted rows and kernels
+    stay as they were, entry by entry, and the annihilation memo keeps
+    every row it checked."""
     bounds = (("u", 14), ("so", 24))
 
     def restricted(kind, bound):
@@ -526,7 +546,10 @@ def test_restricted_rows_through_the_summing_path_give_the_same_kernels(monkeypa
         out = {}
         for m, d, rank in _restricted_orders(model, bound):
             kernel = near_primitive_kernel_restricted(model, m, d)
-            rows = nearprim._degree(kind, bound, m).restricted_rows(d, rank)
+            state = nearprim._degree(kind, bound, m)
+            rows = state.restricted_rows(d, rank)
+            own = _own_rows(state)
+            assert all(own[r] is r for r in rows)
             out[m, d] = rows, kernel.rows, kernel.pivots
         return out
 
@@ -543,10 +566,9 @@ def test_restricted_rows_through_the_summing_path_give_the_same_kernels(monkeypa
     nearprim._degree.cache_clear()
     for bound in bounds:
         assert restricted(*bound) == clean[bound]
-    assert handed and not any(type(r) is exactq.SparseRow for rows, _ in handed for r in rows)
-    # The converted rows are new on every call, so no memo keeps them.
-    for _, candidate in handed:
-        assert all(type(r) is exactq.SparseRow for r in candidate._annihilated.values())
+    assert handed
+    for rows, candidate in handed:
+        assert all(id(r) in candidate._annihilated for r in rows)
 
 
 def test_each_row_is_checked_against_each_candidate_once(monkeypatch):
@@ -558,7 +580,7 @@ def test_each_row_is_checked_against_each_candidate_once(monkeypatch):
     annihilates = exactq.annihilates
 
     def recording(rows, subspace):
-        checked.extend((subspace, r[1]) for r in rows if id(r) not in subspace._annihilated)
+        checked.extend((subspace, r) for r in rows if id(r) not in subspace._annihilated)
         return annihilates(rows, subspace)
 
     monkeypatch.setattr(exactq, "annihilates", recording)
@@ -648,7 +670,7 @@ def _wrong_closed_form(model, m, how):
     above = None
     for k, block in state.blocks().items():
         true = near_primitive_monomials(model, m, k)
-        rows = [row for pairs in block.values() for _, row in pairs]
+        rows = [dense_row(row) for pairs in block.values() for _, row in pairs]
         if how == "subspace" and len(true) >= 2:
             return k, true[1:]
         if how == "superspace" and above is not None:
@@ -883,6 +905,30 @@ def test_the_certificate_serves_every_degree_without_elimination(monkeypatch, ki
     assert _eliminated(calls, "kernel") == []
     assert _eliminated(calls, "restricted") == []
     assert len([c for c in calls if c[0] == "kernel"]) == bound // hopf_model(kind, bound).step
+
+
+@pytest.mark.parametrize("kind, bound", [("u", 12), ("so", 24)])
+def test_the_blocks_are_the_pair_by_pair_coproduct_rows_entry_by_entry(kind, bound):
+    """Every degree's blocks, read back as ``{(ea, eb): {gamma: c}}``, are
+    the rows of the pair-by-pair coproduct, entry by entry.  Each row is a
+    SparseRow of the slice's width, filed under k = |eb| from the highest k
+    down, and equal rows are one object."""
+    model = hopf_model(kind, bound)
+    for m in range(model.step, bound + 1, model.step):
+        basis = enumerate_monomials(model.generators, m)
+        blocks = nearprim._degree(kind, bound, m).blocks()
+        assert list(blocks) == sorted(blocks, reverse=True)
+        rows, own = {}, {}
+        for k, block in blocks.items():
+            for eb, pairs in block.items():
+                assert model.generators.degree(eb) == k
+                for ea, row in pairs:
+                    assert type(row) is exactq.SparseRow and row.width == len(basis)
+                    assert own.setdefault(row, row) is row
+                    rows[model.unpack(ea), eb] = {
+                        basis[j]: c for j, c in zip(row.cols, row.vals)
+                    }
+        assert rows == coproduct_rows_by_pairs(model, m)
 
 
 @pytest.mark.parametrize("kind, bound", [("u", 24), ("so", 40)])
