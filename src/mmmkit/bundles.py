@@ -105,15 +105,6 @@ class CohomologyRing:
     def pow(self, a, k):
         return _product(self, (a,), (k,))
 
-    def basis(self, degree):
-        """Normal-form monomials of the given degree."""
-        monos = enumerate_monomials(self.alphabet, degree)
-        out = []
-        for e in monos:
-            if all(e[gi] < cap for gi, (cap, _) in self.rules.items()):
-                out.append(e)
-        return out
-
     def evaluate(self, poly):
         """Pair with the fundamental class: the top monomial's coefficient."""
         return Fraction(self.reduce(poly).terms.get(self.top_monomial, 0))

@@ -633,10 +633,6 @@ def terms_to_text(terms):
     return "".join(parts) or "0"
 
 
-def format_poly(poly, names=None):
-    """Canonical text form: graded order, lowest-terms coefficients.
-
-    ``names`` optionally overrides the alphabet's generator names for
-    display, matching them by position.
-    """
-    return terms_to_text(poly_to_terms(poly, names))
+def format_poly(poly):
+    """Canonical text form: graded order, lowest-terms coefficients."""
+    return terms_to_text(poly_to_terms(poly))

@@ -160,7 +160,9 @@ class HopfModel:
     # -- coproduct -----------------------------------------------------------
 
     def _gen_coproduct_power(self, i, e):
-        """delta(g_i)^e for e >= 1 as a TensorElement, memoised."""
+        """delta(g_i)^e for e >= 1 as a TensorElement, memoised: the power
+        e - 1 times delta(g_i), one factor at a time, as `primitive_monomial`
+        builds Q^lam."""
         key = (i, e)
         cached = self._gen_coproduct_powers.get(key)
         if cached is not None:
@@ -179,10 +181,7 @@ class HopfModel:
                 terms[(tuple(ea), tuple(eb))] = 1
             result = TensorElement(alph, terms)
         else:
-            half = self._gen_coproduct_power(i, e // 2)
-            result = half * half
-            if e % 2:
-                result = result * self._gen_coproduct_power(i, 1)
+            result = self._gen_coproduct_power(i, e - 1) * self._gen_coproduct_power(i, 1)
         self._gen_coproduct_powers[key] = result
         return result
 

@@ -16,8 +16,9 @@ compute the degree-m slice of these:
   restriction: BSO(d) needs d >= 2, and the complex pairing matches order
   2k with BU(k), so only even orders have a restricted counterpart there.
 
-`verify_equivalence` sweeps all three against each other and doubles as the
-boundary-law check (full slice at m = d, primitives only for m >= 2d).
+`verify_equivalence` sweeps all three against each other over every degree
+of the model and doubles as the boundary-law check (full slice at m = d,
+primitives only for m >= 2d).
 
 The reduced coproduct is graded, so the kernel matrix of order d stacks one
 block B_k per degree k = |eb| of the right-hand factor, over every k >= d:
@@ -49,19 +50,20 @@ other orders keep their spans.  Either way the route returns the kernel of
 its own rows, so a wrong closed form still surfaces as a monomial-basis
 failure.
 
-The rows of a degree are built once, sparse, keyed by the pair (ea, eb)
-of tensor factors, straight from the packed keys that
-`HopfModel.reduced_coproduct` returns for each basis monomial: ea stays
-packed, and each distinct eb is decoded once, for its degree and for the
-restriction.  Each row gathers its entries as ``{column: entry}`` in
-ascending column order, as the basis monomials come, and no row is ever
-written out dense.  Each distinct row is interned once, by value, as one
-`exactq.SparseRow` of its columns and entries, and the kernel route's pass
-and every restricted order hand those same objects to `exactq`: no order
-converts a row again, and the certificate's annihilation memo checks each
-row against each candidate once.  A certified kernel of order d has had
-every row of the blocks k >= d checked against it, so the rows that the
-restricted route only relabels pass its check from the memo.
+The rows of a degree are built once, sparse, keyed by the pair (ea, eb) of
+tensor factors, straight from the packed keys that
+`HopfModel.reduced_coproduct` returns for each basis monomial, read from
+`_delta_bar_slice` once per degree: ea stays packed, and each distinct eb
+is decoded once, for its degree and for the restriction.  Each row gathers
+its entries as ``{column: entry}`` in ascending column order, as the basis
+monomials come, and no row is ever written out dense.  Each distinct row is
+interned once, by value, as one `exactq.SparseRow` of its columns and
+entries, and the kernel route's pass and every restricted order hand those
+same objects to `exactq`: no order converts a row again, and the
+certificate's annihilation memo checks each row against each candidate
+once.  A certified kernel of order d has had every row of the blocks k >= d
+checked against it, so the rows that the restricted route only relabels
+pass its check from the memo.
 
 The restricted route of order d sends each key (ea, eb) with |eb| >= d to
 (ea, er) for every term of the restricted eb, and rows that land on one key
@@ -99,10 +101,9 @@ basis every route and span reads (the slice `gradedalg.slice_basis` keeps for
 every caller, witnesses included), each order's closed-form
 monomials, each primitive monomial as coordinates, the closed-form spans, and
 the keyed rows with the kernels certified from them.  Each piece is built on
-first use.  The primitive monomials themselves live in the model's memoised
-integer table (`HopfModel.primitive_monomial`), which every degree shares.
-The rows and kernels are rebuilt whenever the coproduct table they came from
-changes, so they never outlive it.
+first use, once.  The primitive monomials themselves live in the model's
+memoised integer table (`HopfModel.primitive_monomial`), which every degree
+shares.
 """
 
 from functools import lru_cache
@@ -123,16 +124,17 @@ from .hopfmodel import fibre_dimension, hopf_model, restrict, restricted_model
 
 @lru_cache(maxsize=1)
 def _delta_bar_slice(kind, max_degree, m):
-    """Reduced-coproduct data of every degree-m generator monomial.
+    """The reduced coproduct of every degree-m generator monomial.
 
-    Returns ``(basis, columns)`` where ``columns[j]`` is the packed dict
+    Returns the tuple ``columns``, where ``columns[j]`` is the packed dict
     ``{pack(ea) + (pack(eb) << shift): integer coefficient}`` that
-    `HopfModel.reduced_coproduct` builds for basis monomial j, with no zero
-    entry.  Kept for the latest degree, like the degree's state that reads
-    it.
+    `HopfModel.reduced_coproduct` builds for monomial j of
+    ``slice_basis(model.generators, m)``, with no zero entry.  Kept for the
+    latest degree; a degree's state reads it once, when it builds its
+    blocks.
     """
-    state = _degree(kind, max_degree, m)
-    return state.basis, tuple(map(state.model.reduced_coproduct, state.basis))
+    model = hopf_model(kind, max_degree)
+    return tuple(map(model.reduced_coproduct, slice_basis(model.generators, m)))
 
 
 class _Degree:
@@ -153,7 +155,8 @@ class _Degree:
     entry, so no row is zero.  The k run from the highest down, the order
     of the kernel route's pass.  Equal rows are one SparseRow, interned by
     value when the blocks are built, and both routes hand that object to
-    `exactq`.
+    `exactq`.  The blocks and the prefix kernels certified from them are
+    built once per state, so one state reads its table once.
     """
 
     def __init__(self, kind, max_degree, m):
@@ -167,7 +170,6 @@ class _Degree:
         # Orders with no generator degree between them admit the same
         # monomials, so the certificate and every order's span read one entry.
         self._spans = {}  # monomial set -> span
-        self._columns = None  # the coproduct table the blocks came from
         self._blocks = None
         self._interned = None  # each distinct row, keyed by its value
         self._kernels = None
@@ -175,7 +177,9 @@ class _Degree:
     # --- the closed form ---------------------------------------------------
 
     def monomials(self, d):
-        """The closed-form monomials of order d, in canonical order."""
+        """The closed-form monomials of order d, in canonical order: the
+        enumeration's, with Q_m last, since every other monomial of the
+        slice has a factor Q_i of smaller index."""
         monos = self._monomials.get(d)
         if monos is None:
             model, m = self.model, self.m
@@ -186,7 +190,6 @@ class _Degree:
                 top = [0] * len(prims)
                 top[m // model.step - 1] = 1
                 found.append(tuple(top))
-            found.sort(key=lambda e: tuple(-v for v in e))
             monos = self._monomials[d] = tuple(found)
         return monos
 
@@ -229,17 +232,15 @@ class _Degree:
     # --- the coproduct rows --------------------------------------------------
 
     def blocks(self):
-        """The degree's rows grouped by |eb|, rebuilt whenever
-        `_delta_bar_slice` hands back another table."""
-        columns = _delta_bar_slice(*self.key)[1]
-        if columns is self._columns:
+        """The degree's rows grouped by |eb|, built on first use."""
+        if self._blocks is not None:
             return self._blocks
         model = self.model
         shift = model.width * model.ngens
         mask = (1 << shift) - 1
         ncols = len(self.basis)
         rows = {}  # packed eb -> {packed ea: {column: entry}}, columns ascending
-        for j, col in enumerate(columns):
+        for j, col in enumerate(_delta_bar_slice(*self.key)):
             for key, c in col.items():
                 rows.setdefault(key >> shift, {}).setdefault(key & mask, {})[j] = c
         degree_of = model.generators.degree
@@ -252,10 +253,8 @@ class _Degree:
                 row = SparseRow(row, row.values(), ncols)
                 pairs.append((ea, interned.setdefault(row, row)))
             blocks.setdefault(degree_of(eb), {})[eb] = tuple(pairs)
-        self._columns = columns
         self._blocks = dict(sorted(blocks.items(), reverse=True))
         self._interned = interned
-        self._kernels = None
         return self._blocks
 
     def kernel(self, d):
@@ -470,25 +469,21 @@ def _difference_witness(model, m, a, b):
     return "spaces agree"
 
 
-def verify_equivalence(model, max_degree):
-    """Check kernel = closed form = restricted kernel over every (m, d).
+def verify_equivalence(model):
+    """Check kernel = closed form = restricted kernel over every (m, d) with
+    m up to the model's bound.
 
     Also records the boundary laws: the kernel is the whole slice at m = d
     and exactly the (at most one-dimensional) primitive slice once m >= 2d.
     Returns an :class:`EquivalenceReport`; any counterexample carries the
     offending (m, d) and a witness vector.
     """
-    if max_degree > model.max_degree:
-        raise QueryError(
-            f"sweep bound {max_degree} exceeds the model bound {model.max_degree}"
-        )
     report = EquivalenceReport()
     step = model.step
-    for m in range(step, max_degree + 1, step):
+    for m in range(step, model.max_degree + 1, step):
         ncols = len(slice_basis(model.generators, m))
         primitive_vec = degree_slice_vector(model.power_sum(m // step), m)
         primitive_slice = Subspace.from_vectors(ncols, [primitive_vec])
-        full_slice = Subspace.full(ncols)
         for d in range(1, m + 1):
             kernel = near_primitive_kernel(model, m, d)
             span = near_primitive_span(model, m, d)
@@ -508,9 +503,9 @@ def verify_equivalence(model, max_degree):
                     )
             else:
                 report.skipped_restricted += 1
-            if m == d and not subspace_equal(kernel, full_slice):
+            if m == d and kernel.dim != ncols:
                 report.failures.append(
-                    SweepFailure(m, d, "full-slice-at-m=d", f"dim {kernel.dim} != {full_slice.dim}")
+                    SweepFailure(m, d, "full-slice-at-m=d", f"dim {kernel.dim} != {ncols}")
                 )
             if m >= 2 * d and not subspace_equal(kernel, primitive_slice):
                 report.failures.append(

@@ -22,9 +22,10 @@ output is held against it.
 as it ran before it moved to integers, on the package's power sums and log
 coefficients, so it checks the integer bookkeeping alone.
 
-The example builders at the end (`point_ring`, `product_bundle`, `biproj`,
-`mmm_class_number`) are the exception: they assemble test inputs from the
-bundles module's own constructors, which the package itself never needs.
+The example builders at the end (`point_ring`, `ring_basis`,
+`product_bundle`, `biproj`, `mmm_class_number`) are the exception: they
+assemble test inputs from the bundles module's own constructors, which the
+package itself never needs.
 """
 
 from fractions import Fraction
@@ -601,6 +602,16 @@ def point_ring():
     alphabet = GeneratorAlphabet([])
     one = Polynomial.one(alphabet)
     return CohomologyRing(alphabet, {}, (), tangent_chern=one, label="pt")
+
+
+def ring_basis(ring, degree):
+    """The normal-form monomials of ``ring`` in the given degree: those
+    below every generator cap of its rewrite rules."""
+    return [
+        e
+        for e in enumerate_monomials(ring.alphabet, degree)
+        if all(e[gi] < cap for gi, (cap, _) in ring.rules.items())
+    ]
 
 
 def product_bundle(base):

@@ -9,7 +9,14 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import RankTwoOracle, biproj, mmm_class_number, point_ring, product_bundle
+from oracles import (
+    RankTwoOracle,
+    biproj,
+    mmm_class_number,
+    point_ring,
+    product_bundle,
+    ring_basis,
+)
 from mmmkit.errors import DimensionMismatch, InhomogeneousError, QueryError
 from mmmkit.gradedalg import Polynomial, enumerate_monomials, parse_poly
 from mmmkit.mmm import MMMAlgebra
@@ -37,8 +44,8 @@ def test_point_and_projective_space_rings():
 
     cp1 = projective_space(1)
     assert cp1.top_degree == 2
-    assert cp1.basis(0) == [(0,)] and cp1.basis(2) == [(1,)]
-    assert cp1.basis(4) == []
+    assert ring_basis(cp1, 0) == [(0,)] and ring_basis(cp1, 2) == [(1,)]
+    assert ring_basis(cp1, 4) == []
     assert cp1.evaluate(ring_poly(cp1, "h")) == 1
     assert cp1.mul(ring_poly(cp1, "h"), ring_poly(cp1, "h")).is_zero()
 
@@ -54,7 +61,7 @@ def test_product_ring_kunneth():
     ring = product_ring(projective_space(1), projective_space(1))
     assert ring.alphabet.names == ("h1", "h2")
     assert ring.top_degree == 4
-    assert len(ring.basis(2)) == 2
+    assert len(ring_basis(ring, 2)) == 2
     assert ring.evaluate(ring_poly(ring, "h1*h2")) == 1
     assert ring.evaluate(ring_poly(ring, "h1^2")) == 0
     assert ring.mul(ring_poly(ring, "h1"), ring_poly(ring, "h1")).is_zero()
@@ -74,9 +81,9 @@ def test_poincare_duality_dimension_symmetry():
     for ring in rings:
         top = ring.top_degree
         for m in range(0, top + 1, 2):
-            assert len(ring.basis(m)) == len(ring.basis(top - m))
-        assert len(ring.basis(top)) == 1
-        top_poly = Polynomial.from_monomial(ring.alphabet, ring.basis(top)[0])
+            assert len(ring_basis(ring, m)) == len(ring_basis(ring, top - m))
+        assert len(ring_basis(ring, top)) == 1
+        top_poly = Polynomial.from_monomial(ring.alphabet, ring_basis(ring, top)[0])
         assert ring.evaluate(top_poly) == 1
 
 
@@ -183,7 +190,7 @@ def test_fibre_integration_normalization_and_projection():
         assert bundle.fibre_integrate(total.one()).is_zero()
         # pi_! pi* = 0, and pi_!(pi*(a) xi) = a
         for m in range(2, base.top_degree + 1, 2):
-            for exp in base.basis(m):
+            for exp in ring_basis(base, m):
                 a = Polynomial.from_monomial(base.alphabet, exp)
                 assert bundle.fibre_integrate(bundle.pullback(a)).is_zero()
                 assert bundle.fibre_integrate(total.mul(bundle.pullback(a), xi)) == a
@@ -195,11 +202,11 @@ def test_fibre_integration_normalization_and_projection():
                     {
                         exp: Fraction(rng.randint(-3, 3))
                         for m in range(0, total.top_degree + 1, 2)
-                        for exp in total.basis(m)
+                        for exp in ring_basis(total, m)
                     },
                 )
             )
-            a = Polynomial.from_monomial(base.alphabet, rng.choice(base.basis(2)))
+            a = Polynomial.from_monomial(base.alphabet, rng.choice(ring_basis(base, 2)))
             lhs = bundle.fibre_integrate(total.mul(bundle.pullback(a), t))
             rhs = base.mul(a, bundle.fibre_integrate(t))
             assert lhs == rhs

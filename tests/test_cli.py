@@ -323,18 +323,21 @@ def test_verify_failure_exits_one(monkeypatch, capsys):
     original = nearprim._delta_bar_slice
 
     def corrupted(kind, max_degree, m):
-        basis, columns = original(kind, max_degree, m)
+        columns = original(kind, max_degree, m)
         if m != 8 or not columns or not columns[0]:
-            return basis, columns
+            return columns
         key = next(iter(columns[0]))
-        return basis, ({**columns[0], key: columns[0][key] + 1},) + columns[1:]
+        return ({**columns[0], key: columns[0][key] + 1},) + columns[1:]
 
     monkeypatch.setattr(nearprim, "_delta_bar_slice", corrupted)
+    nearprim._degree.cache_clear()
     code, out, _ = invoke(
         capsys, "nearprim", "verify", "--model", "so", "--max-degree", "12"
     )
     assert code == 1
     assert "[FAIL]" in out and "(m=8" in out
+    monkeypatch.undo()
+    nearprim._degree.cache_clear()
 
 
 def test_verify_clean_run(capsys):

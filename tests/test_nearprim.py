@@ -19,6 +19,7 @@ from mmmkit.gradedalg import (
     format_poly,
     parse_poly,
     poincare_series,
+    slice_basis,
 )
 from mmmkit.hopfmodel import fibre_dimension, hopf_model, restrict, restricted_model
 from mmmkit.nearprim import (
@@ -263,17 +264,35 @@ def test_reduced_coproduct_binomial_law():
 
 def test_sweep_clean_and_counts():
     ms = hopf_model("so", 16)
-    report = verify_equivalence(ms, 16)
+    report = verify_equivalence(ms)
     assert report.all_passed
     assert report.checked == 4 + 8 + 12 + 16
     assert report.skipped_restricted == 4  # d = 1 for each degree
     assert near_primitive_kernel(ms, 8, 5).dim == 2
 
     mu = hopf_model("u", 10)
-    report = verify_equivalence(mu, 10)
+    report = verify_equivalence(mu)
     assert report.all_passed
     assert report.checked == 2 + 4 + 6 + 8 + 10
     assert report.skipped_restricted == 1 + 2 + 3 + 4 + 5  # odd orders
+
+
+@pytest.mark.parametrize("kind, bound", [("so", 16), ("u", 10)])
+def test_a_degree_reads_its_coproduct_table_once_per_sweep(monkeypatch, kind, bound):
+    """Each degree's state reads `_delta_bar_slice` once across the sweep:
+    its blocks and prefix kernels are built once, whatever reads them."""
+    reads = []
+    original = nearprim._delta_bar_slice
+
+    def counted(kind_, bound_, m):
+        reads.append(m)
+        return original(kind_, bound_, m)
+
+    monkeypatch.setattr(nearprim, "_delta_bar_slice", counted)
+    nearprim._degree.cache_clear()
+    model = hopf_model(kind, bound)
+    assert verify_equivalence(model).all_passed
+    assert reads == list(range(model.step, bound + 1, model.step))
 
 
 def test_kernels_grow_with_the_order():
@@ -326,28 +345,30 @@ def test_sweep_pinpoints_an_injected_fault(monkeypatch):
     """Corrupting one structure constant of the degree-8 coproduct slice must
     surface as failures at degree 8 and nowhere else."""
     ms = hopf_model("so", 12)
-    clean = verify_equivalence(ms, 12)
+    clean = verify_equivalence(ms)
     assert clean.all_passed
 
     original = nearprim._delta_bar_slice
 
     def corrupted(kind, max_degree, m):
-        basis, columns = original(kind, max_degree, m)
+        columns = original(kind, max_degree, m)
         if m != 8:
-            return basis, columns
+            return columns
         j = next(j for j, col in enumerate(columns) if col)
         key = next(iter(columns[j]))
         bumped = {**columns[j], key: columns[j][key] + 1}
-        return basis, columns[:j] + (bumped,) + columns[j + 1:]
+        return columns[:j] + (bumped,) + columns[j + 1:]
 
     monkeypatch.setattr(nearprim, "_delta_bar_slice", corrupted)
-    report = verify_equivalence(ms, 12)
+    nearprim._degree.cache_clear()
+    report = verify_equivalence(ms)
     assert not report.all_passed
     assert {f.degree for f in report.failures} == {8}
     assert any(f.check in ("monomial-basis", "primitives-only-at-m>=2d") for f in report.failures)
 
     monkeypatch.undo()
-    assert verify_equivalence(ms, 12).all_passed
+    nearprim._degree.cache_clear()
+    assert verify_equivalence(ms).all_passed
 
 
 def test_kernel_equals_the_one_shot_kernel_of_its_rows():
@@ -356,45 +377,41 @@ def test_kernel_equals_the_one_shot_kernel_of_its_rows():
     for kind, bound in (("so", 16), ("u", 10)):
         model = hopf_model(kind, bound)
         for m in range(model.step, bound + 1, model.step):
-            basis, columns = nearprim._delta_bar_slice(kind, bound, m)
             for d in range(1, m + 1):
-                rows = {}
-                for j, col in enumerate(columns):
-                    for (ea, eb), c in unpacked_coproduct(model, col).items():
-                        if model.generators.degree(eb) >= d:
-                            rows.setdefault((ea, eb), [0] * len(basis))[j] += c
-                expected = kernel_basis(list(rows.values()), len(basis))
-                assert near_primitive_kernel(model, m, d) == expected
+                assert near_primitive_kernel(model, m, d) == _one_shot_kernel(model, m, d)
 
 
 def test_sweep_pinpoints_a_fault_in_the_top_degree(monkeypatch):
-    """A fault injected into the degree swept last must surface there even
-    though that degree's clean kernels were the last ones computed."""
+    """A fault injected into the degree swept last surfaces there and
+    nowhere else, at the orders that degree's routes disagree on when it
+    is asked for first."""
     ms = hopf_model("so", 12)
-    assert verify_equivalence(ms, 12).all_passed
+    assert verify_equivalence(ms).all_passed
 
     original = nearprim._delta_bar_slice
 
     def corrupted(kind, max_degree, m):
-        basis, columns = original(kind, max_degree, m)
+        columns = original(kind, max_degree, m)
         if m != 12:
-            return basis, columns
+            return columns
         key = next(iter(columns[0]))
-        return basis, ({**columns[0], key: columns[0][key] + 1},) + columns[1:]
+        return ({**columns[0], key: columns[0][key] + 1},) + columns[1:]
 
     monkeypatch.setattr(nearprim, "_delta_bar_slice", corrupted)
+    nearprim._degree.cache_clear()
     # Ask for the top degree first, before any other degree is touched.
     wrong = [
         d for d in range(1, 13)
         if not subspace_equal(near_primitive_kernel(ms, 12, d), near_primitive_span(ms, 12, d))
     ]
     assert wrong
-    report = verify_equivalence(ms, 12)
+    report = verify_equivalence(ms)
     assert {f.degree for f in report.failures} == {12}
     assert {f.order for f in report.failures if f.check == "monomial-basis"} == set(wrong)
 
     monkeypatch.undo()
-    assert verify_equivalence(ms, 12).all_passed
+    nearprim._degree.cache_clear()
+    assert verify_equivalence(ms).all_passed
 
 
 def test_restricted_kernel_equals_the_one_shot_kernel_of_its_rows():
@@ -403,13 +420,14 @@ def test_restricted_kernel_equals_the_one_shot_kernel_of_its_rows():
     for kind, bound in (("so", 16), ("u", 10)):
         model = hopf_model(kind, bound)
         for m in range(model.step, bound + 1, model.step):
-            basis, columns = nearprim._delta_bar_slice(kind, bound, m)
+            columns = nearprim._delta_bar_slice(kind, bound, m)
+            ncols = len(slice_basis(model.generators, m))
             for d in range(1, m + 1):
                 rank = restricted_pairing(kind, d)
                 if rank is None:
                     continue
                 rows = restricted_rows_by_entries(model, columns, d, rank)
-                expected = kernel_basis(list(rows.values()), len(basis))
+                expected = kernel_basis(list(rows.values()), ncols)
                 assert near_primitive_kernel_restricted(model, m, d) == expected
 
 
@@ -421,7 +439,8 @@ def test_restricted_rows_equal_the_entry_by_entry_assembly(kind, bound):
     kernel."""
     model = hopf_model(kind, bound)
     for m in range(model.step, bound + 1, model.step):
-        basis, columns = nearprim._delta_bar_slice(kind, bound, m)
+        columns = nearprim._delta_bar_slice(kind, bound, m)
+        basis = slice_basis(model.generators, m)
         for d in range(1, m + 1):
             rank = restricted_pairing(kind, d)
             if rank is None:
@@ -453,7 +472,8 @@ def test_restricted_rows_scale_and_add_up_under_a_merging_map(monkeypatch):
     monkeypatch.setattr(nearprim, "_restricted_monomial", merging)
     model = hopf_model(kind, bound)
     for m in range(model.step, bound + 1, model.step):
-        basis, columns = nearprim._delta_bar_slice(kind, bound, m)
+        columns = nearprim._delta_bar_slice(kind, bound, m)
+        basis = slice_basis(model.generators, m)
         for d in range(2, m + 1):
             reference = restricted_rows_by_entries(
                 model, columns, d, d, image=lambda eb: merging(kind, bound, d, eb)
@@ -587,7 +607,7 @@ def test_each_row_is_checked_against_each_candidate_once(monkeypatch):
     handed = _handed_rows(monkeypatch)
     for kind, bound in (("u", 24), ("so", 40)):
         nearprim._degree.cache_clear()
-        assert verify_equivalence(hopf_model(kind, bound), bound).all_passed
+        assert verify_equivalence(hopf_model(kind, bound)).all_passed
     pairs = [(id(subspace), row) for subspace, row in checked]
     assert len(set(pairs)) == len(pairs)
     restricted_rows = 0
@@ -632,12 +652,12 @@ def test_restricted_route_ignores_a_wrong_candidate(monkeypatch, how):
     monkeypatch.setattr(nearprim._Degree, "kernel", wrong_kernel)
     for (m, d), expected in truth.items():
         assert near_primitive_kernel_restricted(ms, m, d) == expected
-    report = verify_equivalence(ms, 12)
+    report = verify_equivalence(ms)
     failed = {(f.degree, f.order) for f in report.failures if f.check == "restricted-kernel"}
     assert failed == set(truth)
 
     monkeypatch.undo()
-    assert verify_equivalence(ms, 12).all_passed
+    assert verify_equivalence(ms).all_passed
 
 
 # --- the kernel route's certificate against the closed form --------------------
@@ -645,13 +665,14 @@ def test_restricted_route_ignores_a_wrong_candidate(monkeypatch, how):
 
 def _one_shot_kernel(model, m, d):
     """The kernel of every row with |eb| >= d, eliminated at once."""
-    basis, columns = nearprim._delta_bar_slice(model.kind, model.max_degree, m)
+    columns = nearprim._delta_bar_slice(model.kind, model.max_degree, m)
+    ncols = len(slice_basis(model.generators, m))
     rows = {}
     for j, col in enumerate(columns):
         for (ea, eb), c in unpacked_coproduct(model, col).items():
             if model.generators.degree(eb) >= d:
-                rows.setdefault((ea, eb), [0] * len(basis))[j] += c
-    return kernel_basis(list(rows.values()), len(basis))
+                rows.setdefault((ea, eb), [0] * ncols)[j] += c
+    return kernel_basis(list(rows.values()), ncols)
 
 
 def _wrong_closed_form(model, m, how):
@@ -710,7 +731,7 @@ def test_a_wrong_closed_form_fails_with_the_exact_kernels_witness(monkeypatch, h
 
     monkeypatch.setattr(nearprim._Degree, "monomials", patched)
     nearprim._degree.cache_clear()
-    report = verify_equivalence(model, 16)
+    report = verify_equivalence(model)
     assert [(f.degree, f.order, f.check, f.detail) for f in report.failures] == [
         (m, k, "monomial-basis", witness)
     ]
@@ -743,7 +764,7 @@ def test_a_closed_form_one_monomial_short_eliminates_its_degree(monkeypatch, kin
     monkeypatch.setattr(nearprim._Degree, "monomials", patched)
     calls = _record_eliminations(monkeypatch)
     nearprim._degree.cache_clear()
-    report = verify_equivalence(model, bound)
+    report = verify_equivalence(model)
     assert [(f.degree, f.order, f.check) for f in report.failures] == [
         (m, k, "monomial-basis")
     ]
@@ -821,17 +842,20 @@ def test_scaled_rows_certify_every_order_and_keep_every_subspace(monkeypatch, ki
 
     @lru_cache(maxsize=None)
     def scaled(kind_, bound_, m_):
-        basis, columns = original(kind_, bound_, m_)
+        columns = original(kind_, bound_, m_)
         if m_ != m:
-            return basis, columns
-        return basis, tuple({key: p * c for key, c in col.items()} for col in columns)
+            return columns
+        return tuple({key: p * c for key, c in col.items()} for col in columns)
 
     monkeypatch.setattr(nearprim, "_delta_bar_slice", scaled)
+    nearprim._degree.cache_clear()
     calls = _record_eliminations(monkeypatch)
-    assert verify_equivalence(model, bound).all_passed
+    assert verify_equivalence(model).all_passed
     assert _eliminated(calls, "kernel") == []
     assert _eliminated(calls, "restricted") == []
     assert _all_subspaces(model, bound) == clean
+    monkeypatch.undo()
+    nearprim._degree.cache_clear()
 
 
 @pytest.mark.parametrize("kind, bound, m", [("u", 12, 12), ("so", 28, 28)])
@@ -854,7 +878,7 @@ def test_an_order_the_echelon_refuses_falls_back_and_keeps_every_subspace(
 
     monkeypatch.setattr(exactq, "_echelon_reaches", refused_in_degree_m)
     nearprim._degree.cache_clear()
-    assert verify_equivalence(model, bound).all_passed
+    assert verify_equivalence(model).all_passed
     assert _eliminated(calls, "kernel") == []
     assert _eliminated(calls, "restricted") == [m]
     assert _all_subspaces(model, bound) == clean
@@ -885,7 +909,7 @@ def test_every_order_falls_back_and_keeps_every_subspace_entry_by_entry(
     calls = _record_eliminations(monkeypatch)
     monkeypatch.setattr(exactq, "_rank_reaches", lambda rows, target: False)
     nearprim._degree.cache_clear()
-    assert verify_equivalence(model, bound).all_passed
+    assert verify_equivalence(model).all_passed
     assert {m for route, m, _ in calls if route == "kernel"} == set(blocks)
     assert any(route == "restricted" for route, _, _ in calls)
     for route, m, eliminated in calls:
@@ -901,7 +925,7 @@ def test_the_certificate_serves_every_degree_without_elimination(monkeypatch, ki
     elimination."""
     calls = _record_eliminations(monkeypatch)
     nearprim._degree.cache_clear()
-    assert verify_equivalence(hopf_model(kind, bound), bound).all_passed
+    assert verify_equivalence(hopf_model(kind, bound)).all_passed
     assert _eliminated(calls, "kernel") == []
     assert _eliminated(calls, "restricted") == []
     assert len([c for c in calls if c[0] == "kernel"]) == bound // hopf_model(kind, bound).step
@@ -950,6 +974,18 @@ def test_the_kernel_rank_is_the_count_of_distinct_leading_products(kind, bound):
         for d in range(1, m + 1):
             closed_form = near_primitive_monomials(model, m, d)
             assert distinct_products(model.generators, rows, d) == ncols - len(closed_form)
+
+
+@pytest.mark.parametrize("kind, bound", [("u", 24), ("so", 40)])
+def test_the_closed_form_comes_in_descending_lex_order(kind, bound):
+    """The closed-form monomials of every degree and order come in the
+    canonical order, descending lex, as the enumeration gives them with
+    Q_m appended last; they are never sorted."""
+    model = hopf_model(kind, bound)
+    for m in range(1, bound + 1):
+        for d in range(1, m + 1):
+            monos = near_primitive_monomials(model, m, d)
+            assert monos == sorted(monos, reverse=True)
 
 
 @pytest.mark.parametrize("kind, bound", [("u", 24), ("so", 40)])
